@@ -51,6 +51,7 @@ from .shells import (
     shell_degeneracy,
     shell_fold,
     shell_system,
+    shell_tower,
 )
 from .fillers import (
     Base,
@@ -68,6 +69,7 @@ from .fillers import (
     theta_from_connections,
     thin_decompose,
     thin_filler,
+    unfold_expression,
     unfold_step,
 )
 from .models import (
@@ -84,16 +86,5 @@ from .models import (
     nerve,
 )
 from .suites import SUITES, SuiteConfig, run_suite, run_suites
-
-
-def shell_tower(cat: FinCatPresentation, base_dim: int = 1, height: int = 1) -> CubeSystem:
-    """Iterate the shell extension ``height`` times above a nerve base."""
-    if height < 1:
-        raise ValueError("height must be at least 1")
-    system: CubeSystem = nerve(cat, base_dim)
-    for top in range(base_dim + 1, base_dim + height + 1):
-        system = ShellExtension(system, top)
-    return system
-
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,13 +16,26 @@ import sys
 import time
 
 from . import arrays, fillers, folding, models, shells, suites
-from .core import LawReport, MINUS, PLUS, run_axiom_suite, LAWS
+from .core import LawReport, PLUS, run_axiom_suite, LAWS
 from .errors import CubicalError, NotThin, ParseError, UnknownLaw
 
 FAMILIES = ("nerve", "tower", "broken")
 
 
+# Where the unfold diagram draws the leaves of fillers.unfold_expression,
+# in leaf order: (first row, first column, end row, end column, label).
+UNFOLD_TILES = (
+    (0, 0, 1, 1, "e-"),
+    (0, 1, 1, 2, "G+"),
+    (1, 0, 2, 2, "fold"),
+    (2, 0, 3, 1, "G-"),
+    (2, 1, 3, 2, "e+"),
+)
+
+
 def build_system(family: str, cat_spec: str, max_dim: int, base_dim: int = 1):
+    if max_dim < 1:
+        raise ParseError("--dim must be at least 1")
     if os.path.exists(cat_spec):
         cat = models.load_fincat_path(cat_spec)
     else:
@@ -32,13 +45,23 @@ def build_system(family: str, cat_spec: str, max_dim: int, base_dim: int = 1):
     if family == "broken":
         return models.BrokenNerveSystem(cat, max_dim)
     if family == "tower":
+        if base_dim < 1:
+            raise ParseError("--base-dim must be at least 1")
         if base_dim >= max_dim:
             raise ParseError("tower needs base dimension below the checked dimension")
-        system = models.nerve(cat, base_dim)
-        for top in range(base_dim + 1, max_dim + 1):
-            system = shells.ShellExtension(system, top)
-        return system
+        return shells.shell_tower(cat, base_dim, max_dim - base_dim)
     raise ParseError(f"unknown model family {family!r}")
+
+
+def unfold_partition(system, x, j: int) -> arrays.ComposablePartition:
+    """The partition that recovers x from its boundary and direction-j folding."""
+    expr = fillers.unfold_expression(
+        shells.boundary(system, x), j, fillers.Base(folding.psi(system, x, j))
+    )
+    return arrays.ComposablePartition(system, [
+        arrays.PartitionCell(r0, c0, r1, c1, fillers.evaluate(system, leaf), label)
+        for (r0, c0, r1, c1, label), leaf in zip(UNFOLD_TILES, fillers.leaves(expr))
+    ], dir_v=j, dir_h=j + 1)
 
 
 def _read_json(path: str):
@@ -241,18 +264,7 @@ def cmd_render(args) -> int:
     else:  # unfold
         if not 1 <= j <= n - 1:
             raise ParseError(f"--dir must be between 1 and {n - 1} for unfold")
-        s = shells.boundary(system, x)
-        a = folding.psi(system, x, j)
-        p = arrays.ComposablePartition(system, [
-            arrays.PartitionCell(0, 0, 1, 1, system.degeneracy(s.face(j, MINUS), j), "e-"),
-            arrays.PartitionCell(0, 1, 1, 2,
-                                 system.connection(s.face(j + 1, PLUS), j, PLUS), "G+"),
-            arrays.PartitionCell(1, 0, 2, 2, a, "fold"),
-            arrays.PartitionCell(2, 0, 3, 1,
-                                 system.connection(s.face(j + 1, MINUS), j, MINUS), "G-"),
-            arrays.PartitionCell(2, 1, 3, 2, system.degeneracy(s.face(j, PLUS), j), "e+"),
-        ], dir_v=j, dir_h=j + 1)
-        print(arrays.render_ascii(p), end="")
+        print(arrays.render_ascii(unfold_partition(system, x, j)), end="")
     return 0
 
 

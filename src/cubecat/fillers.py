@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import folding
-from .core import MINUS, PLUS, SIGNS, CubeSystem, Sign, check_sign
+from .core import MINUS, PLUS, CubeSystem, Sign, check_sign, run_axiom_suite
 from .errors import (
+    AxiomFailure,
     MorphismViolation,
     NotCommutative,
     NotThin,
@@ -47,13 +48,7 @@ def _first_mismatch(s: Shell, t: Shell):
 def unfold_step(system: CubeSystem, a, s: Shell, j: int):
     """The unique x with boundary s whose direction-j folding is a.
 
-    Built as the rows-first composite of
-
-        [ eps_j s(j,-)    | G+_j s(j+1,+) ]
-        [       a  (spanning)             ]
-        [ G-_j s(j+1,-)   | eps_j s(j,+)  ]
-
-    with direction j vertical and j+1 horizontal; the result is re-checked
+    Evaluates ``unfold_expression(s, j, Base(a))``; the result is re-checked
     against both defining equations before being returned.
     """
     n = system.dim(a)
@@ -65,17 +60,7 @@ def unfold_step(system: CubeSystem, a, s: Shell, j: int):
         raise PreconditionFailed(
             f"boundary of a differs from the folded shell at face {mismatch}"
         )
-    top = system.compose(
-        system.degeneracy(s.face(j, MINUS), j),
-        system.connection(s.face(j + 1, PLUS), j, PLUS),
-        j + 1,
-    )
-    bottom = system.compose(
-        system.connection(s.face(j + 1, MINUS), j, MINUS),
-        system.degeneracy(s.face(j, PLUS), j),
-        j + 1,
-    )
-    x = system.compose(system.compose(top, a, j), bottom, j)
+    x = evaluate(system, unfold_expression(s, j, Base(a)))
     if folding.psi(system, x, j) != a:
         raise PostconditionViolated("unfold_step: folding the result does not give a")
     if boundary(system, x) != s:
@@ -150,6 +135,31 @@ class Compose:
 
 
 GeneratorExpression = Union[Eps, Gamma, Base, Compose]
+
+
+def unfold_expression(s: Shell, j: int, core: GeneratorExpression) -> Compose:
+    """The three-row partition that unfolds a direction-j folding (Lemma 1.5).
+
+    The rows-first composite of
+
+        [ eps_j s(j,-)    | G+_j s(j+1,+) ]
+        [       core  (spanning)          ]
+        [ G-_j s(j+1,-)   | eps_j s(j,+)  ]
+
+    with direction j vertical and j+1 horizontal.  Its leaves, in order,
+    are the five cells e-, G+, core, G-, e+.
+    """
+    top = Compose(
+        j + 1,
+        Eps(j, s.face(j, MINUS)),
+        Gamma(j, PLUS, s.face(j + 1, PLUS)),
+    )
+    bottom = Compose(
+        j + 1,
+        Gamma(j, MINUS, s.face(j + 1, MINUS)),
+        Eps(j, s.face(j, PLUS)),
+    )
+    return Compose(j, Compose(j, top, core), bottom)
 
 
 def evaluate(system: CubeSystem, expr: GeneratorExpression):
@@ -237,18 +247,7 @@ def thin_decompose(system: CubeSystem, x) -> GeneratorExpression:
     core = chain[0]
     expr: GeneratorExpression = Eps(1, system.face(core, 1, MINUS))
     for k in range(1, n):
-        s = boundary(system, chain[k])
-        top = Compose(
-            k + 1,
-            Eps(k, s.face(k, MINUS)),
-            Gamma(k, PLUS, s.face(k + 1, PLUS)),
-        )
-        bottom = Compose(
-            k + 1,
-            Gamma(k, MINUS, s.face(k + 1, MINUS)),
-            Eps(k, s.face(k, PLUS)),
-        )
-        expr = Compose(k, Compose(k, top, expr), bottom)
+        expr = unfold_expression(boundary(system, chain[k]), k, expr)
     if evaluate(system, expr) != x:
         raise PostconditionViolated("thin decomposition does not evaluate back")
     return expr
@@ -304,14 +303,10 @@ def theta_from_connections(
     if top is None:
         top = system.max_dim
     if spot_check:
-        from .core import run_axiom_suite
-
         for report in run_axiom_suite(
             system, max_dim=min(2, top), exhaustive_dim=2, samples=0
         ):
             if not report.passed:
-                from .errors import AxiomFailure
-
                 raise AxiomFailure(report)
     return ThinStructure(system, top, lambda s: thin_filler(system, s))
 
@@ -362,8 +357,9 @@ def connections_from_theta(theta: ThinStructure) -> ConnectionOverrideSystem:
     """Read connections off a thin structure and re-validate their laws.
 
     The induced map sends a to the filler of the formal connection shell on
-    a.  Face, cancellation and transport laws are checked exhaustively over
-    the enumerable model; a violation means theta was not a morphism.
+    a.  The registry's face, transport and cancellation laws are checked
+    exhaustively over the enumerable model; a violation means theta was not
+    a morphism.
     """
     system, top = theta.system, theta.top
 
@@ -372,52 +368,14 @@ def connections_from_theta(theta: ThinStructure) -> ConnectionOverrideSystem:
         return theta(shell_connection(system, a, i, sign))
 
     override = ConnectionOverrideSystem(system, top, gamma)
-    _validate_connections(override, top)
-    return override
-
-
-def _validate_connections(override: ConnectionOverrideSystem, top: int) -> None:
-    from .core import composable_pairs
-
-    system = override
-    pool = system.cubes(top - 1)
-    for a in pool:
-        for i in range(1, top):
-            for g in SIGNS:
-                cx = system.connection(a, i, g)
-                for m in range(1, top + 1):
-                    for al in SIGNS:
-                        lhs = system.face(cx, m, al)
-                        if m in (i, i + 1):
-                            rhs = a if al == g else system.degeneracy(
-                                system.face(a, i, al), i
-                            )
-                        elif m < i:
-                            rhs = system.connection(system.face(a, m, al), i - 1, g)
-                        else:
-                            rhs = system.connection(system.face(a, m - 1, al), i, g)
-                        if lhs != rhs:
-                            raise MorphismViolation(
-                                f"induced connection breaks a face law at ({m},{al})"
-                            )
-                plus = system.connection(a, i, PLUS)
-                minus = system.connection(a, i, MINUS)
-                if system.compose(plus, minus, i + 1) != system.degeneracy(a, i):
-                    raise MorphismViolation("induced connections do not cancel")
-                if system.compose(plus, minus, i) != system.degeneracy(a, i + 1):
-                    raise MorphismViolation("induced connections do not cancel")
-    for i in range(1, top):
-        for a, b in composable_pairs(system, pool, i):
-            ab = system.compose(a, b, i)
-            lhs = system.connection(ab, i, PLUS)
-            rhs = system.compose(
-                system.compose(
-                    system.connection(a, i, PLUS), system.degeneracy(a, i + 1), i + 1
-                ),
-                system.compose(
-                    system.degeneracy(a, i), system.connection(b, i, PLUS), i + 1
-                ),
-                i,
+    for report in run_axiom_suite(
+        override,
+        max_dim=top,
+        exhaustive_dim=top,
+        law_ids=("GAMMA-FACE", "TRANSPORT", "GAMMA-CANCEL"),
+    ):
+        if not report.passed:
+            raise MorphismViolation(
+                f"induced connections break {report.law_id}: {report.counterexample}"
             )
-            if lhs != rhs:
-                raise MorphismViolation("induced connections break the transport law")
+    return override

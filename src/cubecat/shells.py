@@ -21,6 +21,7 @@ from .errors import (
     NotComposable,
     ParseError,
 )
+from .models import FinCatPresentation, nerve
 
 
 def _slot(i: int, sign: Sign) -> int:
@@ -457,21 +458,31 @@ def enumerate_shells(system: CubeSystem, n: int) -> Iterator[Shell]:
     yield from place(1)
 
 
-_EXTENSIONS: dict = {}
-
-
 def shell_system(base: CubeSystem, n: int) -> ShellExtension:
     """Memoized extension of ``base`` by its n-shells (base used below n only).
 
     An extension whose top already is n is its own shell system: its
-    dimension-n elements are exactly the n-shells over its lower part.
+    dimension-n elements are exactly the n-shells over its lower part.  The
+    memo lives on the base, so it is freed together with the base.
     """
     if isinstance(base, ShellExtension) and base.top == n:
         return base
-    key = (id(base), n)
-    if key not in _EXTENSIONS:
-        _EXTENSIONS[key] = ShellExtension(base, n)
-    return _EXTENSIONS[key]
+    cache = getattr(base, "_shell_system_cache", None)
+    if cache is None:
+        cache = base._shell_system_cache = {}
+    if n not in cache:
+        cache[n] = ShellExtension(base, n)
+    return cache[n]
+
+
+def shell_tower(cat: FinCatPresentation, base_dim: int = 1, height: int = 1) -> CubeSystem:
+    """Iterate the shell extension ``height`` times above a nerve base."""
+    if height < 1:
+        raise ValueError("height must be at least 1")
+    system: CubeSystem = nerve(cat, base_dim)
+    for top in range(base_dim + 1, base_dim + height + 1):
+        system = ShellExtension(system, top)
+    return system
 
 
 # ---------------------------------------------------------------------------

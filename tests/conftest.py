@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubecat import ShellExtension, bundled_category, nerve
+from cubecat import bundled_category, nerve, shell_tower
 
 _CACHE = {}
 
@@ -17,10 +17,7 @@ def nerve_of(name: str, max_dim: int = 3):
 def tower_of(name: str, top: int, base_dim: int = 1):
     key = ("tower", name, top, base_dim)
     if key not in _CACHE:
-        if top == base_dim:
-            _CACHE[key] = nerve(bundled_category(name), base_dim)
-        else:
-            _CACHE[key] = ShellExtension(tower_of(name, top - 1, base_dim), top)
+        _CACHE[key] = shell_tower(bundled_category(name), base_dim, top - base_dim)
     return _CACHE[key]
 
 

@@ -110,6 +110,14 @@ def test_missing_category_is_config_error(tmp_path):
     result = run_cli("axioms", "--model", "nerve",
                      "--cat", str(tmp_path / "none.json"), "--dim", "2")
     assert result.returncode == 2
+    # dimensions below 1 are rejected the same way
+    for argv in (
+        ("--model", "nerve", "--cat", "poset22", "--dim", "0"),
+        ("--model", "tower", "--cat", "poset22", "--base-dim", "0", "--dim", "2"),
+    ):
+        result = run_cli("axioms", *argv)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_category_document_from_path(tmp_path):

@@ -10,6 +10,7 @@ from cubecat import (
     Eps,
     big_psi,
     boundary,
+    compose_partition,
     enumerate_shells,
     evaluate,
     expression_from_doc,
@@ -24,6 +25,7 @@ from cubecat import (
     thin_filler,
     unfold_step,
 )
+from cubecat.cli import unfold_partition
 from cubecat.errors import NotCommutative, NotThin, PreconditionFailed
 from conftest import edge_cube, nerve_of, tower_of
 
@@ -35,6 +37,19 @@ def test_unfold_inverts_one_folding(poset_nerve):
         b = boundary(poset_nerve, x)
         for j in (1, 2):
             assert unfold_step(poset_nerve, psi(poset_nerve, x, j), b, j) == x
+
+
+def test_unfold_diagram_is_the_unfold_step(poset_nerve, poset_tower):
+    # the cells render --kind unfold draws compose to what unfold_step builds
+    cases = [(poset_nerve, x) for n in (2, 3) for x in poset_nerve.cubes(n)]
+    cases += [(poset_tower, x) for x in poset_tower.cubes(3)]
+    for system, x in cases:
+        b = boundary(system, x)
+        for j in range(1, system.dim(x)):
+            partition = unfold_partition(system, x, j)
+            assert [c.label for c in partition.cells] == ["e-", "G+", "fold", "G-", "e+"]
+            assert compose_partition(partition) == x
+            assert unfold_step(system, psi(system, x, j), b, j) == x
 
 
 def test_unfold_rejects_mismatched_inputs(poset_nerve):

@@ -1,6 +1,8 @@
 """Shells, their formal operations, the extension system, and commutativity."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -9,10 +11,12 @@ from cubecat import (
     PLUS,
     big_psi,
     boundary,
+    bundled_category,
     enumerate_shells,
     is_commutative,
     is_thin,
     make_shell,
+    nerve,
     psi,
     run_axiom_suite,
     shell_big_fold,
@@ -231,10 +235,21 @@ def test_big_fold_of_degenerate_shell(poset_nerve):
 
 
 def test_shell_tower_helper_matches_manual_build():
-    from cubecat import bundled_category, shell_tower
+    from cubecat import ShellExtension, shell_tower
 
-    tower = shell_tower(bundled_category("free_square"), base_dim=1, height=2)
-    manual = tower_of("free_square", 3)
+    cat = bundled_category("free_square")
+    tower = shell_tower(cat, base_dim=1, height=2)
+    manual = ShellExtension(ShellExtension(nerve(cat, 1), 2), 3)
     for n in range(4):
         assert tower.cubes(n) == manual.cubes(n)
     assert tower.op_ceiling == 3
+
+
+def test_shell_system_does_not_keep_its_base_alive():
+    system = nerve(bundled_category("poset22"), 2)
+    s = boundary(system, system.cubes(2)[0])
+    shell_fold(system, s, 1)
+    ref = weakref.ref(system)
+    del system, s
+    gc.collect()
+    assert ref() is None

@@ -105,7 +105,7 @@ def test_badly_wired_theta_is_rejected(poset_nerve):
         return poset_nerve.degeneracy(s.face(1, MINUS), 1)
 
     fake = ThinStructure(poset_nerve, 2, wrong_fill)
-    with pytest.raises(MorphismViolation):
+    with pytest.raises(MorphismViolation, match="GAMMA-FACE"):
         connections_from_theta(fake)
 
 
