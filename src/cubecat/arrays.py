@@ -299,28 +299,27 @@ def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> Composa
         return 0 <= r < n_rows and 0 <= c < n_cols and cells[r][c].kind == PLAIN \
             and cells[r][c].cube is not None
 
-    def neighbour_face(r, c, which):
-        """Face shared with a resolved neighbour: which in {left,right,up,down}."""
-        dr, dc, direction, sign = {
-            "left": (0, -1, dir_h, PLUS),
-            "right": (0, 1, dir_h, MINUS),
-            "up": (-1, 0, dir_v, PLUS),
-            "down": (1, 0, dir_v, MINUS),
-        }[which]
-        if resolved(r + dr, c + dc):
-            return system.face(cells[r + dr][c + dc].cube, direction, sign)
+    def neighbour_face(r, c, *sides):
+        """Face shared with the first resolved neighbour among sides (left, right, up, down)."""
+        for side in sides:
+            dr, dc, direction, sign = {
+                "left": (0, -1, dir_h, PLUS),
+                "right": (0, 1, dir_h, MINUS),
+                "up": (-1, 0, dir_v, PLUS),
+                "down": (1, 0, dir_v, MINUS),
+            }[side]
+            if resolved(r + dr, c + dc):
+                return system.face(cells[r + dr][c + dc].cube, direction, sign)
         return None
 
     def attempt(r, c):
         cell = cells[r][c]
         kind = cell.kind
         if kind == EPS_H:
-            f = neighbour_face(r, c, "left")
-            f = f if f is not None else neighbour_face(r, c, "right")
+            f = neighbour_face(r, c, "left", "right")
             return None if f is None else system.degeneracy(f, dir_h)
         if kind == EPS_V:
-            f = neighbour_face(r, c, "up")
-            f = f if f is not None else neighbour_face(r, c, "down")
+            f = neighbour_face(r, c, "up", "down")
             return None if f is None else system.degeneracy(f, dir_v)
         if kind in (GAMMA_PLUS, GAMMA_MINUS):
             if dir_h != dir_v + 1:
@@ -328,11 +327,9 @@ def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> Composa
                     "connection symbols need horizontal direction = vertical + 1"
                 )
             if kind == GAMMA_PLUS:
-                f = neighbour_face(r, c, "right")
-                f = f if f is not None else neighbour_face(r, c, "down")
+                f = neighbour_face(r, c, "right", "down")
                 return None if f is None else system.connection(f, dir_v, PLUS)
-            f = neighbour_face(r, c, "left")
-            f = f if f is not None else neighbour_face(r, c, "up")
+            f = neighbour_face(r, c, "left", "up")
             return None if f is None else system.connection(f, dir_v, MINUS)
         if kind == DOUBLE:
             for which, direction in (

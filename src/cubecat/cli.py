@@ -137,8 +137,15 @@ def _config_dict(args, extra=None) -> dict:
 # subcommands
 
 
+def _report_system(args):
+    """The model of an axioms or theorems run, after the sampling flags are checked."""
+    if args.samples < 0 or args.exhaustive_dim < 0:
+        raise ParseError("--samples and --exhaustive-dim must not be negative")
+    return build_system(args.model, args.cat, args.dim, args.base_dim)
+
+
 def cmd_axioms(args) -> int:
-    system = build_system(args.model, args.cat, args.dim, args.base_dim)
+    system = _report_system(args)
     reports = run_axiom_suite(
         system,
         max_dim=args.dim,
@@ -152,7 +159,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_theorems(args) -> int:
-    system = build_system(args.model, args.cat, args.dim, args.base_dim)
+    system = _report_system(args)
     config = suites.SuiteConfig(
         max_dim=args.dim,
         exhaustive_dim=args.exhaustive_dim,

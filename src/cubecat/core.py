@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import (
+    CubicalError,
     DimensionTooLarge,
+    IndexOutOfRange,
     MalformedSample,
     UnknownLaw,
 )
@@ -37,8 +38,8 @@ def check_sign(sign: Sign) -> None:
         raise ValueError(f"sign must be '-' or '+', got {sign!r}")
 
 
-class CubeSystem(ABC):
-    """Signature every model must provide.
+class CubeSystem:
+    """Signature every model provides.
 
     ``max_dim`` bounds enumeration; ``op_ceiling`` bounds the dimension of
     elements an operation may construct (None means unbounded).  The shell
@@ -47,35 +48,45 @@ class CubeSystem(ABC):
     on demand.
 
     All elements are immutable values with structural (decidable) equality,
-    and every operation is a pure function of its inputs, so instances are
-    safe to share across threads.
+    and every operation is a pure function of its inputs.
+
+    A model writes each operation once, as a plain definition that
+    validates its arguments and builds the result: ``_face(x, i, sign)``,
+    ``_degeneracy(x, i)``, ``_connection(x, i, sign)`` and
+    ``_compose(x, y, i)``.  The class decorator :func:`tabulated` gives it
+    each of the public ``face``, ``degeneracy``, ``connection`` and
+    ``compose`` it lacks, answered from ``id_view``.  A system built on another
+    passes it as ``base`` and says with :meth:`owns_from` which calls it
+    hands down; a root system defines ``dim``, ``cubes``, ``describe`` and
+    ``parse`` itself.
     """
 
     max_dim: int
     op_ceiling: Optional[int] = None
+    base: Optional["CubeSystem"] = None
 
-    @abstractmethod
-    def dim(self, x) -> int: ...
+    def __init__(self, base: Optional["CubeSystem"] = None):
+        self.base = base
+        self.id_view = IdView(self, None if base is None else base.id_view)
+        self._sample_index: dict = {}  # (n, i) -> pool(n) by lower i-face
 
-    @abstractmethod
-    def face(self, x, i: int, sign: Sign): ...
+    def dim(self, x) -> int:
+        return self.base.dim(x)
 
-    @abstractmethod
-    def degeneracy(self, x, i: int): ...
-
-    @abstractmethod
-    def connection(self, x, i: int, sign: Sign): ...
-
-    @abstractmethod
-    def compose(self, x, y, i: int): ...
-
-    @abstractmethod
     def cubes(self, n: int) -> tuple:
         """Exhaustive, duplicate-free, deterministically ordered dimension-n elements."""
+        return self.base.cubes(n)
 
-    @abstractmethod
     def describe(self, x) -> Any:
         """JSON-serializable rendering of an element, for reports."""
+        return self.base.describe(x)
+
+    def parse(self, doc: dict):
+        return self.base.parse(doc)
+
+    def owns_from(self, op: str) -> float:
+        """Lowest first-argument dimension it answers ``op`` on; the base answers below."""
+        return 0
 
     def within_ceiling(self, n: int) -> bool:
         return self.op_ceiling is None or n <= self.op_ceiling
@@ -83,16 +94,13 @@ class CubeSystem(ABC):
     # -- seeded sampling hooks (defaults draw from the enumerated pool) ----
 
     def _minus_index(self, n: int, i: int) -> dict:
-        cache = getattr(self, "_sample_idx_cache", None)
-        if cache is None:
-            cache = self._sample_idx_cache = {}
-        key = (n, i)
-        if key not in cache:
-            index: dict = {}
+        index = self._sample_index.get((n, i))
+        if index is None:
+            index = {}
             for x in pool(self, n):
                 index.setdefault(self.face(x, i, MINUS), []).append(x)
-            cache[key] = index
-        return cache[key]
+            self._sample_index[n, i] = index
+        return index
 
     def sample_element(self, n: int, rng):
         elements = pool(self, n)
@@ -143,7 +151,186 @@ def is_degenerate_at(system: CubeSystem, x, i: int) -> bool:
     Uses the retraction test x == eps_i(face_i^- x), which avoids asking
     models for a degeneracy-image oracle.
     """
-    return x == system.degeneracy(system.face(x, i, MINUS), i)
+    view = system.id_view
+    k = view.id(x)
+    return k == view.degeneracy(view.face(k, i, MINUS), i)
+
+
+# ---------------------------------------------------------------------------
+# interning and tabulation
+
+OPS = ("face", "degeneracy", "connection", "compose")
+ALL = float("inf")  # owns_from of an operation handed down whole
+
+
+class IdView:
+    """The signature of one system on dense integer element ids.
+
+    A system and every system stacked on it share one id space: ids are
+    handed out in first-seen order, ``elements[k]`` is the one canonical
+    object of id k and ``dims[k]`` its dimension.  ``face``,
+    ``degeneracy``, ``connection`` and ``compose`` take and return ids.
+    Each answers a call whose first argument lies below the system's
+    ``owns_from(op)`` dimension with the base's operation, so a result is
+    stored once, by its owner, however many systems are stacked on it.  The
+    owner keeps it in ``tables[op]``: faces and connections under (i, sign)
+    and then the element's id, degeneracies under i and then the id,
+    composites under the (x, y, i) tuple.  A lookup that hits returns the
+    stored id.  A miss runs the owner's plain definition, which validates
+    its arguments and may raise; only what it returns is interned and
+    stored.  Nothing is tabulated before it is asked for.
+    """
+
+    def __init__(self, system: "CubeSystem", base: Optional["IdView"] = None):
+        self.system = system
+        if base is None:
+            self.ids, self.elements, self.dims = {}, [], []
+        else:
+            self.ids, self.elements, self.dims = base.ids, base.elements, base.dims
+        self.tables = {op: {} for op in OPS}
+        self._pools: dict = {}
+        self.dim = self.dims.__getitem__
+
+        # closures rather than methods: the law loops call them millions of times
+        ids, elements, dims, dim = self.ids, self.elements, self.dims, system.dim
+
+        def intern(x) -> int:
+            n = len(elements)
+            k = ids.setdefault(x, n)
+            if k == n:
+                elements.append(x)
+                dims.append(dim(x))
+            return k
+
+        def operation(op: str):
+            below = system.owns_from(op)
+            if below == ALL:
+                return getattr(base, op)
+            lower = getattr(base, op, None)
+            tables, plain = self.tables[op], getattr(system, "_" + op)
+
+            if op == "compose":
+
+                def compose(x: int, y: int, i: int) -> int:
+                    d = dims[x]
+                    if d < below:
+                        return lower(x, y, i)
+                    key = (x, y, i)
+                    out = tables.get(key)
+                    if out is None:
+                        if dims[y] != d:
+                            raise IndexOutOfRange("compose", i, d)
+                        out = tables[key] = intern(plain(elements[x], elements[y], i))
+                    return out
+
+                return compose
+
+            if op == "degeneracy":
+
+                def degeneracy(x: int, i: int) -> int:
+                    if dims[x] < below:
+                        return lower(x, i)
+                    table = tables.get(i)
+                    out = None if table is None else table.get(x)
+                    if out is None:
+                        out = intern(plain(elements[x], i))
+                        if table is None:
+                            table = tables[i] = {}
+                        table[x] = out
+                    return out
+
+                return degeneracy
+
+            def signed(x: int, i: int, sign: Sign) -> int:  # face and connection
+                if dims[x] < below:
+                    return lower(x, i, sign)
+                table = tables.get((i, sign))
+                out = None if table is None else table.get(x)
+                if out is None:
+                    out = intern(plain(elements[x], i, sign))
+                    if table is None:
+                        table = tables[i, sign] = {}
+                    table[x] = out
+                return out
+
+            return signed
+
+        self.id = intern
+        self.face, self.degeneracy, self.connection, self.compose = map(operation, OPS)
+
+    def canonical(self, x):
+        """The one stored object equal to x."""
+        return self.elements[self.id(x)]
+
+    def describe(self, k: int) -> Any:
+        return self.system.describe(self.elements[k])
+
+    def pool(self, n: int) -> tuple:
+        """Ids of ``pool(system, n)``, in pool order."""
+        got = self._pools.get(n)
+        if got is None:
+            got = self._pools[n] = tuple(map(self.id, pool(self.system, n)))
+        return got
+
+
+def _object_form(op: str) -> Callable:
+    """A fresh object-level ``op``, so each class owns the one in its dict.
+
+    It translates its elements to ids; a hit in the system's own tables
+    costs no further call, and the id view's operation answers the rest,
+    delegated dimensions included.
+    """
+    if op == "compose":
+
+        def compose(self, x, y, i: int):
+            view = self.id_view
+            k, m = view.ids.get(x), view.ids.get(y)
+            if k is None:
+                k = view.id(x)
+            if m is None:
+                m = view.id(y)
+            out = view.tables["compose"].get((k, m, i))
+            return view.elements[view.compose(k, m, i) if out is None else out]
+
+        return compose
+
+    if op == "degeneracy":
+
+        def degeneracy(self, x, i: int):
+            view = self.id_view
+            k = view.ids.get(x)
+            if k is None:
+                k = view.id(x)
+            table = view.tables["degeneracy"].get(i)
+            out = None if table is None else table.get(k)
+            return view.elements[view.degeneracy(k, i) if out is None else out]
+
+        return degeneracy
+
+    def signed(self, x, i: int, sign: Sign):  # face and connection
+        view = self.id_view
+        k = view.ids.get(x)
+        if k is None:
+            k = view.id(x)
+        table = view.tables[op].get((i, sign))
+        out = None if table is None else table.get(k)
+        return view.elements[getattr(view, op)(k, i, sign) if out is None else out]
+
+    return signed
+
+
+def tabulated(cls: type) -> type:
+    """Class decorator: install in ``cls``'s own dict each public operation it lacks.
+
+    Each takes and returns elements; the misses of the system's id view run
+    the plain ``_face``, ``_degeneracy``, ``_connection`` or ``_compose`` of
+    the owning system.
+    """
+    for op in [op for op in OPS if op not in vars(cls)]:
+        method = _object_form(op)
+        method.__name__, method.__qualname__ = op, f"{cls.__qualname__}.{op}"
+        setattr(cls, op, method)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +366,16 @@ def composable_pairs(system: CubeSystem, elements, i: int) -> Iterator[tuple]:
 
 def composable_triples(system: CubeSystem, elements, i: int) -> Iterator[tuple]:
     by_plus, by_minus = pair_index(system, elements, i)
-    for x, y in composable_pairs(system, elements, i):
-        for z in by_minus.get(system.face(y, i, PLUS), ()):
-            yield x, y, z
+    for f, lefts in by_plus.items():
+        rights = by_minus.get(f)
+        if not rights:
+            continue
+        # each y's mates z are looked up once, not once per x
+        mates = [(y, by_minus.get(system.face(y, i, PLUS), ())) for y in rights]
+        for x in lefts:
+            for y, zs in mates:
+                for z in zs:
+                    yield x, y, z
 
 
 def interchange_grids(system: CubeSystem, elements, i: int, j: int) -> Iterator[tuple]:
@@ -199,11 +393,12 @@ def interchange_grids(system: CubeSystem, elements, i: int, j: int) -> Iterator[
         zs = j_minus.get(system.face(x, j, PLUS), ())
         if not zs:
             continue
+        # each z's face is looked up once per x, not once per (y, z)
+        z_faces = [(z, system.face(z, i, PLUS)) for z in zs]
         for y in ys:
             fy = system.face(y, j, PLUS)
-            for z in zs:
-                key = (system.face(z, i, PLUS), fy)
-                for w in by_both.get(key, ()):
+            for z, fz in z_faces:
+                for w in by_both.get((fz, fy), ()):
                     yield x, y, z, w
 
 
@@ -221,8 +416,7 @@ class Law:
     2x2 composable grid plus the two directions.  ``lift`` is how far above
     the bound dimension the law's terms climb, used to skip instantiations
     a bounded model cannot represent.  ``note`` records which routine in
-    this package leans on the law.  ``bulk`` optionally replaces the
-    generic exhaustive loop with a fused one (grid counts grow fast).
+    this package leans on the law.
     """
 
     law_id: str
@@ -231,7 +425,6 @@ class Law:
     lift: int
     note: str
     equations: Callable
-    bulk: Optional[Callable] = None
 
 
 def _eq_face_face(sys: CubeSystem, b) -> Iterator:
@@ -444,31 +637,6 @@ def _eq_gamma_cancel(sys: CubeSystem, b) -> Iterator:
         yield (f"G+{i} o{i} G-{i}", sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
 
 
-def _bulk_interchange(system: CubeSystem, elements, n: int, report) -> bool:
-    compose = system.compose
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for x, y, z, w in interchange_grids(system, elements, i, j):
-                report.instances += 1
-                lhs = compose(compose(x, y, i), compose(z, w, i), j)
-                rhs = compose(compose(x, z, j), compose(y, w, j), i)
-                if lhs is not rhs and lhs != rhs:
-                    report.passed = False
-                    report.counterexample = {
-                        "binding": _describe_binding(
-                            system,
-                            {"x": x, "y": y, "z": z, "w": w, "i": i, "j": j},
-                        ),
-                        "equation": f"interchange o{i}/o{j}",
-                        "lhs": system.describe(lhs),
-                        "rhs": system.describe(rhs),
-                    }
-                    return False
-    return True
-
-
 LAWS = (
     Law("FACE-FACE", "element", 2, 0,
         "shell incidence and boundary extraction assume faces commute",
@@ -490,7 +658,7 @@ LAWS = (
         _eq_assoc),
     Law("INTERCHANGE", "grid", 2, 0,
         "row-first and column-first array evaluation agree",
-        _eq_interchange, bulk=_bulk_interchange),
+        _eq_interchange),
     Law("EPS-COMP", "pair", 1, 1,
         "thinness closure pushes degeneracies through composites",
         _eq_eps_comp),
@@ -539,16 +707,12 @@ class LawReport:
         }
 
 
-def _describe_binding(system: CubeSystem, binding: dict) -> dict:
-    out = {}
-    for k, v in binding.items():
-        out[k] = v if isinstance(v, int) else system.describe(v)
-    return out
+def _describe_binding(system, binding: dict) -> dict:
+    # the slots i and j hold directions; every other slot holds an element
+    return {k: v if k in ("i", "j") else system.describe(v) for k, v in binding.items()}
 
 
 def _run_instances(system, law, bindings, report):
-    from .errors import CubicalError
-
     for binding in bindings:
         report.instances += 1
         try:
@@ -574,28 +738,48 @@ def _run_instances(system, law, bindings, report):
     return True
 
 
-def _exhaustive_bindings(system, law, n) -> Iterator[dict]:
-    elements = pool(system, n)
+def _exhaustive_bindings(view: IdView, law, n) -> Iterator[dict]:
+    elements = view.pool(n)
     if law.kind == "element":
         for x in elements:
             yield {"x": x}
     elif law.kind == "pair":
         for i in range(1, n + 1):
-            for x, y in composable_pairs(system, elements, i):
+            for x, y in composable_pairs(view, elements, i):
                 yield {"x": x, "y": y, "i": i}
     elif law.kind == "triple":
         for i in range(1, n + 1):
-            for x, y, z in composable_triples(system, elements, i):
+            for x, y, z in composable_triples(view, elements, i):
                 yield {"x": x, "y": y, "z": z, "i": i}
     elif law.kind == "grid":
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                for x, y, z, w in interchange_grids(system, elements, i, j):
+                for x, y, z, w in interchange_grids(view, elements, i, j):
                     yield {"x": x, "y": y, "z": z, "w": w, "i": i, "j": j}
     else:  # pragma: no cover
         raise ValueError(law.kind)
+
+
+# The element slots of each binding shape, and the slot pairs that must
+# compose: (left, right, slot of the direction).
+SLOTS = {"element": "x", "pair": "xy", "triple": "xyz", "grid": "xyzw"}
+MATES = {
+    "element": (),
+    "pair": (("x", "y", "i"),),
+    "triple": (("x", "y", "i"), ("y", "z", "i")),
+    "grid": (("x", "y", "i"), ("z", "w", "i"), ("x", "z", "j"), ("y", "w", "j")),
+}
+
+
+def _binding(kind: str, elements, i: Optional[int], j: Optional[int]) -> dict:
+    binding = dict(zip(SLOTS[kind], elements))
+    if kind != "element":
+        binding["i"] = i
+    if kind == "grid":
+        binding["j"] = j
+    return binding
 
 
 def _sampled_bindings(system, law, n, count, rng) -> Iterator[dict]:
@@ -608,37 +792,24 @@ def _sampled_bindings(system, law, n, count, rng) -> Iterator[dict]:
     limit = count * 20
     while produced < count and attempts < limit:
         attempts += 1
+        i = j = None
         if law.kind == "element":
-            x = system.sample_element(n, rng)
-            if x is None:
+            got = system.sample_element(n, rng)
+            if got is None:
                 return
-            yield {"x": x}
-            produced += 1
-            continue
-        i = rng.randint(1, n)
-        if law.kind == "pair":
-            got = system.sample_pair(n, i, rng)
-            if got is None:
-                continue
-            yield {"x": got[0], "y": got[1], "i": i}
-        elif law.kind == "triple":
-            got = system.sample_triple(n, i, rng)
-            if got is None:
-                continue
-            yield {"x": got[0], "y": got[1], "z": got[2], "i": i}
+            got = (got,)
         else:
-            j = rng.choice([d for d in range(1, n + 1) if d != i])
-            got = system.sample_grid(n, i, j, rng)
+            i = rng.randint(1, n)
+            if law.kind == "grid":
+                j = rng.choice([d for d in range(1, n + 1) if d != i])
+                got = system.sample_grid(n, i, j, rng)
+            elif law.kind == "pair":
+                got = system.sample_pair(n, i, rng)
+            else:
+                got = system.sample_triple(n, i, rng)
             if got is None:
                 continue
-            yield {
-                "x": got[0],
-                "y": got[1],
-                "z": got[2],
-                "w": got[3],
-                "i": i,
-                "j": j,
-            }
+        yield _binding(law.kind, got, i, j)
         produced += 1
 
 
@@ -659,30 +830,18 @@ def run_law(
     samples: int = 500,
     seed: int = 0,
 ) -> LawReport:
+    """Check one law: on ids up to ``exhaustive_dim``, on seeded samples above."""
     report = LawReport(law_id=law.law_id)
     start = time.perf_counter()
-    from .errors import CubicalError
-
     for n in law_dim_range(system, law, max_dim):
         if n <= exhaustive_dim:
-            if law.bulk is not None:
-                try:
-                    ok = law.bulk(system, pool(system, n), n, report)
-                except CubicalError as exc:
-                    report.passed = False
-                    report.counterexample = {
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                    ok = False
-                if not ok:
-                    break
-                continue
-            bindings = _exhaustive_bindings(system, law, n)
+            view = system.id_view
+            ok = _run_instances(view, law, _exhaustive_bindings(view, law, n), report)
         else:
             rng = random.Random((seed, law.law_id, n).__repr__())
             bindings = _sampled_bindings(system, law, n, samples, rng)
-        if not _run_instances(system, law, bindings, report):
+            ok = _run_instances(system, law, bindings, report)
+        if not ok:
             break
     report.wall_ms = (time.perf_counter() - start) * 1000.0
     return report
@@ -706,21 +865,12 @@ def run_axiom_suite(
         if unknown:
             raise UnknownLaw(", ".join(sorted(unknown)))
         selected = [law for law in LAWS if law.law_id in set(law_ids)]
-    return [
-        run_law(
-            system,
-            law,
-            max_dim=max_dim,
-            exhaustive_dim=exhaustive_dim,
-            samples=samples,
-            seed=seed,
-        )
-        for law in selected
-    ]
+    options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
+    return [run_law(system, law, **options) for law in selected]
 
 
 def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
-    arity = {"element": 1, "pair": 2, "triple": 3, "grid": 4}[law.kind]
+    arity = len(SLOTS[law.kind])
     if len(sample) != arity:
         raise MalformedSample(
             f"{law.law_id} binds {arity} element(s), got {len(sample)}"
@@ -733,32 +883,15 @@ def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
         raise MalformedSample(f"{law.law_id} needs dimension >= {law.min_dim}, got {n}")
     if law.kind == "element":
         return [{"x": sample[0]}]
-    bindings = []
-    if law.kind == "pair":
-        x, y = sample
-        for i in range(1, n + 1):
-            if system.face(x, i, PLUS) == system.face(y, i, MINUS):
-                bindings.append({"x": x, "y": y, "i": i})
-    elif law.kind == "triple":
-        x, y, z = sample
-        for i in range(1, n + 1):
-            if system.face(x, i, PLUS) == system.face(y, i, MINUS) and system.face(
-                y, i, PLUS
-            ) == system.face(z, i, MINUS):
-                bindings.append({"x": x, "y": y, "z": z, "i": i})
-    else:
-        x, y, z, w = sample
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                if (
-                    system.face(x, i, PLUS) == system.face(y, i, MINUS)
-                    and system.face(z, i, PLUS) == system.face(w, i, MINUS)
-                    and system.face(x, j, PLUS) == system.face(z, j, MINUS)
-                    and system.face(y, j, PLUS) == system.face(w, j, MINUS)
-                ):
-                    bindings.append({"x": x, "y": y, "z": z, "w": w, "i": i, "j": j})
+    seconds = range(1, n + 1) if law.kind == "grid" else (None,)
+    candidates = (
+        _binding(law.kind, sample, i, j) for i in range(1, n + 1) for j in seconds if i != j
+    )
+    bindings = [
+        b for b in candidates
+        if all(system.face(b[x], b[d], PLUS) == system.face(b[y], b[d], MINUS)
+               for x, y, d in MATES[law.kind])
+    ]
     if not bindings:
         raise MalformedSample(f"{law.law_id}: sample admits no composable instantiation")
     return bindings

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import folding
-from .core import MINUS, PLUS, CubeSystem, Sign, check_sign, run_axiom_suite
+from .core import ALL, MINUS, PLUS, CubeSystem, Sign, check_sign, run_axiom_suite, tabulated
 from .errors import (
     AxiomFailure,
     MorphismViolation,
@@ -311,6 +311,7 @@ def theta_from_connections(
     return ThinStructure(system, top, lambda s: thin_filler(system, s))
 
 
+@tabulated
 class ConnectionOverrideSystem(CubeSystem):
     """A base system with its top-dimension connections replaced.
 
@@ -320,37 +321,19 @@ class ConnectionOverrideSystem(CubeSystem):
     """
 
     def __init__(self, base: CubeSystem, top: int, gamma: Callable):
-        self.base = base
         self.top = top
         self.gamma = gamma
         self.max_dim = top
         self.op_ceiling = top
+        super().__init__(base)
 
-    def dim(self, x):
-        return self.base.dim(x)
+    def owns_from(self, op: str) -> float:
+        return self.top - 1 if op == "connection" else ALL
 
-    def face(self, x, i, sign):
-        return self.base.face(x, i, sign)
-
-    def degeneracy(self, x, i):
-        return self.base.degeneracy(x, i)
-
-    def connection(self, x, i, sign):
-        if self.base.dim(x) == self.top - 1:
-            return self.gamma(x, i, sign)
-        return self.base.connection(x, i, sign)
-
-    def compose(self, x, y, i):
-        return self.base.compose(x, y, i)
-
-    def cubes(self, n):
-        return self.base.cubes(n)
-
-    def describe(self, x):
-        return self.base.describe(x)
-
-    def parse(self, doc):
-        return self.base.parse(doc)
+    def _connection(self, x, i, sign):
+        if self.dim(x) != self.top - 1:
+            return self.base.connection(x, i, sign)
+        return self.gamma(x, i, sign)
 
 
 def connections_from_theta(theta: ThinStructure) -> ConnectionOverrideSystem:

@@ -20,19 +20,27 @@ from .errors import BoundaryMismatch, IndexOutOfRange, PostconditionViolated
 
 def psi(system: CubeSystem, x, i: int):
     """Fold x in direction i (valid for 1 <= i <= dim-1)."""
-    n = system.dim(x)
+    view = system.id_view
+    return view.elements[_psi(view, view.id(x), i)]
+
+
+def _psi(view, x: int, i: int) -> int:
+    # on element ids: six table lookups, no translation in between
+    n = view.dim(x)
     if n < 2 or not 1 <= i <= n - 1:
         raise IndexOutOfRange("psi", i, n)
-    left = system.connection(system.face(x, i + 1, MINUS), i, PLUS)
-    right = system.connection(system.face(x, i + 1, PLUS), i, MINUS)
-    return system.compose(system.compose(left, x, i + 1), right, i + 1)
+    left = view.connection(view.face(x, i + 1, MINUS), i, PLUS)
+    right = view.connection(view.face(x, i + 1, PLUS), i, MINUS)
+    return view.compose(view.compose(left, x, i + 1), right, i + 1)
 
 
 def fold_through(system: CubeSystem, x, j: int):
     """psi_1 psi_2 ... psi_j applied to x (the j-fold partial folding)."""
+    view = system.id_view
+    k = view.id(x)
     for i in range(j, 0, -1):
-        x = psi(system, x, i)
-    return x
+        k = _psi(view, k, i)
+    return view.elements[k]
 
 
 @dataclass(frozen=True)

@@ -66,13 +66,6 @@ class FinCatPresentation:
     def compose(self, g: str, f: str) -> str:
         return self.table[(g, f)]
 
-    def compose_path(self, path) -> str:
-        """Compose a nonempty sequence of morphisms listed in application order."""
-        out = path[0]
-        for m in path[1:]:
-            out = self.compose(m, out)
-        return out
-
     def _fill_identity_compositions(self) -> None:
         for name, (s, t) in self.morphisms.items():
             for key, value in (
@@ -231,12 +224,6 @@ def bundled_category(name: str) -> FinCatPresentation:
     return load_fincat(json.loads(text))
 
 
-def bundled_path(name: str) -> str:
-    if name not in BUNDLED:
-        raise ParseError(f"unknown bundled category {name!r}; have {BUNDLED}")
-    return str(resources.files("cubecat.data").joinpath(f"{name}.json"))
-
-
 # ---------------------------------------------------------------------------
 # lattice bit helpers
 
@@ -331,8 +318,12 @@ def mask_to_bits(mask: int, n: int) -> str:
     return "".join("1" if mask & (1 << k) else "0" for k in range(n))
 
 
-def bits_to_mask(bits: str) -> int:
-    return sum(1 << k for k, c in enumerate(bits) if c == "1")
+def edge_labels(n: int) -> Iterator[str]:
+    """Document labels of the edges ("0*1" and so on) in canonical slot order."""
+    for base, k in edge_bases(n):
+        bits = list(mask_to_bits(base, n))
+        bits[k] = "*"
+        yield "".join(bits)
 
 
 class NerveCube:
@@ -373,15 +364,6 @@ class NerveCube:
     def __repr__(self):
         return f"NerveCube(dim={self.n}, vertices={self.vertices})"
 
-    @staticmethod
-    def build(n: int, vertex_fn, edge_fn) -> "NerveCube":
-        vertices = tuple(vertex_fn(v) for v in range(1 << n))
-        edges = []
-        for k in range(n):
-            for compact in range(1 << (n - 1)):
-                edges.append(edge_fn(insert_bit(compact, k, 0), k))
-        return NerveCube(n, vertices, tuple(edges))
-
     def validate(self, cat: FinCatPresentation) -> None:
         """Endpoint agreement plus commutativity of every square face."""
         n = self.n
@@ -413,6 +395,7 @@ class NerveCube:
                         )
 
 
+@core.tabulated
 class NerveSystem(CubeSystem):
     """Cube system of functors from the arrow-poset powers into a finite category.
 
@@ -429,84 +412,42 @@ class NerveSystem(CubeSystem):
         self.cat = cat
         self.max_dim = max_dim
         self._pools: dict[int, tuple] = {}
-        self._intern: dict = {}
-        self._face_memo: dict = {}
-        self._deg_memo: dict = {}
-        self._conn_memo: dict = {}
-        self._comp_memo: dict = {}
-
-    def _canon(self, cube: NerveCube) -> NerveCube:
-        # one canonical object per value makes equality an identity check
-        return self._intern.setdefault(cube, cube)
+        super().__init__()
 
     # -- signature ----------------------------------------------------
 
     def dim(self, x: NerveCube) -> int:
         return x.n
 
-    def face(self, x: NerveCube, i: int, sign: Sign) -> NerveCube:
-        key = (x, i, sign)
-        out = self._face_memo.get(key)
-        if out is not None:
-            return out
+    def _face(self, x: NerveCube, i: int, sign: Sign) -> NerveCube:
         n = x.n
-        if n == 0:
-            raise IndexOutOfRange("face", i, 0)
         if not 1 <= i <= n:
             raise IndexOutOfRange("face", i, n)
         vmap, emap = _face_tables(n, i - 1, 0 if sign == MINUS else 1)
         xv, xe = x.vertices, x.edges
-        out = self._canon(NerveCube(
-            n - 1,
-            tuple(xv[m] for m in vmap),
-            tuple(xe[m] for m in emap),
-        ))
-        self._face_memo[key] = out
-        return out
+        return NerveCube(n - 1, tuple(xv[m] for m in vmap), tuple(xe[m] for m in emap))
 
-    def degeneracy(self, x: NerveCube, i: int) -> NerveCube:
-        key = (x, i)
-        out = self._deg_memo.get(key)
-        if out is not None:
-            return out
-        n = x.n
-        if not 1 <= i <= n + 1:
-            raise IndexOutOfRange("degeneracy", i, n)
-        vmap, emap = _degeneracy_tables(n, i - 1)
+    def _degeneracy(self, x: NerveCube, i: int) -> NerveCube:
+        if not 1 <= i <= x.n + 1:
+            raise IndexOutOfRange("degeneracy", i, x.n)
+        return self._lift(x, *_degeneracy_tables(x.n, i - 1))
+
+    def _connection(self, x: NerveCube, i: int, sign: Sign) -> NerveCube:
+        if x.n == 0 or not 1 <= i <= x.n:
+            raise IndexOutOfRange("connection", i, x.n)
+        return self._lift(x, *_connection_tables(x.n, i - 1, sign))
+
+    def _lift(self, x: NerveCube, vmap: tuple, emap: tuple) -> NerveCube:
+        """The (n+1)-cube reindexing x: edges tagged "e" are copied, "v" are identities."""
         xv, xe = x.vertices, x.edges
         ident = self.cat.id_of
-        out = self._canon(NerveCube(
-            n + 1,
+        return NerveCube(
+            x.n + 1,
             tuple(xv[m] for m in vmap),
             tuple(xe[m] if tag == "e" else ident(xv[m]) for tag, m in emap),
-        ))
-        self._deg_memo[key] = out
-        return out
+        )
 
-    def connection(self, x: NerveCube, i: int, sign: Sign) -> NerveCube:
-        key = (x, i, sign)
-        out = self._conn_memo.get(key)
-        if out is not None:
-            return out
-        n = x.n
-        if n == 0 or not 1 <= i <= n:
-            raise IndexOutOfRange("connection", i, n)
-        vmap, emap = _connection_tables(n, i - 1, sign)
-        xv, xe = x.vertices, x.edges
-        ident = self.cat.id_of
-        out = self._canon(NerveCube(
-            n + 1,
-            tuple(xv[m] for m in vmap),
-            tuple(xe[m] if tag == "e" else ident(xv[m]) for tag, m in emap),
-        ))
-        self._conn_memo[key] = out
-        return out
-
-    def compose(self, x: NerveCube, y: NerveCube, i: int) -> NerveCube:
-        key = (x, y, i)
-        out = self._comp_memo.get(key)
-        if out is not None:
-            return out
+    def _compose(self, x: NerveCube, y: NerveCube, i: int) -> NerveCube:
         n = x.n
         if n == 0 or not 1 <= i <= n or y.n != n:
             raise IndexOutOfRange("compose", i, n)
@@ -517,7 +458,7 @@ class NerveSystem(CubeSystem):
         xv, xe = x.vertices, x.edges
         yv, ye = y.vertices, y.edges
         table = self.cat.table
-        out = self._canon(NerveCube(
+        return NerveCube(
             n,
             tuple(yv[v] if side else xv[v] for v, side in enumerate(vmap)),
             tuple(
@@ -526,9 +467,7 @@ class NerveSystem(CubeSystem):
                 else (ye[m] if tag else xe[m])
                 for tag, m in emap
             ),
-        ))
-        self._comp_memo[key] = out
-        return out
+        )
 
     # -- enumeration ----------------------------------------------------
 
@@ -536,7 +475,7 @@ class NerveSystem(CubeSystem):
         if n < 0 or n > self.max_dim:
             raise DimensionTooLarge(f"dimension {n} exceeds cap {self.max_dim}")
         if n not in self._pools:
-            self._pools[n] = tuple(self._canon(c) for c in self._enumerate(n))
+            self._pools[n] = tuple(map(self.id_view.canonical, self._enumerate(n)))
         return self._pools[n]
 
     def _enumerate(self, n: int) -> Iterator[NerveCube]:
@@ -588,11 +527,10 @@ class NerveSystem(CubeSystem):
             half = top if v & (1 << pos) else bottom
             return half.edge(remove_bit(v, pos), k)
 
-        return NerveCube.build(
-            n,
-            lambda v: (top if v & (1 << pos) else bottom).vertex(remove_bit(v, pos)),
-            edge,
+        vertices = (
+            (top if v & (1 << pos) else bottom).vertex(remove_bit(v, pos)) for v in range(1 << n)
         )
+        return NerveCube(n, tuple(vertices), tuple(edge(v, k) for v, k in edge_bases(n)))
 
     # -- serialization ----------------------------------------------------
 
@@ -600,17 +538,10 @@ class NerveSystem(CubeSystem):
         if not isinstance(x, NerveCube):
             raise TypeError(f"not an element of this nerve: {x!r}")
         n = x.n
-        edges = {}
-        for k in range(n):
-            for compact in range(1 << (n - 1)):
-                base = insert_bit(compact, k, 0)
-                bits = list(mask_to_bits(base, n))
-                bits[k] = "*"
-                edges["".join(bits)] = x.edge(base, k)
         return {
             "dim": n,
             "vertices": {mask_to_bits(v, n): x.vertex(v) for v in range(1 << n)},
-            "edges": edges,
+            "edges": dict(zip(edge_labels(n), x.edges)),
         }
 
     def parse(self, doc: dict) -> NerveCube:
@@ -627,15 +558,10 @@ class NerveSystem(CubeSystem):
         except KeyError as exc:
             raise ParseError(f"missing vertex entry {exc}") from exc
         edges = []
-        for k in range(n):
-            for compact in range(1 << (n - 1)):
-                base = insert_bit(compact, k, 0)
-                bits = list(mask_to_bits(base, n))
-                bits[k] = "*"
-                key = "".join(bits)
-                if key not in edoc:
-                    raise ParseError(f"missing edge entry {key!r}")
-                edges.append(edoc[key])
+        for key in edge_labels(n):
+            if key not in edoc:
+                raise ParseError(f"missing edge entry {key!r}")
+            edges.append(edoc[key])
         cube = NerveCube(n, vertices, tuple(edges))
         cube.validate(self.cat)
         return cube
@@ -648,10 +574,8 @@ class BrokenNerveSystem(NerveSystem):
     retraction law fails, so the law suite must flag it.
     """
 
-    def degeneracy(self, x: NerveCube, i: int) -> NerveCube:
-        if x.n == 1 and i == 2:
-            return super().degeneracy(x, 1)
-        return super().degeneracy(x, i)
+    def _degeneracy(self, x: NerveCube, i: int) -> NerveCube:
+        return super()._degeneracy(x, 1 if x.n == 1 and i == 2 else i)
 
 
 def nerve(cat: FinCatPresentation, max_dim: int = 4) -> NerveSystem:

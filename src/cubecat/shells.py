@@ -10,10 +10,11 @@ the tower models.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Optional
 
 from . import folding
-from .core import MINUS, PLUS, SIGNS, CubeSystem, Sign
+from .core import MINUS, PLUS, SIGNS, CubeSystem, Sign, tabulated
 from .errors import (
     BoundaryMismatch,
     DimensionTooLarge,
@@ -104,9 +105,10 @@ def boundary(system: CubeSystem, x) -> Shell:
     n = system.dim(x)
     if n < 1:
         raise IndexOutOfRange("boundary", 1, n)
-    return Shell(
-        n, tuple(system.face(x, i, s) for i in range(1, n + 1) for s in SIGNS)
-    )
+    view = system.id_view
+    k = view.id(x)
+    faces = (view.face(k, i, s) for i in range(1, n + 1) for s in SIGNS)
+    return Shell(n, tuple(view.elements[f] for f in faces))
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,7 @@ def shell_connection(system: CubeSystem, a, j: int, sign: Sign) -> Shell:
 # the extension system
 
 
+@tabulated
 class ShellExtension(CubeSystem):
     """Cube system whose top dimension is the set of shells over the base.
 
@@ -186,79 +189,44 @@ class ShellExtension(CubeSystem):
             top = base.max_dim + 1
         if top < 1:
             raise ValueError("shell extension needs top >= 1")
-        self.base = base
         self.top = top
         self.max_dim = top
         self.op_ceiling = top
         self._pool: Optional[tuple] = None
-        self._intern: dict = {}
-        self._deg_memo: dict = {}
-        self._conn_memo: dict = {}
-        self._comp_memo: dict = {}
-        self._profile_index: Optional[list] = None
+        super().__init__(base)
 
-    def _canon(self, shell: Shell) -> Shell:
-        return self._intern.setdefault(shell, shell)
-
-    def _is_top(self, x) -> bool:
-        return isinstance(x, Shell) and x.dim == self.top
+    def owns_from(self, op: str) -> int:
+        return self.top - 1 if op in ("degeneracy", "connection") else self.top
 
     def dim(self, x) -> int:
-        if isinstance(x, Shell):
-            return x.dim
-        return self.base.dim(x)
+        return x.dim if isinstance(x, Shell) else self.base.dim(x)
 
     def face(self, x, i: int, sign: Sign):
-        if self._is_top(x):
+        return self._face(x, i, sign)  # a shell holds its faces: read, not looked up
+
+    def _face(self, x, i: int, sign: Sign):
+        if isinstance(x, Shell):
             return x.face(i, sign)
-        return self.base.face(x, i, sign)
+        return self.base.face(x, i, sign)  # a base element of the top dimension
 
-    def degeneracy(self, x, i: int):
+    def _degeneracy(self, x, i: int):
+        return shell_degeneracy(self.base, self._below_top(x, "degeneracy"), i)
+
+    def _connection(self, x, i: int, sign: Sign):
+        return shell_connection(self.base, self._below_top(x, "connection"), i, sign)
+
+    def _below_top(self, x, op: str):
         d = self.dim(x)
-        if d == self.top - 1:
-            key = (x, i)
-            out = self._deg_memo.get(key)
-            if out is None:
-                out = self._canon(shell_degeneracy(self.base, x, i))
-                self._deg_memo[key] = out
-            return out
         if d >= self.top:
-            raise DimensionTooLarge(
-                f"degeneracy from dimension {d} exceeds the extension top {self.top}"
-            )
-        return self.base.degeneracy(x, i)
+            raise DimensionTooLarge(f"{op} from dimension {d} exceeds the extension top {self.top}")
+        return x
 
-    def connection(self, x, i: int, sign: Sign):
-        d = self.dim(x)
-        if d == self.top - 1:
-            key = (x, i, sign)
-            out = self._conn_memo.get(key)
-            if out is None:
-                out = self._canon(shell_connection(self.base, x, i, sign))
-                self._conn_memo[key] = out
-            return out
-        if d >= self.top:
+    def _compose(self, x, y, i: int):
+        if not (isinstance(x, Shell) and isinstance(y, Shell) and x.dim == self.top):
             raise DimensionTooLarge(
-                f"connection from dimension {d} exceeds the extension top {self.top}"
+                f"dimension-{self.dim(x)} base elements are not part of this extension"
             )
-        return self.base.connection(x, i, sign)
-
-    def compose(self, x, y, i: int):
-        d = self.dim(x)
-        if self.dim(y) != d:
-            raise IndexOutOfRange("compose", i, d)
-        if d == self.top:
-            if not (self._is_top(x) and self._is_top(y)):
-                raise DimensionTooLarge(
-                    f"dimension-{d} base elements are not part of this extension"
-                )
-            key = (x, y, i)
-            out = self._comp_memo.get(key)
-            if out is None:
-                out = self._canon(shell_compose(self.base, x, y, i))
-                self._comp_memo[key] = out
-            return out
-        return self.base.compose(x, y, i)
+        return shell_compose(self.base, x, y, i)
 
     def cubes(self, n: int) -> tuple:
         if n < 0 or n > self.top:
@@ -267,7 +235,7 @@ class ShellExtension(CubeSystem):
             return self.base.cubes(n)
         if self._pool is None:
             self._pool = tuple(
-                self._canon(s) for s in enumerate_shells(self.base, self.top)
+                map(self.id_view.canonical, enumerate_shells(self.base, self.top))
             )
         return self._pool
 
@@ -287,16 +255,15 @@ class ShellExtension(CubeSystem):
     # so random top shells are assembled face pair by face pair with
     # backtracking; pinned faces support building composable mates.
 
-    def _indexes(self) -> list:
-        if self._profile_index is None:
-            self._profile_index = _profile_indexes(self.base, self.top)
-        return self._profile_index
+    @cached_property
+    def _profile_index(self) -> list:
+        return _profile_indexes(self.base, self.top)
 
     def random_top_shell(
         self, rng, pinned: Optional[dict] = None, node_budget: int = 4000
     ) -> Optional[Shell]:
         base, n = self.base, self.top
-        profile_index = self._indexes()
+        profile_index = self._profile_index
         chosen: dict = {}
         budget = [node_budget]
         pins = pinned or {}
@@ -307,22 +274,15 @@ class ShellExtension(CubeSystem):
                     return False
             return True
 
-        def requirement(i: int, sign: Sign) -> tuple:
-            return tuple(
-                base.face(chosen[(j, b)], i - 1, sign)
-                for j in range(1, i)
-                for b in SIGNS
-            )
-
         def place(i: int, sign_idx: int) -> Optional[Shell]:
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
             if i > n:
-                return self._canon(_shell_from_dict(n, chosen))
+                return self.id_view.canonical(_shell_from_dict(n, chosen))
             sign = SIGNS[sign_idx]
             nxt = (i, 1) if sign_idx == 0 else (i + 1, 0)
-            req = requirement(i, sign)
+            req = _requirement(base, chosen, i, sign)
             if (i, sign) in pins:
                 pv = pins[(i, sign)]
                 cands = [pv] if req == tuple(
@@ -411,6 +371,11 @@ class ShellExtension(CubeSystem):
         return make_shell(self, n, faces)
 
 
+def _requirement(system: CubeSystem, chosen: dict, i: int, sign: Sign) -> tuple:
+    """The first i-1 face pairs that incidence forces on face (i, sign)."""
+    return tuple(system.face(chosen[(j, b)], i - 1, sign) for j in range(1, i) for b in SIGNS)
+
+
 def _profile_indexes(system: CubeSystem, n: int) -> list:
     """For each depth d < n, index (n-1)-elements by their first d face pairs."""
     elements = system.cubes(n - 1)
@@ -436,20 +401,13 @@ def enumerate_shells(system: CubeSystem, n: int) -> Iterator[Shell]:
     profile_index = _profile_indexes(system, n)
     chosen: dict = {}
 
-    def requirement(i: int, sign: Sign) -> tuple:
-        return tuple(
-            system.face(chosen[(j, b)], i - 1, sign)
-            for j in range(1, i)
-            for b in SIGNS
-        )
-
     def place(i: int) -> Iterator[Shell]:
         if i > n:
             yield _shell_from_dict(n, chosen)
             return
-        for lower in profile_index[i - 1].get(requirement(i, MINUS), ()):
+        for lower in profile_index[i - 1].get(_requirement(system, chosen, i, MINUS), ()):
             chosen[(i, MINUS)] = lower
-            for upper in profile_index[i - 1].get(requirement(i, PLUS), ()):
+            for upper in profile_index[i - 1].get(_requirement(system, chosen, i, PLUS), ()):
                 chosen[(i, PLUS)] = upper
                 yield from place(i + 1)
         chosen.pop((i, MINUS), None)

@@ -74,27 +74,16 @@ class _Run:
         top = min(self.config.max_dim, self.system.max_dim)
         return range(lowest, top + 1)
 
-    def elements(self, d: int):
+    def elements(self, d: int, system: Optional[CubeSystem] = None):
         """Exhaustive below the cap, seeded samples above it."""
+        system = system or self.system
         if d <= self.config.exhaustive_dim:
-            return pool(self.system, d)
-        out = []
-        for _ in range(self.config.samples):
-            x = self.system.sample_element(d, self.rng)
-            if x is not None:
-                out.append(x)
-        return out
+            return pool(system, d)
+        samples = (system.sample_element(d, self.rng) for _ in range(self.config.samples))
+        return [x for x in samples if x is not None]
 
     def shells_at(self, d: int):
-        ext = shell_system(self.system, d)
-        if d <= self.config.exhaustive_dim:
-            return ext.cubes(d)
-        out = []
-        for _ in range(self.config.samples):
-            s = ext.sample_element(d, self.rng)
-            if s is not None:
-                out.append(s)
-        return out
+        return self.elements(d, shell_system(self.system, d))
 
 
 def _looks_like_element(v) -> bool:

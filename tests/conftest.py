@@ -1,4 +1,4 @@
-"""Shared model builders; systems are cached so pools and memos are reused."""
+"""Shared model builders; systems are cached so pools and id tables are reused."""
 
 import pytest
 

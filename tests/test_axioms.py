@@ -144,3 +144,10 @@ def test_check_axiom_interchange_on_grid(square_nerve):
         square_nerve, square_nerve.cubes(2), 1, 2)))
     report = check_axiom(square_nerve, "INTERCHANGE", [x, y, z, w])
     assert report.passed and report.instances >= 1
+
+
+@pytest.mark.parametrize("name, grids", [("poset22", 184_550), ("free_square", 4_460_988)])
+def test_interchange_instance_counts_are_pinned(name, grids):
+    # the exhaustive loop runs on element ids; it must bind exactly the grids it always did
+    report = run_axiom_suite(tower_of(name, 3), max_dim=3, law_ids=["INTERCHANGE"])[0]
+    assert report.passed and report.instances == grids

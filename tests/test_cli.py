@@ -58,6 +58,18 @@ def test_axioms_fail_exit_code_and_counterexample():
     assert failed and failed[0]["counterexample"] is not None
 
 
+def test_broken_report_matches_golden():
+    # pins the counterexample documents, bindings included, byte for byte
+    result = run_cli("axioms", "--model", "broken", "--cat", "poset22", "--dim", "2",
+                     "--format", "json")
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / "axioms_broken_poset22_d2.json").read_text(
+        encoding="utf-8")
+    doc = json.loads(result.stdout)
+    failed = [r["id"] for r in doc["results"] if not r["passed"]]
+    assert "EPS-FACE" in failed
+
+
 def test_counterexample_feeds_back_as_failure():
     result = run_cli("axioms", "--model", "broken", "--cat", "poset22",
                      "--dim", "2", "--exhaustive-dim", "2", "--format", "json",
@@ -110,12 +122,18 @@ def test_missing_category_is_config_error(tmp_path):
     result = run_cli("axioms", "--model", "nerve",
                      "--cat", str(tmp_path / "none.json"), "--dim", "2")
     assert result.returncode == 2
-    # dimensions below 1 are rejected the same way
+    # dimensions below 1 and negative sampling flags are rejected the same way
     for argv in (
-        ("--model", "nerve", "--cat", "poset22", "--dim", "0"),
-        ("--model", "tower", "--cat", "poset22", "--base-dim", "0", "--dim", "2"),
+        ("axioms", "--model", "nerve", "--cat", "poset22", "--dim", "0"),
+        ("axioms", "--model", "tower", "--cat", "poset22", "--base-dim", "0", "--dim", "2"),
+        ("axioms", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "0",
+         "--samples", "-1"),
+        ("axioms", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "-3"),
+        ("theorems", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "0",
+         "--samples", "-1"),
+        ("theorems", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "-3"),
     ):
-        result = run_cli("axioms", *argv)
+        result = run_cli(*argv)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
 
