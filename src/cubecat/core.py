@@ -152,7 +152,11 @@ def is_degenerate_at(system: CubeSystem, x, i: int) -> bool:
     models for a degeneracy-image oracle.
     """
     view = system.id_view
-    k = view.id(x)
+    return degenerate_at(view, view.id(x), i)
+
+
+def degenerate_at(view: "IdView", k: int, i: int) -> bool:
+    """:func:`is_degenerate_at` on element ids."""
     return k == view.degeneracy(view.face(k, i, MINUS), i)
 
 
@@ -168,21 +172,24 @@ class IdView:
 
     A system and every system stacked on it share one id space: ids are
     handed out in first-seen order, ``elements[k]`` is the one canonical
-    object of id k and ``dims[k]`` its dimension.  ``face``,
-    ``degeneracy``, ``connection`` and ``compose`` take and return ids.
-    Each answers a call whose first argument lies below the system's
-    ``owns_from(op)`` dimension with the base's operation, so a result is
-    stored once, by its owner, however many systems are stacked on it.  The
-    owner keeps it in ``tables[op]``: faces and connections under (i, sign)
-    and then the element's id, degeneracies under i and then the id,
-    composites under the (x, y, i) tuple.  A lookup that hits returns the
-    stored id.  A miss runs the owner's plain definition, which validates
-    its arguments and may raise; only what it returns is interned and
-    stored.  Nothing is tabulated before it is asked for.
+    object of id k and ``dims[k]`` its dimension.  ``id`` interns an
+    element; ``face``, ``degeneracy``, ``connection`` and ``compose`` take
+    and return ids.  Each answers a call whose first argument lies below the
+    system's ``owns_from(op)`` dimension with the base's operation, so a
+    result is stored once, by its owner, however many systems are stacked on
+    it.  The owner keeps it in ``tables[op]``: faces, degeneracies and
+    connections under (i, sign) and then the element's id (the sign of a
+    degeneracy is None), composites under the (x, y, i) tuple.  A lookup
+    that hits returns the stored id.  A miss runs the owner's plain
+    definition, which validates its arguments and may raise; only what it
+    returns is interned and stored.  Nothing is tabulated before it is asked
+    for, and the operation closures are built on the first call, so a
+    model that is never asked pays nothing for them.
     """
 
     def __init__(self, system: "CubeSystem", base: Optional["IdView"] = None):
         self.system = system
+        self.base = base
         if base is None:
             self.ids, self.elements, self.dims = {}, [], []
         else:
@@ -191,7 +198,16 @@ class IdView:
         self._pools: dict = {}
         self.dim = self.dims.__getitem__
 
+    def __getattr__(self, name: str):
+        # only reached before the operations are built
+        if name != "id" and name not in OPS:
+            raise AttributeError(name)
+        self._build()
+        return self.__dict__[name]
+
+    def _build(self) -> None:
         # closures rather than methods: the law loops call them millions of times
+        system, base = self.system, self.base
         ids, elements, dims, dim = self.ids, self.elements, self.dims, system.dim
 
         def intern(x) -> int:
@@ -227,21 +243,10 @@ class IdView:
 
             if op == "degeneracy":
 
-                def degeneracy(x: int, i: int) -> int:
-                    if dims[x] < below:
-                        return lower(x, i)
-                    table = tables.get(i)
-                    out = None if table is None else table.get(x)
-                    if out is None:
-                        out = intern(plain(elements[x], i))
-                        if table is None:
-                            table = tables[i] = {}
-                        table[x] = out
-                    return out
+                def plain(x, i: int, sign: None, degeneracy=plain):
+                    return degeneracy(x, i)
 
-                return degeneracy
-
-            def signed(x: int, i: int, sign: Sign) -> int:  # face and connection
+            def indexed(x: int, i: int, sign: Optional[Sign] = None) -> int:
                 if dims[x] < below:
                     return lower(x, i, sign)
                 table = tables.get((i, sign))
@@ -253,7 +258,7 @@ class IdView:
                     table[x] = out
                 return out
 
-            return signed
+            return indexed
 
         self.id = intern
         self.face, self.degeneracy, self.connection, self.compose = map(operation, OPS)
@@ -273,50 +278,29 @@ class IdView:
         return got
 
 
-def _object_form(op: str) -> Callable:
-    """A fresh object-level ``op``, so each class owns the one in its dict.
+def _object_forms() -> dict:
+    """Fresh object-level operations, so that each class owns the ones in its dict.
 
-    It translates its elements to ids; a hit in the system's own tables
-    costs no further call, and the id view's operation answers the rest,
-    delegated dimensions included.
+    Each translates its elements to ids and answers through the id view.
     """
-    if op == "compose":
 
-        def compose(self, x, y, i: int):
-            view = self.id_view
-            k, m = view.ids.get(x), view.ids.get(y)
-            if k is None:
-                k = view.id(x)
-            if m is None:
-                m = view.id(y)
-            out = view.tables["compose"].get((k, m, i))
-            return view.elements[view.compose(k, m, i) if out is None else out]
-
-        return compose
-
-    if op == "degeneracy":
-
-        def degeneracy(self, x, i: int):
-            view = self.id_view
-            k = view.ids.get(x)
-            if k is None:
-                k = view.id(x)
-            table = view.tables["degeneracy"].get(i)
-            out = None if table is None else table.get(k)
-            return view.elements[view.degeneracy(k, i) if out is None else out]
-
-        return degeneracy
-
-    def signed(self, x, i: int, sign: Sign):  # face and connection
+    def face(self, x, i: int, sign: Sign):
         view = self.id_view
-        k = view.ids.get(x)
-        if k is None:
-            k = view.id(x)
-        table = view.tables[op].get((i, sign))
-        out = None if table is None else table.get(k)
-        return view.elements[getattr(view, op)(k, i, sign) if out is None else out]
+        return view.elements[view.face(view.id(x), i, sign)]
 
-    return signed
+    def degeneracy(self, x, i: int):
+        view = self.id_view
+        return view.elements[view.degeneracy(view.id(x), i)]
+
+    def connection(self, x, i: int, sign: Sign):
+        view = self.id_view
+        return view.elements[view.connection(view.id(x), i, sign)]
+
+    def compose(self, x, y, i: int):
+        view = self.id_view
+        return view.elements[view.compose(view.id(x), view.id(y), i)]
+
+    return {"face": face, "degeneracy": degeneracy, "connection": connection, "compose": compose}
 
 
 def tabulated(cls: type) -> type:
@@ -326,10 +310,10 @@ def tabulated(cls: type) -> type:
     the plain ``_face``, ``_degeneracy``, ``_connection`` or ``_compose`` of
     the owning system.
     """
-    for op in [op for op in OPS if op not in vars(cls)]:
-        method = _object_form(op)
-        method.__name__, method.__qualname__ = op, f"{cls.__qualname__}.{op}"
-        setattr(cls, op, method)
+    for op, method in _object_forms().items():
+        if op not in vars(cls):
+            method.__qualname__ = f"{cls.__qualname__}.{op}"
+            setattr(cls, op, method)
     return cls
 
 
@@ -416,7 +400,8 @@ class Law:
     2x2 composable grid plus the two directions.  ``lift`` is how far above
     the bound dimension the law's terms climb, used to skip instantiations
     a bounded model cannot represent.  ``note`` records which routine in
-    this package leans on the law.
+    this package leans on the law.  ``equations`` yields (label, lhs, rhs);
+    a label is a function naming the equation, called only for a counterexample.
     """
 
     law_id: str
@@ -434,7 +419,7 @@ def _eq_face_face(sys: CubeSystem, b) -> Iterator:
         for j in range(1, i):
             for a, bt in itertools.product(SIGNS, SIGNS):
                 yield (
-                    f"d{bt}{j} d{a}{i}",
+                    lambda: f"d{bt}{j} d{a}{i}",
                     sys.face(sys.face(x, i, a), j, bt),
                     sys.face(sys.face(x, j, bt), i - 1, a),
                 )
@@ -454,7 +439,7 @@ def _eq_eps_face(sys: CubeSystem, b) -> Iterator:
                     rhs = sys.degeneracy(sys.face(x, i, a), j - 1)
                 else:
                     rhs = sys.degeneracy(sys.face(x, i - 1, a), j)
-                yield (f"d{a}{i} e{j}", lhs, rhs)
+                yield (lambda: f"d{a}{i} e{j}", lhs, rhs)
 
 
 def _eq_eps_eps(sys: CubeSystem, b) -> Iterator:
@@ -463,7 +448,7 @@ def _eq_eps_eps(sys: CubeSystem, b) -> Iterator:
     for j in range(1, n + 2):
         for i in range(1, j + 1):
             yield (
-                f"e{i} e{j}",
+                lambda: f"e{i} e{j}",
                 sys.degeneracy(sys.degeneracy(x, j), i),
                 sys.degeneracy(sys.degeneracy(x, i), j + 1),
             )
@@ -475,23 +460,23 @@ def _eq_eps_unit(sys: CubeSystem, b) -> Iterator:
     for i in range(1, n + 1):
         left = sys.degeneracy(sys.face(x, i, MINUS), i)
         right = sys.degeneracy(sys.face(x, i, PLUS), i)
-        yield (f"left unit o{i}", sys.compose(left, x, i), x)
-        yield (f"right unit o{i}", sys.compose(x, right, i), x)
+        yield (lambda: f"left unit o{i}", sys.compose(left, x, i), x)
+        yield (lambda: f"right unit o{i}", sys.compose(x, right, i), x)
 
 
 def _eq_comp_face(sys: CubeSystem, b) -> Iterator:
     x, y, i = b["x"], b["y"], b["i"]
     n = sys.dim(x)
     z = sys.compose(x, y, i)
-    yield (f"d-{i} (x o{i} y)", sys.face(z, i, MINUS), sys.face(x, i, MINUS))
-    yield (f"d+{i} (x o{i} y)", sys.face(z, i, PLUS), sys.face(y, i, PLUS))
+    yield (lambda: f"d-{i} (x o{i} y)", sys.face(z, i, MINUS), sys.face(x, i, MINUS))
+    yield (lambda: f"d+{i} (x o{i} y)", sys.face(z, i, PLUS), sys.face(y, i, PLUS))
     for j in range(1, n + 1):
         if j == i:
             continue
         i2 = i - 1 if j < i else i
         for a in SIGNS:
             yield (
-                f"d{a}{j} (x o{i} y)",
+                lambda: f"d{a}{j} (x o{i} y)",
                 sys.face(z, j, a),
                 sys.compose(sys.face(x, j, a), sys.face(y, j, a), i2),
             )
@@ -500,7 +485,7 @@ def _eq_comp_face(sys: CubeSystem, b) -> Iterator:
 def _eq_assoc(sys: CubeSystem, b) -> Iterator:
     x, y, z, i = b["x"], b["y"], b["z"], b["i"]
     yield (
-        f"assoc o{i}",
+        lambda: f"assoc o{i}",
         sys.compose(sys.compose(x, y, i), z, i),
         sys.compose(x, sys.compose(y, z, i), i),
     )
@@ -509,7 +494,7 @@ def _eq_assoc(sys: CubeSystem, b) -> Iterator:
 def _eq_interchange(sys: CubeSystem, b) -> Iterator:
     x, y, z, w, i, j = b["x"], b["y"], b["z"], b["w"], b["i"], b["j"]
     yield (
-        f"interchange o{i}/o{j}",
+        lambda: f"interchange o{i}/o{j}",
         sys.compose(sys.compose(x, y, i), sys.compose(z, w, i), j),
         sys.compose(sys.compose(x, z, j), sys.compose(y, w, j), i),
     )
@@ -522,7 +507,7 @@ def _eq_eps_comp(sys: CubeSystem, b) -> Iterator:
     for j in range(1, n + 2):
         i2 = i + 1 if j <= i else i
         yield (
-            f"e{j} (x o{i} y)",
+            lambda: f"e{j} (x o{i} y)",
             sys.degeneracy(z, j),
             sys.compose(sys.degeneracy(x, j), sys.degeneracy(y, j), i2),
         )
@@ -546,7 +531,7 @@ def _eq_gamma_face(sys: CubeSystem, b) -> Iterator:
                         rhs = sys.connection(sys.face(x, m, a), i - 1, g)
                     else:
                         rhs = sys.connection(sys.face(x, m - 1, a), i, g)
-                    yield (f"d{a}{m} G{g}{i}", lhs, rhs)
+                    yield (lambda: f"d{a}{m} G{g}{i}", lhs, rhs)
 
 
 def _eq_gamma_eps(sys: CubeSystem, b) -> Iterator:
@@ -563,7 +548,7 @@ def _eq_gamma_eps(sys: CubeSystem, b) -> Iterator:
                     rhs = sys.degeneracy(sys.connection(x, i - 1, g), j)
                 else:
                     rhs = sys.degeneracy(sys.connection(x, i, g), j + 1)
-                yield (f"G{g}{i} e{j}", lhs, rhs)
+                yield (lambda: f"G{g}{i} e{j}", lhs, rhs)
 
 
 def _eq_gamma_gamma(sys: CubeSystem, b) -> Iterator:
@@ -586,7 +571,7 @@ def _eq_gamma_gamma(sys: CubeSystem, b) -> Iterator:
                         rhs = sys.connection(sys.connection(x, i, a), j + 1, bt)
                     else:
                         rhs = sys.connection(sys.connection(x, i - 1, a), j, bt)
-                    yield (f"G{a}{i} G{bt}{j}", lhs, rhs)
+                    yield (lambda: f"G{a}{i} G{bt}{j}", lhs, rhs)
 
 
 def _eq_gamma_comp(sys: CubeSystem, b) -> Iterator:
@@ -599,7 +584,7 @@ def _eq_gamma_comp(sys: CubeSystem, b) -> Iterator:
         i2 = i + 1 if j < i else i
         for g in SIGNS:
             yield (
-                f"G{g}{j} (x o{i} y)",
+                lambda: f"G{g}{j} (x o{i} y)",
                 sys.connection(z, j, g),
                 sys.compose(sys.connection(x, j, g), sys.connection(y, j, g), i2),
             )
@@ -610,7 +595,7 @@ def _eq_transport(sys: CubeSystem, b) -> Iterator:
     top = sys.compose(sys.connection(a, i, PLUS), sys.degeneracy(a, i + 1), i + 1)
     bottom = sys.compose(sys.degeneracy(a, i), sys.connection(bb, i, PLUS), i + 1)
     yield (
-        f"G+{i} of o{i}-composite",
+        lambda: f"G+{i} of o{i}-composite",
         sys.connection(sys.compose(a, bb, i), i, PLUS),
         sys.compose(top, bottom, i),
     )
@@ -621,7 +606,7 @@ def _eq_transport_minus(sys: CubeSystem, b) -> Iterator:
     top = sys.compose(sys.connection(a, i, MINUS), sys.degeneracy(bb, i), i + 1)
     bottom = sys.compose(sys.degeneracy(bb, i + 1), sys.connection(bb, i, MINUS), i + 1)
     yield (
-        f"G-{i} of o{i}-composite",
+        lambda: f"G-{i} of o{i}-composite",
         sys.connection(sys.compose(a, bb, i), i, MINUS),
         sys.compose(top, bottom, i),
     )
@@ -633,8 +618,9 @@ def _eq_gamma_cancel(sys: CubeSystem, b) -> Iterator:
     for i in range(1, n + 1):
         plus = sys.connection(x, i, PLUS)
         minus = sys.connection(x, i, MINUS)
-        yield (f"G+{i} o{i+1} G-{i}", sys.compose(plus, minus, i + 1), sys.degeneracy(x, i))
-        yield (f"G+{i} o{i} G-{i}", sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
+        yield (lambda: f"G+{i} o{i+1} G-{i}",
+               sys.compose(plus, minus, i + 1), sys.degeneracy(x, i))
+        yield (lambda: f"G+{i} o{i} G-{i}", sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
 
 
 LAWS = (
@@ -721,7 +707,7 @@ def _run_instances(system, law, bindings, report):
                     report.passed = False
                     report.counterexample = {
                         "binding": _describe_binding(system, binding),
-                        "equation": label,
+                        "equation": label(),
                         "lhs": system.describe(lhs),
                         "rhs": system.describe(rhs),
                     }

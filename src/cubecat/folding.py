@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MINUS, PLUS, SIGNS, CubeSystem, is_degenerate_at
+from .core import MINUS, PLUS, SIGNS, CubeSystem, degenerate_at, is_degenerate_at
 from .errors import BoundaryMismatch, IndexOutOfRange, PostconditionViolated
 
 
@@ -37,10 +37,13 @@ def _psi(view, x: int, i: int) -> int:
 def fold_through(system: CubeSystem, x, j: int):
     """psi_1 psi_2 ... psi_j applied to x (the j-fold partial folding)."""
     view = system.id_view
-    k = view.id(x)
+    return view.elements[_fold_through(view, view.id(x), j)]
+
+
+def _fold_through(view, x: int, j: int) -> int:
     for i in range(j, 0, -1):
-        k = _psi(view, k, i)
-    return view.elements[k]
+        x = _psi(view, x, i)
+    return x
 
 
 @dataclass(frozen=True)
@@ -62,23 +65,24 @@ def big_psi(system: CubeSystem, x, *, verify: bool = True) -> FoldResult:
     n = system.dim(x)
     if n < 1:
         raise IndexOutOfRange("big_psi", 1, n)
-    folded = fold_through(system, x, n - 1)
-    n_face = system.face(folded, 1, MINUS)
-    p_face = system.face(folded, 1, PLUS)
+    view = system.id_view
+    folded = _fold_through(view, view.id(x), n - 1)
+    n_face = view.face(folded, 1, MINUS)
+    p_face = view.face(folded, 1, PLUS)
     if verify:
         for i in range(2, n + 1):
             for sign in SIGNS:
-                if not is_degenerate_at(system, system.face(folded, i, sign), 1):
+                if not degenerate_at(view, view.face(folded, i, sign), 1):
                     raise PostconditionViolated(
                         f"face ({i},{sign}) of the folded cube is not degenerate"
                     )
         for i in range(1, n):
             for sign in SIGNS:
-                if system.face(n_face, i, sign) != system.face(p_face, i, sign):
+                if view.face(n_face, i, sign) != view.face(p_face, i, sign):
                     raise PostconditionViolated(
                         f"folded boundary composites disagree at face ({i},{sign})"
                     )
-    return FoldResult(folded, n_face, p_face)
+    return FoldResult(*(view.elements[k] for k in (folded, n_face, p_face)))
 
 
 def reconstruct_folded_shell(system: CubeSystem, n_face, p_face):
@@ -112,8 +116,8 @@ def is_thin(system: CubeSystem, x) -> bool:
     n = system.dim(x)
     if n < 1:
         raise IndexOutOfRange("is_thin", 1, n)
-    folded = fold_through(system, x, n - 1)
-    return is_degenerate_at(system, folded, 1)
+    view = system.id_view
+    return degenerate_at(view, _fold_through(view, view.id(x), n - 1), 1)
 
 
 def is_j_thin(system: CubeSystem, x, j: int) -> bool:

@@ -66,19 +66,22 @@ class Shell:
         return f"Shell(dim={self.dim})"
 
 
-def _shell_from_dict(dim: int, faces: dict) -> Shell:
-    return Shell(dim, tuple(faces[(i, s)] for i in range(1, dim + 1) for s in SIGNS))
+def _shell_of_ids(view, dim: int, faces) -> Shell:
+    """The shell whose faces have these element ids, given in slot order."""
+    return Shell(dim, tuple(map(view.elements.__getitem__, faces)))
 
 
 def check_incidence(system: CubeSystem, shell: Shell) -> None:
     """Faces of faces must agree across the shell."""
     n = shell.dim
+    view = system.id_view
+    faces = [view.id(f) for f in shell.faces]  # slot order
     for i in range(2, n + 1):
         for j in range(1, i):
             for a in SIGNS:
                 for b in SIGNS:
-                    lhs = system.face(shell.face(i, a), j, b)
-                    rhs = system.face(shell.face(j, b), i - 1, a)
+                    lhs = view.face(faces[_slot(i, a)], j, b)
+                    rhs = view.face(faces[_slot(j, b)], i - 1, a)
                     if lhs != rhs:
                         raise BoundaryMismatch(
                             f"incidence fails between faces ({i},{a}) and ({j},{b})"
@@ -95,20 +98,24 @@ def make_shell(system: CubeSystem, dim: int, faces: dict) -> Shell:
     for (i, s), f in faces.items():
         if system.dim(f) != dim - 1:
             raise BoundaryMismatch(f"face ({i},{s}) has dimension {system.dim(f)}")
-    shell = _shell_from_dict(dim, faces)
+    shell = Shell(dim, tuple(faces[(i, s)] for i in range(1, dim + 1) for s in SIGNS))
     check_incidence(system, shell)
     return shell
 
 
 def boundary(system: CubeSystem, x) -> Shell:
-    """The shell of all faces of x (incidence holds automatically)."""
+    """The shell of all faces of x (incidence holds automatically).
+
+    An element that is a shell holds its faces, so it is its own boundary.
+    """
+    if isinstance(x, Shell):
+        return x
     n = system.dim(x)
     if n < 1:
         raise IndexOutOfRange("boundary", 1, n)
     view = system.id_view
     k = view.id(x)
-    faces = (view.face(k, i, s) for i in range(1, n + 1) for s in SIGNS)
-    return Shell(n, tuple(view.elements[f] for f in faces))
+    return _shell_of_ids(view, n, (view.face(k, i, s) for i in range(1, n + 1) for s in SIGNS))
 
 
 # ---------------------------------------------------------------------------
@@ -126,49 +133,52 @@ def shell_compose(system: CubeSystem, s: Shell, t: Shell, i: int) -> Shell:
             system.describe(t.face(i, MINUS)),
             "shell_compose",
         )
-    faces = {(i, MINUS): s.face(i, MINUS), (i, PLUS): t.face(i, PLUS)}
+    view = system.id_view
+    faces = []
     for j in range(1, n + 1):
-        if j == i:
-            continue
         i2 = i - 1 if j < i else i
         for a in SIGNS:
-            faces[(j, a)] = system.compose(s.face(j, a), t.face(j, a), i2)
-    return _shell_from_dict(n, faces)
+            if j != i:
+                faces.append(view.compose(view.id(s.face(j, a)), view.id(t.face(j, a)), i2))
+            else:
+                faces.append(view.id((s if a == MINUS else t).face(i, a)))
+    return _shell_of_ids(view, n, faces)
 
 
 def shell_degeneracy(system: CubeSystem, a, j: int) -> Shell:
     n = system.dim(a) + 1
     if not 1 <= j <= n:
         raise IndexOutOfRange("shell_degeneracy", j, n - 1)
-    faces = {}
+    view = system.id_view
+    k = view.id(a)
+    faces = []
     for i in range(1, n + 1):
         for s in SIGNS:
             if i == j:
-                faces[(i, s)] = a
+                faces.append(k)
             elif i < j:
-                faces[(i, s)] = system.degeneracy(system.face(a, i, s), j - 1)
+                faces.append(view.degeneracy(view.face(k, i, s), j - 1))
             else:
-                faces[(i, s)] = system.degeneracy(system.face(a, i - 1, s), j)
-    return _shell_from_dict(n, faces)
+                faces.append(view.degeneracy(view.face(k, i - 1, s), j))
+    return _shell_of_ids(view, n, faces)
 
 
 def shell_connection(system: CubeSystem, a, j: int, sign: Sign) -> Shell:
     n = system.dim(a) + 1
     if system.dim(a) == 0 or not 1 <= j <= n - 1:
         raise IndexOutOfRange("shell_connection", j, n - 1)
-    faces = {}
+    view = system.id_view
+    k = view.id(a)
+    faces = []
     for i in range(1, n + 1):
         for s in SIGNS:
             if i in (j, j + 1):
-                if s == sign:
-                    faces[(i, s)] = a
-                else:
-                    faces[(i, s)] = system.degeneracy(system.face(a, j, s), j)
+                faces.append(k if s == sign else view.degeneracy(view.face(k, j, s), j))
             elif i < j:
-                faces[(i, s)] = system.connection(system.face(a, i, s), j - 1, sign)
+                faces.append(view.connection(view.face(k, i, s), j - 1, sign))
             else:
-                faces[(i, s)] = system.connection(system.face(a, i - 1, s), j, sign)
-    return _shell_from_dict(n, faces)
+                faces.append(view.connection(view.face(k, i - 1, s), j, sign))
+    return _shell_of_ids(view, n, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +210,6 @@ class ShellExtension(CubeSystem):
 
     def dim(self, x) -> int:
         return x.dim if isinstance(x, Shell) else self.base.dim(x)
-
-    def face(self, x, i: int, sign: Sign):
-        return self._face(x, i, sign)  # a shell holds its faces: read, not looked up
 
     def _face(self, x, i: int, sign: Sign):
         if isinstance(x, Shell):
@@ -262,15 +269,15 @@ class ShellExtension(CubeSystem):
     def random_top_shell(
         self, rng, pinned: Optional[dict] = None, node_budget: int = 4000
     ) -> Optional[Shell]:
-        base, n = self.base, self.top
+        view, n = self.base.id_view, self.top
         profile_index = self._profile_index
-        chosen: dict = {}
+        chosen: list = []
         budget = [node_budget]
-        pins = pinned or {}
+        pins = {key: view.id(face) for key, face in (pinned or {}).items()}
 
-        def fits_pins(c, i: int, sign: Sign) -> bool:
+        def fits_pins(c: int, i: int, sign: Sign) -> bool:
             for (pi, ps), pv in pins.items():
-                if pi > i and base.face(c, pi - 1, ps) != base.face(pv, i, sign):
+                if pi > i and view.face(c, pi - 1, ps) != view.face(pv, i, sign):
                     return False
             return True
 
@@ -279,14 +286,14 @@ class ShellExtension(CubeSystem):
                 return None
             budget[0] -= 1
             if i > n:
-                return self.id_view.canonical(_shell_from_dict(n, chosen))
+                return self.id_view.canonical(_shell_of_ids(view, n, chosen))
             sign = SIGNS[sign_idx]
             nxt = (i, 1) if sign_idx == 0 else (i + 1, 0)
-            req = _requirement(base, chosen, i, sign)
+            req = _requirement(view, chosen, i, sign)
             if (i, sign) in pins:
                 pv = pins[(i, sign)]
                 cands = [pv] if req == tuple(
-                    base.face(pv, j, b) for j in range(1, i) for b in SIGNS
+                    view.face(pv, j, b) for j in range(1, i) for b in SIGNS
                 ) else []
             else:
                 cands = [
@@ -296,11 +303,11 @@ class ShellExtension(CubeSystem):
                 ]
                 rng.shuffle(cands)
             for c in cands:
-                chosen[(i, sign)] = c
+                chosen.append(c)
                 result = place(*nxt)
                 if result is not None:
                     return result
-            chosen.pop((i, sign), None)
+                chosen.pop()
             return None
 
         return place(1, 0)
@@ -371,21 +378,24 @@ class ShellExtension(CubeSystem):
         return make_shell(self, n, faces)
 
 
-def _requirement(system: CubeSystem, chosen: dict, i: int, sign: Sign) -> tuple:
+# Shells are assembled on element ids: ``chosen`` lists the ids of the faces
+# placed so far in slot order, and the profile indexes hold ids in pool order.
+
+
+def _requirement(view, chosen: list, i: int, sign: Sign) -> tuple:
     """The first i-1 face pairs that incidence forces on face (i, sign)."""
-    return tuple(system.face(chosen[(j, b)], i - 1, sign) for j in range(1, i) for b in SIGNS)
+    return tuple(view.face(c, i - 1, sign) for c in chosen[: 2 * i - 2])
 
 
 def _profile_indexes(system: CubeSystem, n: int) -> list:
-    """For each depth d < n, index (n-1)-elements by their first d face pairs."""
-    elements = system.cubes(n - 1)
+    """For each depth d < n, index the (n-1)-element ids by their first d face pairs."""
+    view = system.id_view
+    elements = view.pool(n - 1)
     profile_index: list[dict] = []
     for depth in range(n):
         index: dict = {}
         for x in elements:
-            key = tuple(
-                system.face(x, j, b) for j in range(1, depth + 1) for b in SIGNS
-            )
+            key = tuple(view.face(x, j, b) for j in range(1, depth + 1) for b in SIGNS)
             index.setdefault(key, []).append(x)
         profile_index.append(index)
     return profile_index
@@ -398,20 +408,21 @@ def enumerate_shells(system: CubeSystem, n: int) -> Iterator[Shell]:
     incidence with the faces already chosen, so candidates come from an
     index keyed on leading face profiles.
     """
+    view = system.id_view
     profile_index = _profile_indexes(system, n)
-    chosen: dict = {}
+    chosen: list = []
 
     def place(i: int) -> Iterator[Shell]:
         if i > n:
-            yield _shell_from_dict(n, chosen)
+            yield _shell_of_ids(view, n, chosen)
             return
-        for lower in profile_index[i - 1].get(_requirement(system, chosen, i, MINUS), ()):
-            chosen[(i, MINUS)] = lower
-            for upper in profile_index[i - 1].get(_requirement(system, chosen, i, PLUS), ()):
-                chosen[(i, PLUS)] = upper
+        for lower in profile_index[i - 1].get(_requirement(view, chosen, i, MINUS), ()):
+            chosen.append(lower)
+            for upper in profile_index[i - 1].get(_requirement(view, chosen, i, PLUS), ()):
+                chosen.append(upper)
                 yield from place(i + 1)
-        chosen.pop((i, MINUS), None)
-        chosen.pop((i, PLUS), None)
+                chosen.pop()
+            chosen.pop()
 
     yield from place(1)
 

@@ -16,6 +16,7 @@ from cubecat import (
     run_axiom_suite,
 )
 from cubecat.core import composable_pairs
+from cubecat.shells import Shell, boundary
 from cubecat.errors import DimensionTooLarge, IndexOutOfRange, NotComposable
 from cubecat.fillers import ConnectionOverrideSystem
 from conftest import nerve_of, tower_of
@@ -136,3 +137,15 @@ def test_nothing_is_tabulated_at_set_up():
     for s in (system, tower, tower.base, tower.base.base):
         assert stored(s) == 0
         assert not s.id_view.elements
+        # the operations themselves are built on first use
+        assert not {"id", "face", "compose"} & set(vars(s.id_view))
+    tower.face(tower.cubes(3)[0], 1, MINUS)
+    assert {"id", "face", "compose"} <= set(vars(tower.id_view))
+
+
+def test_a_shell_is_its_own_boundary():
+    tower = tower_of("poset22", 3)
+    for n in (2, 3):
+        for s in tower.cubes(n)[:50]:
+            faces = tuple(tower.face(s, i, sign) for i in range(1, n + 1) for sign in (MINUS, PLUS))
+            assert boundary(tower, s) == Shell(n, faces)
