@@ -10,6 +10,7 @@ to stderr.  Exit codes: 0 all checks pass, 1 at least one check fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,8 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and undecodable bytes
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -297,7 +299,13 @@ def _add_model_args(sub, with_report_args: bool = True) -> None:
         sub.add_argument("--format", choices=("text", "json", "tap"), default="text")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Parsing leaves it unchanged: each ``parse_args`` returns a fresh
+    namespace, and usage and errors go to the streams current at the call.
+    """
     parser = argparse.ArgumentParser(
         prog="cubecat",
         description="verify cubical-category laws over finite models",
@@ -345,8 +353,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code = args.func(args)

@@ -549,10 +549,13 @@ class NerveSystem(CubeSystem):
             n = int(doc["dim"])
             vdoc = dict(doc["vertices"])
             edoc = dict(doc.get("edges", {}))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed cube document: {exc}") from exc
         if n < 0:
             raise ParseError("cube dimension must be non-negative")
+        # an n-cube has 2^n vertices; bit_length avoids building 2^n for a huge n
+        if len(vdoc).bit_length() <= n:
+            raise ParseError(f"a {n}-cube needs 2^{n} vertex entries, not {len(vdoc)}")
         try:
             vertices = tuple(vdoc[mask_to_bits(v, n)] for v in range(1 << n))
         except KeyError as exc:

@@ -362,19 +362,22 @@ class ShellExtension(CubeSystem):
         return x, y, z, w
 
     def parse(self, doc: dict):
+        if not isinstance(doc, dict):
+            raise ParseError(f"a cube document must be a JSON object, not {type(doc).__name__}")
         if "faces" not in doc:
             return self.base.parse(doc)
         try:
             n = int(doc["dim"])
             raw = dict(doc["faces"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed shell document: {exc}") from exc
+        if not 1 <= n <= self.top:
+            raise ParseError(f"shell dimension {n} is outside 1..{self.top}")
         faces = {}
         for key, sub in raw.items():
-            i, s = key[:-1], key[-1]
-            if s not in SIGNS or not i.isdigit():
+            if not (isinstance(key, str) and key[-1:] in SIGNS and key[:-1].isdecimal()):
                 raise ParseError(f"bad face key {key!r}; use e.g. '1-' or '2+'")
-            faces[(int(i), s)] = self.parse(sub)
+            faces[(int(key[:-1]), key[-1])] = self.parse(sub)
         return make_shell(self, n, faces)
 
 

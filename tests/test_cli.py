@@ -1,11 +1,17 @@
 """Command-line behavior: formats, exit codes, determinism, re-checkable output."""
 
+import contextlib
+import io
 import json
 import pathlib
+import re
+import resource
 import subprocess
 import sys
 
 import pytest
+
+from cubecat.cli import main, make_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -16,14 +22,28 @@ SQUARE_DOC = {
 }
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=300, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "cubecat.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
-        timeout=300,
+        timeout=timeout,
+        preexec_fn=preexec_fn,
     )
+
+
+def _limit_memory():
+    """Cap the child's address space at about 1 GB, so a runaway allocation fails fast."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_in_process(*args):
+    """(exit code, stdout) of one ``main`` call in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(args))
+    return code, out.getvalue()
 
 
 @pytest.fixture()
@@ -244,11 +264,72 @@ def test_render_unfold(square_file):
     assert "h: direction 2, v: direction 1" in result.stdout
 
 
-def test_invalid_cube_document_is_config_error():
-    doc = {"dim": 2, "vertices": {"00": "A"}, "edges": {}}
-    result = run_cli("fold", "--cat", "poset22", "--dim", "2", "-",
-                     stdin=json.dumps(doc))
-    assert result.returncode == 2
+BAD_DOCUMENTS = {
+    "missing-vertices": b'{"dim": 2, "vertices": {"00": "A"}, "edges": {}}',
+    "null": b"null",
+    "non-object-face": b'{"dim": 2, "faces": {"1-": 5}}',
+    "empty-face-key": b'{"dim": 2, "faces": {"": 5}}',
+    "infinite-dim": b'{"dim": 1e400, "faces": {}}',
+    "huge-nerve-dim": b'{"dim": 99999999999, "vertices": {}}',
+    "huge-shell-dim": b'{"dim": 99999999999, "faces": {}}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "undecodable": b"\xff\xfe{",
+}
+
+
+@pytest.mark.parametrize("model", ["nerve", "tower"])
+@pytest.mark.parametrize("command", ["fold", "decompose", "render"])
+@pytest.mark.parametrize("doc", list(BAD_DOCUMENTS.values()), ids=list(BAD_DOCUMENTS))
+def test_invalid_cube_document_is_config_error(tmp_path, doc, command, model):
+    path = tmp_path / "cube.json"
+    path.write_bytes(doc)
+    result = run_cli(command, "--model", model, "--cat", "poset22", "--dim", "3",
+                     str(path), timeout=60, preexec_fn=_limit_memory)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+    elapsed = re.search(r"elapsed: ([0-9.]+)s", result.stderr)
+    assert elapsed and float(elapsed.group(1)) < 1.0, result.stderr
+
+
+def test_repeated_in_process_calls_are_independent(square_file):
+    assert make_parser() is make_parser()
+    laws = ("axioms", "--cat", "terminal", "--dim", "2", "--format", "json")
+    for law in ("EPS-FACE", "FACE-FACE"):
+        code, out = run_in_process(*laws, "--law", law)
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["id"] for r in doc["results"]] == [law]
+        assert doc["config"]["laws"] == [law]
+    suites = ("theorems", "--cat", "terminal", "--dim", "2", "--format", "json")
+    for name in ("lemma-1.1", "prop-1.2"):
+        code, out = run_in_process(*suites, "--name", name)
+        assert code == 0
+        assert json.loads(out)["config"]["names"] == [name]
+    code, all_laws = run_in_process(*laws)
+    assert json.loads(all_laws)["config"]["laws"] == "all"
+    # usage and help go to the streams current at the call
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as rejected, contextlib.redirect_stderr(err):
+        main(["axioms", "--model", "no-such-model", "--cat", "terminal"])
+    assert rejected.value.code == 2
+    assert err.getvalue().startswith("usage: cubecat axioms")
+    assert run_in_process(*laws) == (code, all_laws)
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as helped, contextlib.redirect_stdout(out):
+        main(["--help"])
+    assert helped.value.code == 0
+    assert "decompose" in out.getvalue()
+    # each in-process report is byte-identical to a fresh process's
+    for argv in (
+        ("axioms", "--model", "broken", "--cat", "poset22", "--dim", "2"),
+        ("theorems", "--cat", "terminal", "--dim", "2", "--format", "tap"),
+        ("fold", "--cat", "poset22", "--dim", "2", "--format", "json", square_file),
+        ("render", "--cat", "poset22", "--dim", "2", "--kind", "unfold", square_file),
+    ):
+        code, out = run_in_process(*argv)
+        result = run_cli(*argv)
+        assert (code, out) == (result.returncode, result.stdout), argv
 
 
 def test_render_transport_pair(tmp_path):
