@@ -79,7 +79,6 @@ from .models import (
     NerveCube,
     NerveSystem,
     bundled_category,
-    enumerate_cubes,
     load_fincat,
     load_fincat_path,
     nerve,

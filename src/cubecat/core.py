@@ -55,10 +55,12 @@ class CubeSystem:
     ``_degeneracy(x, i)``, ``_connection(x, i, sign)`` and
     ``_compose(x, y, i)``.  The class decorator :func:`tabulated` gives it
     each of the public ``face``, ``degeneracy``, ``connection`` and
-    ``compose`` it lacks, answered from ``id_view``.  A system built on another
-    passes it as ``base`` and says with :meth:`owns_from` which calls it
-    hands down; a root system defines ``dim``, ``cubes``, ``describe`` and
-    ``parse`` itself.
+    ``compose`` it lacks, answered from ``id_view``, and the public
+    ``cubes(n)``, whose elements the id view of the enumerating system
+    stores from one run of the plain generator ``_cubes(n)``.  A system
+    built on another passes it as ``base`` and says with :meth:`owns_from`
+    which calls and which dimensions of ``cubes`` it hands down; a root
+    system defines ``dim``, ``_cubes``, ``describe`` and ``parse`` itself.
     """
 
     max_dim: int
@@ -68,14 +70,10 @@ class CubeSystem:
     def __init__(self, base: Optional["CubeSystem"] = None):
         self.base = base
         self.id_view = IdView(self, None if base is None else base.id_view)
-        self._sample_index: dict = {}  # (n, i) -> pool(n) by lower i-face
+        self._sample_index: dict = {}  # (n, i) -> cubes(n) by lower i-face
 
     def dim(self, x) -> int:
         return self.base.dim(x)
-
-    def cubes(self, n: int) -> tuple:
-        """Exhaustive, duplicate-free, deterministically ordered dimension-n elements."""
-        return self.base.cubes(n)
 
     def describe(self, x) -> Any:
         """JSON-serializable rendering of an element, for reports."""
@@ -85,7 +83,8 @@ class CubeSystem:
         return self.base.parse(doc)
 
     def owns_from(self, op: str) -> float:
-        """Lowest first-argument dimension it answers ``op`` on; the base answers below."""
+        """Lowest first-argument dimension it answers ``op`` on, or for ``"cubes"``
+        the lowest dimension it enumerates; the base answers below."""
         return 0
 
     def within_ceiling(self, n: int) -> bool:
@@ -97,13 +96,13 @@ class CubeSystem:
         index = self._sample_index.get((n, i))
         if index is None:
             index = {}
-            for x in pool(self, n):
+            for x in self.cubes(n):
                 index.setdefault(self.face(x, i, MINUS), []).append(x)
             self._sample_index[n, i] = index
         return index
 
     def sample_element(self, n: int, rng):
-        elements = pool(self, n)
+        elements = self.cubes(n)
         return rng.choice(elements) if elements else None
 
     def sample_pair(self, n: int, i: int, rng):
@@ -185,6 +184,11 @@ class IdView:
     returns is interned and stored.  Nothing is tabulated before it is asked
     for, and the operation closures are built on the first call, so a
     model that is never asked pays nothing for them.
+
+    A pool is stored the same way: a view hands a dimension below its
+    system's ``owns_from("cubes")`` to its base, so the view of the system
+    that enumerates the dimension keeps it, in ``pools[n]``, as its ids and
+    its elements, both in enumeration order.
     """
 
     def __init__(self, system: "CubeSystem", base: Optional["IdView"] = None):
@@ -195,7 +199,7 @@ class IdView:
         else:
             self.ids, self.elements, self.dims = base.ids, base.elements, base.dims
         self.tables = {op: {} for op in OPS}
-        self._pools: dict = {}
+        self.pools: dict = {}
         self.dim = self.dims.__getitem__
 
     def __getattr__(self, name: str):
@@ -271,17 +275,30 @@ class IdView:
         return self.system.describe(self.elements[k])
 
     def pool(self, n: int) -> tuple:
-        """Ids of ``pool(system, n)``, in pool order."""
-        got = self._pools.get(n)
+        """Ids of the dimension-n elements, in enumeration order."""
+        return self._stored_pool(n)[0]
+
+    def cubes(self, n: int) -> tuple:
+        """The dimension-n elements, in enumeration order."""
+        return self._stored_pool(n)[1]
+
+    def _stored_pool(self, n: int) -> tuple:
+        system = self.system
+        if not 0 <= n <= system.max_dim:
+            raise DimensionTooLarge(f"dimension {n} exceeds cap {system.max_dim}")
+        if n < system.owns_from("cubes"):
+            return self.base._stored_pool(n)
+        got = self.pools.get(n)
         if got is None:
-            got = self._pools[n] = tuple(map(self.id, pool(self.system, n)))
+            ids = tuple(map(self.id, system._cubes(n)))
+            got = self.pools[n] = ids, tuple(map(self.elements.__getitem__, ids))
         return got
 
 
 def _object_forms() -> dict:
     """Fresh object-level operations, so that each class owns the ones in its dict.
 
-    Each translates its elements to ids and answers through the id view.
+    Each answers through the id view, translating elements to and from ids.
     """
 
     def face(self, x, i: int, sign: Sign):
@@ -300,15 +317,22 @@ def _object_forms() -> dict:
         view = self.id_view
         return view.elements[view.compose(view.id(x), view.id(y), i)]
 
-    return {"face": face, "degeneracy": degeneracy, "connection": connection, "compose": compose}
+    def cubes(self, n: int) -> tuple:
+        """Exhaustive, duplicate-free, deterministically ordered dimension-n elements."""
+        return self.id_view.cubes(n)
+
+    return {
+        "face": face, "degeneracy": degeneracy, "connection": connection, "compose": compose,
+        "cubes": cubes,
+    }
 
 
 def tabulated(cls: type) -> type:
     """Class decorator: install in ``cls``'s own dict each public operation it lacks.
 
     Each takes and returns elements; the misses of the system's id view run
-    the plain ``_face``, ``_degeneracy``, ``_connection`` or ``_compose`` of
-    the owning system.
+    the plain ``_face``, ``_degeneracy``, ``_connection``, ``_compose`` or
+    ``_cubes`` of the owning system.
     """
     for op, method in _object_forms().items():
         if op not in vars(cls):
@@ -318,13 +342,7 @@ def tabulated(cls: type) -> type:
 
 
 # ---------------------------------------------------------------------------
-# pools, composability indexes, sampling
-
-
-def pool(system: CubeSystem, n: int) -> tuple:
-    if n < 0 or n > system.max_dim:
-        raise DimensionTooLarge(f"dimension {n} exceeds cap {system.max_dim}")
-    return system.cubes(n)
+# composability indexes, sampling
 
 
 def pair_index(system: CubeSystem, elements: Iterable, i: int):
@@ -799,11 +817,10 @@ def _sampled_bindings(system, law, n, count, rng) -> Iterator[dict]:
         produced += 1
 
 
-def law_dim_range(system: CubeSystem, law: Law, max_dim: int):
-    """Dimensions at which the law can be instantiated in this system."""
-    top = min(max_dim, system.max_dim)
-    for n in range(law.min_dim, top + 1):
-        if system.within_ceiling(n + law.lift):
+def dim_range(system: CubeSystem, lowest: int, lift: int, max_dim: int) -> Iterator[int]:
+    """Dimensions ``lowest``..``max_dim`` of the system whose terms, ``lift`` above, it can build."""
+    for n in range(lowest, min(max_dim, system.max_dim) + 1):
+        if system.within_ceiling(n + lift):
             yield n
 
 
@@ -819,7 +836,7 @@ def run_law(
     """Check one law: on ids up to ``exhaustive_dim``, on seeded samples above."""
     report = LawReport(law_id=law.law_id)
     start = time.perf_counter()
-    for n in law_dim_range(system, law, max_dim):
+    for n in dim_range(system, law.min_dim, law.lift, max_dim):
         if n <= exhaustive_dim:
             view = system.id_view
             ok = _run_instances(view, law, _exhaustive_bindings(view, law, n), report)

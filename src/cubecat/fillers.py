@@ -271,15 +271,16 @@ class ThinStructure:
         self._memo: dict = {}
 
     def __call__(self, s: Shell):
-        if s.dim != self.top:
-            raise PreconditionFailed(
-                f"thin structure is defined at dimension {self.top}, got {s.dim}"
-            )
-        if not is_commutative(self.system, s):
-            raise NotCommutative("thin structures are defined on commutative shells only")
-        if s not in self._memo:
-            self._memo[s] = self._fill(s)
-        return self._memo[s]
+        filler = self._memo.get(s)
+        if filler is None:  # the memo holds only shells that passed these checks
+            if s.dim != self.top:
+                raise PreconditionFailed(
+                    f"thin structure is defined at dimension {self.top}, got {s.dim}"
+                )
+            if not is_commutative(self.system, s):
+                raise NotCommutative("thin structures are defined on commutative shells only")
+            filler = self._memo[s] = self._fill(s)
+        return filler
 
     def domain(self) -> tuple:
         """All commutative shells at the structure's dimension (enumerable models)."""

@@ -18,7 +18,6 @@ from . import core
 from .core import MINUS, PLUS, CubeSystem, Sign
 from .errors import (
     CategoryLawViolation,
-    DimensionTooLarge,
     IndexOutOfRange,
     NotComposable,
     ParseError,
@@ -411,7 +410,6 @@ class NerveSystem(CubeSystem):
             raise ValueError("max_dim must be at least 1")
         self.cat = cat
         self.max_dim = max_dim
-        self._pools: dict[int, tuple] = {}
         super().__init__()
 
     # -- signature ----------------------------------------------------
@@ -471,14 +469,7 @@ class NerveSystem(CubeSystem):
 
     # -- enumeration ----------------------------------------------------
 
-    def cubes(self, n: int) -> tuple:
-        if n < 0 or n > self.max_dim:
-            raise DimensionTooLarge(f"dimension {n} exceeds cap {self.max_dim}")
-        if n not in self._pools:
-            self._pools[n] = tuple(map(self.id_view.canonical, self._enumerate(n)))
-        return self._pools[n]
-
-    def _enumerate(self, n: int) -> Iterator[NerveCube]:
+    def _cubes(self, n: int) -> Iterator[NerveCube]:
         if n == 0:
             for obj in self.cat.objects:
                 yield NerveCube(0, (obj,), ())
@@ -551,8 +542,8 @@ class NerveSystem(CubeSystem):
             edoc = dict(doc.get("edges", {}))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed cube document: {exc}") from exc
-        if n < 0:
-            raise ParseError("cube dimension must be non-negative")
+        if not 0 <= n <= self.max_dim:
+            raise ParseError(f"cube dimension {n} is outside 0..{self.max_dim}")
         # an n-cube has 2^n vertices; bit_length avoids building 2^n for a huge n
         if len(vdoc).bit_length() <= n:
             raise ParseError(f"a {n}-cube needs 2^{n} vertex entries, not {len(vdoc)}")
@@ -583,8 +574,3 @@ class BrokenNerveSystem(NerveSystem):
 
 def nerve(cat: FinCatPresentation, max_dim: int = 4) -> NerveSystem:
     return NerveSystem(cat, max_dim)
-
-
-def enumerate_cubes(system: CubeSystem, n: int) -> tuple:
-    """Exhaustive, duplicate-free, deterministic enumeration of dimension n."""
-    return core.pool(system, n)

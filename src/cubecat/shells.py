@@ -10,6 +10,7 @@ the tower models.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -23,6 +24,9 @@ from .errors import (
     ParseError,
 )
 from .models import FinCatPresentation, nerve
+
+
+NODE_BUDGET = 4000  # search nodes a random top shell may visit
 
 
 def _slot(i: int, sign: Sign) -> int:
@@ -202,10 +206,10 @@ class ShellExtension(CubeSystem):
         self.top = top
         self.max_dim = top
         self.op_ceiling = top
-        self._pool: Optional[tuple] = None
         super().__init__(base)
 
     def owns_from(self, op: str) -> int:
+        # ``cubes`` too: the base enumerates every dimension below the top
         return self.top - 1 if op in ("degeneracy", "connection") else self.top
 
     def dim(self, x) -> int:
@@ -235,16 +239,8 @@ class ShellExtension(CubeSystem):
             )
         return shell_compose(self.base, x, y, i)
 
-    def cubes(self, n: int) -> tuple:
-        if n < 0 or n > self.top:
-            raise DimensionTooLarge(f"dimension {n} exceeds cap {self.top}")
-        if n < self.top:
-            return self.base.cubes(n)
-        if self._pool is None:
-            self._pool = tuple(
-                map(self.id_view.canonical, enumerate_shells(self.base, self.top))
-            )
-        return self._pool
+    def _cubes(self, n: int) -> Iterator[Shell]:
+        return self._shells()  # n is the top; the base enumerates below it
 
     def describe(self, x):
         if isinstance(x, Shell):
@@ -256,72 +252,90 @@ class ShellExtension(CubeSystem):
             }
         return self.base.describe(x)
 
-    # -- seeded sampling without full enumeration -----------------------
+    # -- the top shells, listed or drawn at random ----------------------
     #
     # The top dimension of a tall tower can be far too large to enumerate,
-    # so random top shells are assembled face pair by face pair with
-    # backtracking; pinned faces support building composable mates.
+    # so its seeded samples are assembled by the same search that lists it,
+    # with shuffled candidates; pinned faces support building composable
+    # mates.
 
     @cached_property
     def _profile_index(self) -> list:
-        return _profile_indexes(self.base, self.top)
+        """For each depth d < top, the base's (top-1)-element ids by their first d face pairs."""
+        view = self.base.id_view
+        elements = view.pool(self.top - 1)
+        profile_index: list[dict] = []
+        for depth in range(self.top):
+            index: dict = {}
+            for x in elements:
+                key = tuple(view.face(x, j, b) for j in range(1, depth + 1) for b in SIGNS)
+                index.setdefault(key, []).append(x)
+            profile_index.append(index)
+        return profile_index
 
-    def random_top_shell(
-        self, rng, pinned: Optional[dict] = None, node_budget: int = 4000
-    ) -> Optional[Shell]:
-        view, n = self.base.id_view, self.top
-        profile_index = self._profile_index
-        chosen: list = []
-        budget = [node_budget]
-        pins = {key: view.id(face) for key, face in (pinned or {}).items()}
+    def _shells(self, rng=None, pins: Optional[dict] = None) -> Iterator[Shell]:
+        """Top shells, assembled face pair by face pair with backtracking.
+
+        When face (i, sign) is placed, its first i-1 face pairs are pinned by
+        incidence with the faces already chosen, so candidates come from the
+        profile index.  With an ``rng`` the candidates of each face are
+        shuffled and the search gives up after ``NODE_BUDGET`` nodes; ``pins``
+        maps some (i, sign) to the base element id that face must be.
+        """
+        view, n, profile_index = self.base.id_view, self.top, self._profile_index
+        face = view.face
+        chosen: list = []  # ids of the faces placed so far, in slot order
+        budget = NODE_BUDGET if rng is not None else math.inf
 
         def fits_pins(c: int, i: int, sign: Sign) -> bool:
             for (pi, ps), pv in pins.items():
-                if pi > i and view.face(c, pi - 1, ps) != view.face(pv, i, sign):
+                if pi > i and face(c, pi - 1, ps) != face(pv, i, sign):
                     return False
             return True
 
-        def place(i: int, sign_idx: int) -> Optional[Shell]:
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
-            if i > n:
-                return self.id_view.canonical(_shell_of_ids(view, n, chosen))
-            sign = SIGNS[sign_idx]
-            nxt = (i, 1) if sign_idx == 0 else (i + 1, 0)
-            req = _requirement(view, chosen, i, sign)
-            if (i, sign) in pins:
-                pv = pins[(i, sign)]
+        def place(slot: int) -> Iterator[Shell]:
+            nonlocal budget
+            if budget <= 0:
+                return
+            budget -= 1
+            if slot == 2 * n:
+                yield _shell_of_ids(view, n, chosen)
+                return
+            i, sign = slot // 2 + 1, SIGNS[slot % 2]
+            req = tuple([face(c, i - 1, sign) for c in chosen[: 2 * i - 2]])
+            if pins and (i, sign) in pins:
+                pv = pins[i, sign]
                 cands = [pv] if req == tuple(
-                    view.face(pv, j, b) for j in range(1, i) for b in SIGNS
+                    face(pv, j, b) for j in range(1, i) for b in SIGNS
                 ) else []
             else:
-                cands = [
-                    c
-                    for c in profile_index[i - 1].get(req, ())
-                    if fits_pins(c, i, sign)
-                ]
-                rng.shuffle(cands)
+                cands = profile_index[i - 1].get(req, ())
+                if pins:
+                    cands = [c for c in cands if fits_pins(c, i, sign)]
+                if rng is not None:
+                    cands = list(cands)
+                    rng.shuffle(cands)
             for c in cands:
                 chosen.append(c)
-                result = place(*nxt)
-                if result is not None:
-                    return result
+                yield from place(slot + 1)
                 chosen.pop()
-            return None
 
-        return place(1, 0)
+        return place(0)
 
-    def _assembled_sampling(self, n: int) -> bool:
-        return n == self.top and self._pool is None
+    def random_top_shell(self, rng, pinned: Optional[dict] = None) -> Optional[Shell]:
+        """A seeded random top shell with the ``pinned`` faces, or None past the node budget."""
+        view = self.base.id_view
+        pins = {key: view.id(face) for key, face in (pinned or {}).items()}
+        shell = next(self._shells(rng, pins), None)
+        return None if shell is None else self.id_view.canonical(shell)
 
     def sample_element(self, n, rng):
-        if self._assembled_sampling(n):
+        if n == self.top:
             return self.random_top_shell(rng)
         return super().sample_element(n, rng)
 
     def sample_pair(self, n, i, rng):
-        if not self._assembled_sampling(n):
+        if n != self.top:
             return super().sample_pair(n, i, rng)
         x = self.random_top_shell(rng)
         if x is None:
@@ -332,7 +346,7 @@ class ShellExtension(CubeSystem):
         return x, y
 
     def sample_triple(self, n, i, rng):
-        if not self._assembled_sampling(n):
+        if n != self.top:
             return super().sample_triple(n, i, rng)
         y = self.random_top_shell(rng)
         if y is None:
@@ -344,7 +358,7 @@ class ShellExtension(CubeSystem):
         return x, y, z
 
     def sample_grid(self, n, i, j, rng):
-        if not self._assembled_sampling(n):
+        if n != self.top:
             return super().sample_grid(n, i, j, rng)
         x = self.random_top_shell(rng)
         if x is None:
@@ -381,53 +395,9 @@ class ShellExtension(CubeSystem):
         return make_shell(self, n, faces)
 
 
-# Shells are assembled on element ids: ``chosen`` lists the ids of the faces
-# placed so far in slot order, and the profile indexes hold ids in pool order.
-
-
-def _requirement(view, chosen: list, i: int, sign: Sign) -> tuple:
-    """The first i-1 face pairs that incidence forces on face (i, sign)."""
-    return tuple(view.face(c, i - 1, sign) for c in chosen[: 2 * i - 2])
-
-
-def _profile_indexes(system: CubeSystem, n: int) -> list:
-    """For each depth d < n, index the (n-1)-element ids by their first d face pairs."""
-    view = system.id_view
-    elements = view.pool(n - 1)
-    profile_index: list[dict] = []
-    for depth in range(n):
-        index: dict = {}
-        for x in elements:
-            key = tuple(view.face(x, j, b) for j in range(1, depth + 1) for b in SIGNS)
-            index.setdefault(key, []).append(x)
-        profile_index.append(index)
-    return profile_index
-
-
 def enumerate_shells(system: CubeSystem, n: int) -> Iterator[Shell]:
-    """All n-shells over the system, assembled face pair by face pair.
-
-    When face (i, sign) is placed, its first i-1 face pairs are pinned by
-    incidence with the faces already chosen, so candidates come from an
-    index keyed on leading face profiles.
-    """
-    view = system.id_view
-    profile_index = _profile_indexes(system, n)
-    chosen: list = []
-
-    def place(i: int) -> Iterator[Shell]:
-        if i > n:
-            yield _shell_of_ids(view, n, chosen)
-            return
-        for lower in profile_index[i - 1].get(_requirement(view, chosen, i, MINUS), ()):
-            chosen.append(lower)
-            for upper in profile_index[i - 1].get(_requirement(view, chosen, i, PLUS), ()):
-                chosen.append(upper)
-                yield from place(i + 1)
-                chosen.pop()
-            chosen.pop()
-
-    yield from place(1)
+    """All n-shells over the system: the top pool of its n-shell extension."""
+    yield from shell_system(system, n).cubes(n)
 
 
 def shell_system(base: CubeSystem, n: int) -> ShellExtension:

@@ -21,8 +21,8 @@ from .core import (
     CubeSystem,
     LawReport,
     composable_pairs,
+    dim_range,
     is_degenerate_at,
-    pool,
 )
 from .errors import CubicalError, UnknownLaw
 from .shells import (
@@ -70,15 +70,19 @@ class _Run:
             }
             raise _Fail(described)
 
-    def dims(self, lowest: int):
-        top = min(self.config.max_dim, self.system.max_dim)
-        return range(lowest, top + 1)
+    def dims(self, lowest: int, lift: int = 0, exhaustive: bool = False):
+        """Dimensions from ``lowest`` whose terms, ``lift`` above, the system can build;
+        only those checked exhaustively if ``exhaustive``."""
+        top = self.config.max_dim
+        if exhaustive:
+            top = min(top, self.config.exhaustive_dim)
+        return dim_range(self.system, lowest, lift, top)
 
     def elements(self, d: int, system: Optional[CubeSystem] = None):
         """Exhaustive below the cap, seeded samples above it."""
         system = system or self.system
         if d <= self.config.exhaustive_dim:
-            return pool(system, d)
+            return system.cubes(d)
         samples = (system.sample_element(d, self.rng) for _ in range(self.config.samples))
         return [x for x in samples if x is not None]
 
@@ -96,9 +100,7 @@ def _looks_like_element(v) -> bool:
 
 def _suite_lemma_1_1(run: _Run) -> None:
     sys = run.system
-    for d in run.dims(1):
-        if not sys.within_ceiling(d + 1):
-            break
+    for d in run.dims(1, lift=1):
         for y in run.elements(d):
             n = d + 1
             for r in range(1, n):
@@ -183,10 +185,8 @@ def _suite_lemma_1_3(run: _Run) -> None:
 def _suite_thm_1_4(run: _Run) -> None:
     """Unique reconstruction from boundary and full folding, by enumeration."""
     sys = run.system
-    for d in run.dims(1):
-        if d > run.config.exhaustive_dim:
-            break
-        elements = pool(sys, d)
+    for d in run.dims(1, exhaustive=True):
+        elements = sys.cubes(d)
         realized: dict = {}
         bidx: dict = {}
         for x in elements:
@@ -228,9 +228,7 @@ def _suite_lemma_1_5(run: _Run) -> None:
 
 def _suite_lemma_2_3(run: _Run) -> None:
     sys = run.system
-    for d in run.dims(1):
-        if not sys.within_ceiling(d + 1):
-            break
+    for d in run.dims(1, lift=1):
         for c in run.elements(d):
             for i in range(1, d + 1):
                 for sign in SIGNS:
@@ -295,9 +293,7 @@ def _suite_lemma_2_5(run: _Run) -> None:
 
 def _suite_lemma_2_6(run: _Run) -> None:
     sys = run.system
-    for d in run.dims(1):
-        if not sys.within_ceiling(d + 1):
-            break
+    for d in run.dims(1, lift=1):
         for y in run.elements(d):
             for k in range(1, d + 2):
                 run.need(
@@ -347,9 +343,7 @@ def _suite_prop_2_1(run: _Run) -> None:
 
 def _suite_prop_2_2(run: _Run) -> None:
     sys = run.system
-    for d in run.dims(1):
-        if not sys.within_ceiling(d + 1):
-            break
+    for d in run.dims(1, lift=1):
         for c in run.elements(d):
             for i in range(1, d + 2):
                 run.need(
@@ -381,9 +375,7 @@ def _suite_prop_2_2(run: _Run) -> None:
 
 def _suite_cor_2_7(run: _Run) -> None:
     sys = run.system
-    for d in run.dims(1):
-        if not sys.within_ceiling(d + 1):
-            break
+    for d in run.dims(1, lift=1):
         for c in run.elements(d):
             for i in range(1, d + 2):
                 run.need(
@@ -396,9 +388,7 @@ def _suite_cor_2_7(run: _Run) -> None:
                         is_commutative(sys, shell_connection(sys, c, i, sign)),
                         part="i-gamma", i=i, sign=sign, c=c,
                     )
-    for d in run.dims(2):
-        if d > run.config.exhaustive_dim:
-            break
+    for d in run.dims(2, exhaustive=True):
         commutative = [
             s for s in shell_system(sys, d).cubes(d) if is_commutative(sys, s)
         ]
@@ -413,10 +403,8 @@ def _suite_cor_2_7(run: _Run) -> None:
 
 def _suite_thm_2_8(run: _Run) -> None:
     sys = run.system
-    for d in run.dims(1):
-        if d > run.config.exhaustive_dim:
-            break
-        for x in pool(sys, d):
+    for d in run.dims(1, exhaustive=True):
+        for x in sys.cubes(d):
             if not folding.is_thin(sys, x):
                 continue
             expr = fillers.thin_decompose(sys, x)
@@ -429,9 +417,7 @@ def _suite_thm_2_8(run: _Run) -> None:
 
 def _suite_cor_2_9(run: _Run) -> None:
     sys = run.system
-    for d in run.dims(1):
-        if d > run.config.exhaustive_dim:
-            break
+    for d in run.dims(1, exhaustive=True):
         ext = shell_system(sys, d)
         for s in ext.cubes(d):
             if not is_commutative(sys, s):
@@ -450,7 +436,7 @@ def _suite_thm_3_1(run: _Run) -> None:
     if top < 2:
         return
     theta = fillers.theta_from_connections(sys, top, spot_check=False)
-    lower = pool(sys, top - 1)
+    lower = sys.cubes(top - 1)
     for a in lower:
         for i in range(1, top + 1):
             run.need(
@@ -493,7 +479,7 @@ def _suite_thm_3_1(run: _Run) -> None:
             run.need(theta2(s) == theta(s), part="roundtrip-theta", shell=s)
         # thin classes coincide element for element
         images = {theta(s) for s in domain}
-        for x in pool(sys, top):
+        for x in sys.cubes(top):
             native = folding.is_thin(sys, x)
             run.need(
                 native == (x in images),

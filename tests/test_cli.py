@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from cubecat import PLUS, bundled_category, nerve
 from cubecat.cli import main, make_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -78,16 +79,28 @@ def test_axioms_fail_exit_code_and_counterexample():
     assert failed and failed[0]["counterexample"] is not None
 
 
-def test_broken_report_matches_golden():
-    # pins the counterexample documents, bindings included, byte for byte
-    result = run_cli("axioms", "--model", "broken", "--cat", "poset22", "--dim", "2",
-                     "--format", "json")
-    assert result.returncode == 1
-    assert result.stdout == (GOLDEN / "axioms_broken_poset22_d2.json").read_text(
-        encoding="utf-8")
+GOLDEN_REPORTS = {
+    "axioms_broken_poset22_d2": ("axioms", "--model", "broken", "--cat", "poset22", "--dim", "2"),
+    # the sampled tower paths: shells assembled at the top, pools below it
+    "theorems_tower_poset22_d3": ("theorems", "--model", "tower", "--cat", "poset22", "--dim", "3",
+                                  "--exhaustive-dim", "2", "--seed", "5"),
+    "axioms_tower_poset22_d3": ("axioms", "--model", "tower", "--cat", "poset22", "--dim", "3",
+                                "--exhaustive-dim", "1", "--seed", "3"),
+    "theorems_tower_parallel_pair_d3": ("theorems", "--model", "tower", "--cat", "parallel_pair",
+                                        "--dim", "3", "--exhaustive-dim", "2", "--samples", "40",
+                                        "--seed", "11"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_broken_report_matches_golden(name):
+    # pins the reports, counterexample documents and bindings included, byte for byte
+    result = run_cli(*GOLDEN_REPORTS[name], "--format", "json")
+    assert result.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     doc = json.loads(result.stdout)
     failed = [r["id"] for r in doc["results"] if not r["passed"]]
-    assert "EPS-FACE" in failed
+    assert result.returncode == (1 if failed else 0)
+    assert ("EPS-FACE" in failed) == ("broken" in name)
 
 
 def test_counterexample_feeds_back_as_failure():
@@ -264,6 +277,14 @@ def test_render_unfold(square_file):
     assert "h: direction 2, v: direction 1" in result.stdout
 
 
+def _poset22_four_cube() -> bytes:
+    """A valid 4-cube of the poset22 nerve, built without enumerating dimension 4."""
+    system = nerve(bundled_category("poset22"), 4)
+    x = system.cubes(1)[-1]
+    x = system.connection(system.connection(x, 1, PLUS), 2, PLUS)
+    return json.dumps(system.describe(system.degeneracy(x, 4))).encode()
+
+
 BAD_DOCUMENTS = {
     "missing-vertices": b'{"dim": 2, "vertices": {"00": "A"}, "edges": {}}',
     "null": b"null",
@@ -274,12 +295,21 @@ BAD_DOCUMENTS = {
     "huge-shell-dim": b'{"dim": 99999999999, "faces": {}}',
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
     "undecodable": b"\xff\xfe{",
+    "nerve-dim-above-model": _poset22_four_cube(),
 }
+# name -> (document, the model families that must reject it); a tower's
+# nerve leaves stop at its base dimension 1
+REJECTED_BY = {name: (doc, ("nerve", "tower")) for name, doc in BAD_DOCUMENTS.items()}
+REJECTED_BY["nerve-square-in-tower"] = (json.dumps(SQUARE_DOC).encode(), ("tower",))
+INVALID_CASES = [
+    pytest.param(doc, command, model, id=f"{name}-{command}-{model}")
+    for name, (doc, models) in REJECTED_BY.items()
+    for command in ("fold", "decompose", "render")
+    for model in models
+]
 
 
-@pytest.mark.parametrize("model", ["nerve", "tower"])
-@pytest.mark.parametrize("command", ["fold", "decompose", "render"])
-@pytest.mark.parametrize("doc", list(BAD_DOCUMENTS.values()), ids=list(BAD_DOCUMENTS))
+@pytest.mark.parametrize("doc, command, model", INVALID_CASES)
 def test_invalid_cube_document_is_config_error(tmp_path, doc, command, model):
     path = tmp_path / "cube.json"
     path.write_bytes(doc)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from cubecat import MINUS, PLUS, bundled_category, enumerate_cubes, nerve
+from cubecat import MINUS, PLUS, bundled_category, nerve
 from cubecat.errors import DimensionTooLarge, IndexOutOfRange, ParseError
 from conftest import edge_cube, nerve_of
 
@@ -88,9 +88,10 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 
 
 def test_enumerate_cubes_cap(poset_nerve):
-    assert len(enumerate_cubes(poset_nerve, 1)) == 9
-    with pytest.raises(DimensionTooLarge):
-        enumerate_cubes(poset_nerve, poset_nerve.max_dim + 1)
+    assert len(poset_nerve.cubes(1)) == 9
+    for n in (-1, poset_nerve.max_dim + 1):
+        with pytest.raises(DimensionTooLarge):
+            poset_nerve.cubes(n)
 
 
 def test_face_errors(poset_nerve):

@@ -2,8 +2,11 @@
 
 Every system here has its tables warmed by exhaustive INTERCHANGE and
 GAMMA-FACE runs first, so a lookup that skipped validation on a hit would
-let the invalid calls below through.
+let the invalid calls below through.  Each pool is stored once too, by the
+view of the system that enumerates it.
 """
+
+import random
 
 import pytest
 
@@ -14,9 +17,10 @@ from cubecat import (
     bundled_category,
     nerve,
     run_axiom_suite,
+    shell_tower,
 )
 from cubecat.core import composable_pairs
-from cubecat.shells import Shell, boundary
+from cubecat.shells import Shell, boundary, enumerate_shells, shell_system
 from cubecat.errors import DimensionTooLarge, IndexOutOfRange, NotComposable
 from cubecat.fillers import ConnectionOverrideSystem
 from conftest import nerve_of, tower_of
@@ -149,3 +153,52 @@ def test_a_shell_is_its_own_boundary():
         for s in tower.cubes(n)[:50]:
             faces = tuple(tower.face(s, i, sign) for i in range(1, n + 1) for sign in (MINUS, PLUS))
             assert boundary(tower, s) == Shell(n, faces)
+
+
+def test_a_tower_samples_its_top_the_same_whether_or_not_it_was_listed():
+    def draws(tower):
+        top = tower.top
+        rng = random.Random(7)
+        out = []
+        for _ in range(15):
+            out.append(tower.sample_element(top, rng))
+            out.append(tower.sample_pair(top, 1, rng))
+            out.append(tower.sample_triple(top, 2, rng))
+            out.append(tower.sample_grid(top, 1, 3, rng))
+        return out
+
+    cat = bundled_category("parallel_pair")
+    fresh, listed = shell_tower(cat, 1, 2), shell_tower(cat, 1, 2)
+    assert listed.cubes(3)
+    got = draws(fresh)
+    assert sum(d is not None for d in got) > 30
+    assert got == draws(listed)
+
+
+def test_each_pool_is_stored_by_the_view_that_enumerates_it():
+    tower = shell_tower(bundled_category("poset22"), 1, 2)
+    inner, root = tower.base, tower.base.base
+    owners = {0: root, 1: root, 2: inner, 3: tower}
+    for k, owner in owners.items():
+        assert tower.id_view.pool(k) is owner.id_view.pool(k)
+        assert tower.cubes(k) is owner.id_view.cubes(k)
+    for system in (root, inner, tower):
+        assert set(system.id_view.pools) == {k for k, o in owners.items() if o is system}
+
+
+def test_enumerate_shells_lists_the_extension_pool_once(monkeypatch):
+    calls = []
+    original = ShellExtension._cubes
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(ShellExtension, "_cubes", counted)
+    base = nerve(bundled_category("poset22"), 2)
+    first, second = list(enumerate_shells(base, 2)), list(enumerate_shells(base, 2))
+    pool = shell_system(base, 2).cubes(2)
+    assert len(pool) > 0 and calls == [2]
+    for shells in (first, second):
+        assert len(shells) == len(pool)
+        assert all(s is t for s, t in zip(shells, pool))
