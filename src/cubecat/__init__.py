@@ -83,6 +83,6 @@ from .models import (
     load_fincat_path,
     nerve,
 )
-from .suites import SUITES, SuiteConfig, run_suite, run_suites
+from .suites import SUITES, run_suite, run_suites
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -162,13 +162,14 @@ def cmd_axioms(args) -> int:
 
 def cmd_theorems(args) -> int:
     system = _report_system(args)
-    config = suites.SuiteConfig(
+    reports = suites.run_suites(
+        system,
+        args.name or None,
         max_dim=args.dim,
         exhaustive_dim=args.exhaustive_dim,
         samples=args.samples,
         seed=args.seed,
     )
-    reports = suites.run_suites(system, args.name or None, config)
     return _emit_reports("theorems", _config_dict(args, {"names": args.name or "all"}),
                          reports, args.format)
 

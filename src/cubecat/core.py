@@ -70,7 +70,6 @@ class CubeSystem:
     def __init__(self, base: Optional["CubeSystem"] = None):
         self.base = base
         self.id_view = IdView(self, None if base is None else base.id_view)
-        self._sample_index: dict = {}  # (n, i) -> cubes(n) by lower i-face
 
     def dim(self, x) -> int:
         return self.base.dim(x)
@@ -92,14 +91,10 @@ class CubeSystem:
 
     # -- seeded sampling hooks (defaults draw from the enumerated pool) ----
 
-    def _minus_index(self, n: int, i: int) -> dict:
-        index = self._sample_index.get((n, i))
-        if index is None:
-            index = {}
-            for x in self.cubes(n):
-                index.setdefault(self.face(x, i, MINUS), []).append(x)
-            self._sample_index[n, i] = index
-        return index
+    def _mates(self, n: int, i: int, k: int) -> list:
+        """Ids of the dimension-n elements whose lower i-face is the upper i-face of id k."""
+        view = self.id_view
+        return view.minus_index(n, i).get(view.face(k, i, PLUS), ())
 
     def sample_element(self, n: int, rng):
         elements = self.cubes(n)
@@ -109,39 +104,38 @@ class CubeSystem:
         x = self.sample_element(n, rng)
         if x is None:
             return None
-        ys = self._minus_index(n, i).get(self.face(x, i, PLUS))
+        view = self.id_view
+        ys = self._mates(n, i, view.id(x))
         if not ys:
             return None
-        return x, rng.choice(ys)
+        return x, view.elements[rng.choice(ys)]
 
     def sample_triple(self, n: int, i: int, rng):
         pair = self.sample_pair(n, i, rng)
         if pair is None:
             return None
         x, y = pair
-        zs = self._minus_index(n, i).get(self.face(y, i, PLUS))
+        view = self.id_view
+        zs = self._mates(n, i, view.id(y))
         if not zs:
             return None
-        return x, y, rng.choice(zs)
+        return x, y, view.elements[rng.choice(zs)]
 
     def sample_grid(self, n: int, i: int, j: int, rng):
         pair = self.sample_pair(n, i, rng)
         if pair is None:
             return None
-        x, y = pair
-        zs = self._minus_index(n, j).get(self.face(x, j, PLUS))
+        view = self.id_view
+        x, y = map(view.id, pair)
+        zs = self._mates(n, j, x)
         if not zs:
             return None
         z = rng.choice(zs)
-        fy = self.face(y, j, PLUS)
-        ws = [
-            w
-            for w in self._minus_index(n, i).get(self.face(z, i, PLUS), ())
-            if self.face(w, j, MINUS) == fy
-        ]
+        fy = view.face(y, j, PLUS)
+        ws = [w for w in self._mates(n, i, z) if view.face(w, j, MINUS) == fy]
         if not ws:
             return None
-        return x, y, z, rng.choice(ws)
+        return pair + tuple(view.elements[k] for k in (z, rng.choice(ws)))
 
 
 def is_degenerate_at(system: CubeSystem, x, i: int) -> bool:
@@ -188,7 +182,8 @@ class IdView:
     A pool is stored the same way: a view hands a dimension below its
     system's ``owns_from("cubes")`` to its base, so the view of the system
     that enumerates the dimension keeps it, in ``pools[n]``, as its ids and
-    its elements, both in enumeration order.
+    its elements, both in enumeration order, and keeps the index the
+    sampling hooks draw composable mates from in ``indexes[n, i]``.
     """
 
     def __init__(self, system: "CubeSystem", base: Optional["IdView"] = None):
@@ -200,6 +195,7 @@ class IdView:
             self.ids, self.elements, self.dims = base.ids, base.elements, base.dims
         self.tables = {op: {} for op in OPS}
         self.pools: dict = {}
+        self.indexes: dict = {}
         self.dim = self.dims.__getitem__
 
     def __getattr__(self, name: str):
@@ -281,6 +277,17 @@ class IdView:
     def cubes(self, n: int) -> tuple:
         """The dimension-n elements, in enumeration order."""
         return self._stored_pool(n)[1]
+
+    def minus_index(self, n: int, i: int) -> dict:
+        """Ids of ``pool(n)`` by the id of their lower i-face, in enumeration order."""
+        if n < self.system.owns_from("cubes"):
+            return self.base.minus_index(n, i)
+        index = self.indexes.get((n, i))
+        if index is None:
+            index = self.indexes[n, i] = {}
+            for x in self.pool(n):
+                index.setdefault(self.face(x, i, MINUS), []).append(x)
+        return index
 
     def _stored_pool(self, n: int) -> tuple:
         system = self.system
@@ -410,16 +417,27 @@ def interchange_grids(system: CubeSystem, elements, i: int, j: int) -> Iterator[
 
 @dataclass(frozen=True)
 class Law:
-    """One named, closed identity of the signature.
+    """One checked statement: a registry law, or one part of a theorem suite.
 
-    ``kind`` fixes the binding shape: "element" laws bind one cube and range
-    over all internal indices themselves; "pair"/"triple" laws bind
-    composable tuples plus the composition direction; "grid" laws bind a
-    2x2 composable grid plus the two directions.  ``lift`` is how far above
-    the bound dimension the law's terms climb, used to skip instantiations
-    a bounded model cannot represent.  ``note`` records which routine in
-    this package leans on the law.  ``equations`` yields (label, lhs, rhs);
-    a label is a function naming the equation, called only for a counterexample.
+    A suite is one or more parts under its id; :func:`run_law` and
+    ``suites.run_suite`` hand their parts to one runner.  ``kind`` fixes
+    how a part is bound.  For "element" the runner binds one cube, for
+    "pair"/"triple" a composable tuple plus its direction ``i``, for "grid"
+    a 2x2 composable grid plus the directions ``i`` and ``j``, all as
+    element ids; ``equations(view, binding)`` then yields (label, lhs, rhs)
+    on the id view.  A "pool" part is handed a whole dimension:
+    ``equations(view, n, stream)`` draws what it needs from the check's
+    :class:`Stream` and yields (binding, label, lhs, rhs); a "top" part is
+    a pool part run only at the highest dimension the run reaches.  A
+    statement holds when lhs == rhs (a predicate is yielded as (label,
+    value, True)); a label is a function naming it, called only for a
+    counterexample.
+
+    ``min_dim`` is the lowest dimension the part is checked at, ``lift``
+    how far above it its terms climb (used to skip instantiations a bounded
+    model cannot represent), and ``exhaustive_only`` keeps it off sampled
+    dimensions.  ``note`` records which routine in this package leans on a
+    law, or for a suite part what the suite states.
     """
 
     law_id: str
@@ -428,9 +446,10 @@ class Law:
     lift: int
     note: str
     equations: Callable
+    exhaustive_only: bool = False
 
 
-def _eq_face_face(sys: CubeSystem, b) -> Iterator:
+def _eq_face_face(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for i in range(2, n + 1):
@@ -443,7 +462,7 @@ def _eq_face_face(sys: CubeSystem, b) -> Iterator:
                 )
 
 
-def _eq_eps_face(sys: CubeSystem, b) -> Iterator:
+def _eq_eps_face(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for j in range(1, n + 2):
@@ -460,7 +479,7 @@ def _eq_eps_face(sys: CubeSystem, b) -> Iterator:
                 yield (lambda: f"d{a}{i} e{j}", lhs, rhs)
 
 
-def _eq_eps_eps(sys: CubeSystem, b) -> Iterator:
+def _eq_eps_eps(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for j in range(1, n + 2):
@@ -472,7 +491,7 @@ def _eq_eps_eps(sys: CubeSystem, b) -> Iterator:
             )
 
 
-def _eq_eps_unit(sys: CubeSystem, b) -> Iterator:
+def _eq_eps_unit(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for i in range(1, n + 1):
@@ -482,7 +501,7 @@ def _eq_eps_unit(sys: CubeSystem, b) -> Iterator:
         yield (lambda: f"right unit o{i}", sys.compose(x, right, i), x)
 
 
-def _eq_comp_face(sys: CubeSystem, b) -> Iterator:
+def _eq_comp_face(sys: IdView, b) -> Iterator:
     x, y, i = b["x"], b["y"], b["i"]
     n = sys.dim(x)
     z = sys.compose(x, y, i)
@@ -500,7 +519,7 @@ def _eq_comp_face(sys: CubeSystem, b) -> Iterator:
             )
 
 
-def _eq_assoc(sys: CubeSystem, b) -> Iterator:
+def _eq_assoc(sys: IdView, b) -> Iterator:
     x, y, z, i = b["x"], b["y"], b["z"], b["i"]
     yield (
         lambda: f"assoc o{i}",
@@ -509,7 +528,7 @@ def _eq_assoc(sys: CubeSystem, b) -> Iterator:
     )
 
 
-def _eq_interchange(sys: CubeSystem, b) -> Iterator:
+def _eq_interchange(sys: IdView, b) -> Iterator:
     x, y, z, w, i, j = b["x"], b["y"], b["z"], b["w"], b["i"], b["j"]
     yield (
         lambda: f"interchange o{i}/o{j}",
@@ -518,7 +537,7 @@ def _eq_interchange(sys: CubeSystem, b) -> Iterator:
     )
 
 
-def _eq_eps_comp(sys: CubeSystem, b) -> Iterator:
+def _eq_eps_comp(sys: IdView, b) -> Iterator:
     x, y, i = b["x"], b["y"], b["i"]
     n = sys.dim(x)
     z = sys.compose(x, y, i)
@@ -531,7 +550,7 @@ def _eq_eps_comp(sys: CubeSystem, b) -> Iterator:
         )
 
 
-def _eq_gamma_face(sys: CubeSystem, b) -> Iterator:
+def _eq_gamma_face(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for i in range(1, n + 1):
@@ -552,7 +571,7 @@ def _eq_gamma_face(sys: CubeSystem, b) -> Iterator:
                     yield (lambda: f"d{a}{m} G{g}{i}", lhs, rhs)
 
 
-def _eq_gamma_eps(sys: CubeSystem, b) -> Iterator:
+def _eq_gamma_eps(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for j in range(1, n + 2):
@@ -569,7 +588,7 @@ def _eq_gamma_eps(sys: CubeSystem, b) -> Iterator:
                 yield (lambda: f"G{g}{i} e{j}", lhs, rhs)
 
 
-def _eq_gamma_gamma(sys: CubeSystem, b) -> Iterator:
+def _eq_gamma_gamma(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for j in range(1, n + 1):
@@ -592,7 +611,7 @@ def _eq_gamma_gamma(sys: CubeSystem, b) -> Iterator:
                     yield (lambda: f"G{a}{i} G{bt}{j}", lhs, rhs)
 
 
-def _eq_gamma_comp(sys: CubeSystem, b) -> Iterator:
+def _eq_gamma_comp(sys: IdView, b) -> Iterator:
     x, y, i = b["x"], b["y"], b["i"]
     n = sys.dim(x)
     z = sys.compose(x, y, i)
@@ -608,7 +627,7 @@ def _eq_gamma_comp(sys: CubeSystem, b) -> Iterator:
             )
 
 
-def _eq_transport(sys: CubeSystem, b) -> Iterator:
+def _eq_transport(sys: IdView, b) -> Iterator:
     a, bb, i = b["x"], b["y"], b["i"]
     top = sys.compose(sys.connection(a, i, PLUS), sys.degeneracy(a, i + 1), i + 1)
     bottom = sys.compose(sys.degeneracy(a, i), sys.connection(bb, i, PLUS), i + 1)
@@ -619,7 +638,7 @@ def _eq_transport(sys: CubeSystem, b) -> Iterator:
     )
 
 
-def _eq_transport_minus(sys: CubeSystem, b) -> Iterator:
+def _eq_transport_minus(sys: IdView, b) -> Iterator:
     a, bb, i = b["x"], b["y"], b["i"]
     top = sys.compose(sys.connection(a, i, MINUS), sys.degeneracy(bb, i), i + 1)
     bottom = sys.compose(sys.degeneracy(bb, i + 1), sys.connection(bb, i, MINUS), i + 1)
@@ -630,7 +649,7 @@ def _eq_transport_minus(sys: CubeSystem, b) -> Iterator:
     )
 
 
-def _eq_gamma_cancel(sys: CubeSystem, b) -> Iterator:
+def _eq_gamma_cancel(sys: IdView, b) -> Iterator:
     x = b["x"]
     n = sys.dim(x)
     for i in range(1, n + 1):
@@ -711,51 +730,74 @@ class LawReport:
         }
 
 
-def _describe_binding(system, binding: dict) -> dict:
+def _describe_binding(describe: Callable, binding: dict) -> dict:
     # the slots i and j hold directions; every other slot holds an element
-    return {k: v if k in ("i", "j") else system.describe(v) for k, v in binding.items()}
+    return {k: v if k in ("i", "j") else describe(v) for k, v in binding.items()}
 
 
-def _run_instances(system, law, bindings, report):
-    for binding in bindings:
-        report.instances += 1
-        try:
-            for label, lhs, rhs in law.equations(system, binding):
-                if lhs != rhs:
-                    report.passed = False
-                    report.counterexample = {
-                        "binding": _describe_binding(system, binding),
-                        "equation": label(),
-                        "lhs": system.describe(lhs),
-                        "rhs": system.describe(rhs),
-                    }
-                    return False
-        except CubicalError as exc:
-            # a law-abiding model never raises here; treat as a failure
-            report.passed = False
-            report.counterexample = {
-                "binding": _describe_binding(system, binding),
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-            return False
-    return True
+def _evaluate(law_id: str, view: IdView, groups: Iterable, describe: Callable,
+              per_statement: bool) -> LawReport:
+    """Check bindings up to the first failing statement, timed.
+
+    Each group is (equations, bindings): every binding is checked against
+    the statements ``equations(view, binding)`` yields, or, for equations
+    None, is a (binding, label, lhs, rhs) statement itself.  An instance is
+    one binding, or with ``per_statement`` one statement.  A failure
+    reports the binding described, the statement's label, and lhs and rhs
+    unless they are truth values; a :class:`CubicalError`, which a
+    law-abiding model never raises, reports its type and message.
+    """
+    report = LawReport(law_id=law_id)
+    start = time.perf_counter()
+    bound = checked = 0
+    binding = None
+    try:
+        for equations, bindings in groups:
+            for binding in bindings:
+                bound += 1
+                if equations is None:
+                    binding, *statement = binding
+                    statements = (statement,)
+                else:
+                    statements = equations(view, binding)
+                for label, lhs, rhs in statements:
+                    checked += 1
+                    if lhs != rhs:
+                        break
+                else:
+                    binding = None  # an error from here on is not this binding's
+                    continue
+                report.passed = False
+                report.counterexample = {
+                    "binding": _describe_binding(describe, binding),
+                    "equation": label(),
+                }
+                if not isinstance(lhs, bool):
+                    report.counterexample.update(lhs=describe(lhs), rhs=describe(rhs))
+                break
+            if not report.passed:
+                break
+    except CubicalError as exc:
+        report.passed = False
+        report.counterexample = {"error": type(exc).__name__, "message": str(exc)}
+        if binding is not None:
+            report.counterexample["binding"] = _describe_binding(describe, binding)
+    report.instances = checked if per_statement else bound
+    report.wall_ms = (time.perf_counter() - start) * 1000.0
+    return report
 
 
-def _exhaustive_bindings(view: IdView, law, n) -> Iterator[dict]:
+def _exhaustive_bindings(view: IdView, kind: str, n: int) -> Iterator[dict]:
     elements = view.pool(n)
-    if law.kind == "element":
-        for x in elements:
-            yield {"x": x}
-    elif law.kind == "pair":
+    if kind == "pair":
         for i in range(1, n + 1):
             for x, y in composable_pairs(view, elements, i):
                 yield {"x": x, "y": y, "i": i}
-    elif law.kind == "triple":
+    elif kind == "triple":
         for i in range(1, n + 1):
             for x, y, z in composable_triples(view, elements, i):
                 yield {"x": x, "y": y, "z": z, "i": i}
-    elif law.kind == "grid":
+    elif kind == "grid":
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
@@ -763,7 +805,7 @@ def _exhaustive_bindings(view: IdView, law, n) -> Iterator[dict]:
                 for x, y, z, w in interchange_grids(view, elements, i, j):
                     yield {"x": x, "y": y, "z": z, "w": w, "i": i, "j": j}
     else:  # pragma: no cover
-        raise ValueError(law.kind)
+        raise ValueError(kind)
 
 
 # The element slots of each binding shape, and the slot pairs that must
@@ -786,35 +828,52 @@ def _binding(kind: str, elements, i: Optional[int], j: Optional[int]) -> dict:
     return binding
 
 
-def _sampled_bindings(system, law, n, count, rng) -> Iterator[dict]:
-    """Seeded random bindings via the system's sampling hooks.
+class Stream:
+    """The seeded draws of one check: one stream for all its dimensions and parts.
 
-    Yields fewer than ``count`` when composable mates are too scarce; the
-    report's instance count records what was actually checked.
+    Dimensions up to ``exhaustive_dim`` are enumerated; above it each
+    draw comes from ``rng``, seeded by the seed and the check's id, in the
+    order the check asks for them.  A draw the system cannot make (a hook
+    returns None) is skipped, so a report counts the instances achieved.
     """
-    produced, attempts = 0, 0
-    limit = count * 20
-    while produced < count and attempts < limit:
-        attempts += 1
-        i = j = None
-        if law.kind == "element":
-            got = system.sample_element(n, rng)
-            if got is None:
-                return
-            got = (got,)
-        else:
-            i = rng.randint(1, n)
-            if law.kind == "grid":
+
+    def __init__(self, law_id: str, *, exhaustive_dim: int, samples: int, seed: int):
+        self.rng = random.Random(repr((seed, law_id)))
+        self.exhaustive_dim = exhaustive_dim
+        self.samples = samples
+
+    def elements(self, system: CubeSystem, n: int):
+        """Ids of the dimension-n pool, or of ``samples`` seeded draws."""
+        view = system.id_view
+        if n <= self.exhaustive_dim:
+            return view.pool(n)
+        draws = (system.sample_element(n, self.rng) for _ in range(self.samples))
+        return [view.id(x) for x in draws if x is not None]
+
+    def bindings(self, system: CubeSystem, kind: str, n: int) -> Iterator[dict]:
+        """Element, pair, triple or grid bindings of ids at dimension n."""
+        if kind == "element":
+            return ({"x": x} for x in self.elements(system, n))
+        if n <= self.exhaustive_dim:
+            return _exhaustive_bindings(system.id_view, kind, n)
+        return self._sampled_bindings(system, kind, n)
+
+    def _sampled_bindings(self, system: CubeSystem, kind: str, n: int) -> Iterator[dict]:
+        # composable mates may be scarce: at most 20 attempts per binding
+        rng, view = self.rng, system.id_view
+        hook = {"pair": system.sample_pair, "triple": system.sample_triple}.get(kind)
+        produced, attempts = 0, 0
+        while produced < self.samples and attempts < self.samples * 20:
+            attempts += 1
+            i, j = rng.randint(1, n), None
+            if kind == "grid":
                 j = rng.choice([d for d in range(1, n + 1) if d != i])
                 got = system.sample_grid(n, i, j, rng)
-            elif law.kind == "pair":
-                got = system.sample_pair(n, i, rng)
             else:
-                got = system.sample_triple(n, i, rng)
-            if got is None:
-                continue
-        yield _binding(law.kind, got, i, j)
-        produced += 1
+                got = hook(n, i, rng)
+            if got is not None:
+                yield _binding(kind, map(view.id, got), i, j)
+                produced += 1
 
 
 def dim_range(system: CubeSystem, lowest: int, lift: int, max_dim: int) -> Iterator[int]:
@@ -822,6 +881,45 @@ def dim_range(system: CubeSystem, lowest: int, lift: int, max_dim: int) -> Itera
     for n in range(lowest, min(max_dim, system.max_dim) + 1):
         if system.within_ceiling(n + lift):
             yield n
+
+
+def _run(
+    system: CubeSystem,
+    law_id: str,
+    parts: tuple,
+    describe: Callable,
+    per_statement: bool,
+    *,
+    max_dim: int,
+    exhaustive_dim: int = 3,
+    samples: int = 500,
+    seed: int = 0,
+) -> LawReport:
+    """The one runner: every part of a check, dimension by dimension.
+
+    Dimensions ascend; within one, parts run in their declared order, all
+    drawing from one :class:`Stream`.
+    """
+    view = system.id_view
+    stream = Stream(law_id, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
+    top = min(max_dim, system.max_dim)
+    plan = sorted(
+        (n, k)
+        for k, part in enumerate(parts)
+        for n in dim_range(system, part.min_dim, part.lift,
+                           exhaustive_dim if part.exhaustive_only else max_dim)
+        if part.kind != "top" or n == top
+    )
+
+    def groups():
+        for n, k in plan:
+            part = parts[k]
+            if part.kind in ("pool", "top"):
+                yield None, part.equations(view, n, stream)
+            else:
+                yield part.equations, stream.bindings(system, part.kind, n)
+
+    return _evaluate(law_id, view, groups(), describe, per_statement)
 
 
 def run_law(
@@ -833,21 +931,20 @@ def run_law(
     samples: int = 500,
     seed: int = 0,
 ) -> LawReport:
-    """Check one law: on ids up to ``exhaustive_dim``, on seeded samples above."""
-    report = LawReport(law_id=law.law_id)
-    start = time.perf_counter()
-    for n in dim_range(system, law.min_dim, law.lift, max_dim):
-        if n <= exhaustive_dim:
-            view = system.id_view
-            ok = _run_instances(view, law, _exhaustive_bindings(view, law, n), report)
-        else:
-            rng = random.Random((seed, law.law_id, n).__repr__())
-            bindings = _sampled_bindings(system, law, n, samples, rng)
-            ok = _run_instances(system, law, bindings, report)
-        if not ok:
-            break
-    report.wall_ms = (time.perf_counter() - start) * 1000.0
-    return report
+    """Check one law: on every binding up to ``exhaustive_dim``, on seeded samples above."""
+    options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
+    return _run(system, law.law_id, (law,), system.id_view.describe, False, **options)
+
+
+def select(registry: dict, ids: Optional[Iterable[str]]) -> list[str]:
+    """The requested ids (all if None) in registry order; unknown ones are refused."""
+    if ids is None:
+        return list(registry)
+    wanted = set(ids)
+    unknown = wanted - set(registry)
+    if unknown:
+        raise UnknownLaw(", ".join(sorted(unknown)))
+    return [k for k in registry if k in wanted]
 
 
 def run_axiom_suite(
@@ -862,14 +959,8 @@ def run_axiom_suite(
     """Check registry laws over the system; results ordered by law id position."""
     if max_dim is None:
         max_dim = system.max_dim
-    selected = list(LAWS)
-    if law_ids is not None:
-        unknown = set(law_ids) - set(REGISTRY)
-        if unknown:
-            raise UnknownLaw(", ".join(sorted(unknown)))
-        selected = [law for law in LAWS if law.law_id in set(law_ids)]
     options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
-    return [run_law(system, law, **options) for law in selected]
+    return [run_law(system, REGISTRY[k], **options) for k in select(REGISTRY, law_ids)]
 
 
 def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
@@ -884,6 +975,8 @@ def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
     n = dims.pop()
     if n < law.min_dim:
         raise MalformedSample(f"{law.law_id} needs dimension >= {law.min_dim}, got {n}")
+    view = system.id_view
+    sample = [view.id(x) for x in sample]
     if law.kind == "element":
         return [{"x": sample[0]}]
     seconds = range(1, n + 1) if law.kind == "grid" else (None,)
@@ -892,7 +985,7 @@ def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
     )
     bindings = [
         b for b in candidates
-        if all(system.face(b[x], b[d], PLUS) == system.face(b[y], b[d], MINUS)
+        if all(view.face(b[x], b[d], PLUS) == view.face(b[y], b[d], MINUS)
                for x, y, d in MATES[law.kind])
     ]
     if not bindings:
@@ -910,8 +1003,5 @@ def check_axiom(system: CubeSystem, law_id: str, sample: list) -> LawReport:
         raise MalformedSample(
             f"{law_id}: instantiation would exceed the model's dimension ceiling"
         )
-    report = LawReport(law_id=law_id)
-    start = time.perf_counter()
-    _run_instances(system, law, bindings, report)
-    report.wall_ms = (time.perf_counter() - start) * 1000.0
-    return report
+    view = system.id_view
+    return _evaluate(law_id, view, [(law.equations, bindings)], view.describe, False)

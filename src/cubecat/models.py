@@ -536,6 +536,8 @@ class NerveSystem(CubeSystem):
         }
 
     def parse(self, doc: dict) -> NerveCube:
+        if isinstance(doc, dict) and "faces" in doc:
+            raise ParseError("a cube of the nerve has vertices and edges, not faces")
         try:
             n = int(doc["dim"])
             vdoc = dict(doc["vertices"])
@@ -544,9 +546,11 @@ class NerveSystem(CubeSystem):
             raise ParseError(f"malformed cube document: {exc}") from exc
         if not 0 <= n <= self.max_dim:
             raise ParseError(f"cube dimension {n} is outside 0..{self.max_dim}")
-        # an n-cube has 2^n vertices; bit_length avoids building 2^n for a huge n
-        if len(vdoc).bit_length() <= n:
-            raise ParseError(f"a {n}-cube needs 2^{n} vertex entries, not {len(vdoc)}")
+        if len(vdoc) != 1 << n or len(edoc) != n * (1 << n) // 2:
+            raise ParseError(
+                f"a {n}-cube has 2^{n} vertex and {n}*2^{n - 1} edge entries,"
+                f" not {len(vdoc)} and {len(edoc)}"
+            )
         try:
             vertices = tuple(vdoc[mask_to_bits(v, n)] for v in range(1 << n))
         except KeyError as exc:

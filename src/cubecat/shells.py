@@ -385,13 +385,16 @@ class ShellExtension(CubeSystem):
             raw = dict(doc["faces"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed shell document: {exc}") from exc
-        if not 1 <= n <= self.top:
+        if n < self.top:  # the base's own elements, whatever their form
+            return self.base.parse(doc)
+        if n > self.top:
             raise ParseError(f"shell dimension {n} is outside 1..{self.top}")
+        keys = {f"{i}{sign}": (i, sign) for i in range(1, n + 1) for sign in SIGNS}
         faces = {}
         for key, sub in raw.items():
-            if not (isinstance(key, str) and key[-1:] in SIGNS and key[:-1].isdecimal()):
-                raise ParseError(f"bad face key {key!r}; use e.g. '1-' or '2+'")
-            faces[(int(key[:-1]), key[-1])] = self.parse(sub)
+            if key not in keys:
+                raise ParseError(f"bad face key {key!r}; use '1-' .. '{n}+'")
+            faces[keys[key]] = self.parse(sub)
         return make_shell(self, n, faces)
 
 

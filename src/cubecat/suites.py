@@ -1,17 +1,19 @@
 """Named theorem suites runnable over any enumerable model.
 
 Each suite turns one statement about folding, shells, fillers or thin
-structures into an executable check and reports it in the same shape as a
-registry-law run.  Suite ids are stable strings used by the command line
-and the acceptance tests.
+structures into one or more parts of the registry's entry type
+(:class:`cubecat.core.Law`), run by the same runner as the registry laws:
+the runner owns the dimensions, the exhaustive or seeded bindings, the
+instance count and the first failure.  An instance of a suite is one
+checked statement.  A failing suite reports the law counterexample shape:
+its binding's elements described, a label naming the failing part, and
+``lhs``/``rhs`` where two elements are compared.  Suite ids are stable
+strings used by the command line and the acceptance tests.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from . import fillers, folding
 from .core import (
@@ -19,15 +21,18 @@ from .core import (
     PLUS,
     SIGNS,
     CubeSystem,
+    Law,
     LawReport,
+    _run,
     composable_pairs,
-    dim_range,
-    is_degenerate_at,
+    degenerate_at,
+    select,
 )
-from .errors import CubicalError, UnknownLaw
+from .errors import UnknownLaw
+from .folding import _fold_through, _psi
 from .shells import (
+    Shell,
     boundary,
-    enumerate_shells,
     is_commutative,
     shell_big_fold,
     shell_compose,
@@ -38,528 +43,416 @@ from .shells import (
 )
 
 
-@dataclass
-class SuiteConfig:
-    max_dim: int = 3
-    exhaustive_dim: int = 3
-    samples: int = 500
-    seed: int = 0
+def _retraction(view, k: int, i: int) -> tuple:
+    """(k, e_i d-_i k): equal exactly when k is degenerate in direction i."""
+    return k, view.degeneracy(view.face(k, i, MINUS), i)
 
 
-class _Fail(Exception):
-    def __init__(self, payload: dict):
-        super().__init__("suite check failed")
-        self.payload = payload
-
-
-class _Run:
-    """Instance counter plus failure capture for one suite execution."""
-
-    def __init__(self, system: CubeSystem, config: SuiteConfig, suite_id: str):
-        self.system = system
-        self.config = config
-        self.rng = random.Random((config.seed, suite_id).__repr__())
-        self.instances = 0
-
-    def need(self, condition: bool, **payload) -> None:
-        self.instances += 1
-        if not condition:
-            described = {
-                k: (self.system.describe(v) if _looks_like_element(v) else v)
-                for k, v in payload.items()
-            }
-            raise _Fail(described)
-
-    def dims(self, lowest: int, lift: int = 0, exhaustive: bool = False):
-        """Dimensions from ``lowest`` whose terms, ``lift`` above, the system can build;
-        only those checked exhaustively if ``exhaustive``."""
-        top = self.config.max_dim
-        if exhaustive:
-            top = min(top, self.config.exhaustive_dim)
-        return dim_range(self.system, lowest, lift, top)
-
-    def elements(self, d: int, system: Optional[CubeSystem] = None):
-        """Exhaustive below the cap, seeded samples above it."""
-        system = system or self.system
-        if d <= self.config.exhaustive_dim:
-            return system.cubes(d)
-        samples = (system.sample_element(d, self.rng) for _ in range(self.config.samples))
-        return [x for x in samples if x is not None]
-
-    def shells_at(self, d: int):
-        return self.elements(d, shell_system(self.system, d))
-
-
-def _looks_like_element(v) -> bool:
-    return not isinstance(v, (bool, int, str, float, tuple, list, dict, type(None)))
+def _folded(view, k: int) -> int:
+    """The full folding of id k; k is thin when it is 1-degenerate."""
+    return _fold_through(view, k, view.dim(k) - 1)
 
 
 # ---------------------------------------------------------------------------
 # folding suites
 
 
-def _suite_lemma_1_1(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1, lift=1):
-        for y in run.elements(d):
-            n = d + 1
-            for r in range(1, n):
-                lhs = folding.fold_through(sys, sys.degeneracy(y, r), r - 1)
-                run.need(lhs == sys.degeneracy(y, 1), part="i", r=r, y=y, got=lhs)
-            for j in range(1, n):
-                folded = folding.fold_through(sys, sys.degeneracy(y, j), n - 1)
-                run.need(
-                    is_degenerate_at(sys, folded, 1),
-                    part="ii", j=j, y=y, folded=folded,
-                )
+def _lemma_1_1(view, b):
+    y = b["x"]
+    n = view.dim(y) + 1
+    for r in range(1, n):
+        yield (lambda: f"i: psi_1..psi_{r - 1} e{r} x = e1 x",
+               _fold_through(view, view.degeneracy(y, r), r - 1), view.degeneracy(y, 1))
+    for j in range(1, n):
+        folded = _fold_through(view, view.degeneracy(y, j), n - 1)
+        yield (lambda: f"ii: the full folding of e{j} x is 1-degenerate",
+               *_retraction(view, folded, 1))
 
 
-def _suite_prop_1_2(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(2):
-        for x in run.elements(d):
-            result = folding.big_psi(sys, x, verify=False)
-            for i in range(2, d + 1):
-                for sign in SIGNS:
-                    face = sys.face(result.folded, i, sign)
-                    run.need(
-                        is_degenerate_at(sys, face, 1),
-                        part="i", i=i, sign=sign, x=x, face=face,
-                    )
-            run.need(
-                boundary(sys, result.n_face) == boundary(sys, result.p_face),
-                part="ii", x=x,
-            )
-            rebuilt = folding.reconstruct_folded_shell(sys, result.n_face, result.p_face)
-            run.need(
-                rebuilt == boundary(sys, result.folded),
-                part="iii", x=x,
-            )
+def _prop_1_2(view, b):
+    sys, x = view.system, b["x"]
+    d = view.dim(x)
+    folded = _folded(view, x)
+    for i in range(2, d + 1):
+        for sign in SIGNS:
+            yield (lambda: f"i: d{sign}{i} of the folded x is 1-degenerate",
+                   *_retraction(view, view.face(folded, i, sign), 1))
+    n_face, p_face = (view.elements[view.face(folded, 1, s)] for s in SIGNS)
+    yield (lambda: "ii: N and P share their boundary",
+           boundary(sys, n_face), boundary(sys, p_face))
+    yield (lambda: "iii: N and P force the folded boundary",
+           folding.reconstruct_folded_shell(sys, n_face, p_face),
+           boundary(sys, view.elements[folded]))
 
 
-def _suite_lemma_1_3(run: _Run) -> None:
+def _lemma_1_3(view, b):
     """Taking boundaries is a morphism into the shell extension."""
-    sys = run.system
-    for d in run.dims(1):
-        lifted = sys.within_ceiling(d + 1)
-        for x in run.elements(d):
-            if lifted:
-                for j in range(1, d + 2):
-                    run.need(
-                        shell_degeneracy(sys, x, j)
-                        == boundary(sys, sys.degeneracy(x, j)),
-                        part="eps", j=j, x=x,
-                    )
-                for i in range(1, d + 1):
-                    for sign in SIGNS:
-                        run.need(
-                            shell_connection(sys, x, i, sign)
-                            == boundary(sys, sys.connection(x, i, sign)),
-                            part="gamma", i=i, sign=sign, x=x,
-                        )
-            if d >= 2:
-                b = boundary(sys, x)
-                for j in range(1, d):
-                    run.need(
-                        shell_fold(sys, b, j) == boundary(sys, folding.psi(sys, x, j)),
-                        part="psi", j=j, x=x,
-                    )
-                folded_shell, n_face, p_face = shell_big_fold(sys, b)
-                result = folding.big_psi(sys, x, verify=False)
-                run.need(
-                    folded_shell == boundary(sys, result.folded), part="Psi", x=x
-                )
-                run.need(n_face == result.n_face, part="N", x=x)
-                run.need(p_face == result.p_face, part="P", x=x)
-        if d >= 1:
-            elements = run.elements(d)
-            for i in range(1, d + 1):
-                for x, y in composable_pairs(sys, elements, i):
-                    run.need(
-                        shell_compose(sys, boundary(sys, x), boundary(sys, y), i)
-                        == boundary(sys, sys.compose(x, y, i)),
-                        part="compose", i=i, x=x, y=y,
-                    )
+    sys, k = view.system, b["x"]
+    x, d = view.elements[k], view.dim(k)
+    if sys.within_ceiling(d + 1):
+        for j in range(1, d + 2):
+            yield (lambda: f"eps: boundary of e{j} x",
+                   shell_degeneracy(sys, x, j),
+                   boundary(sys, view.elements[view.degeneracy(k, j)]))
+        for i in range(1, d + 1):
+            for sign in SIGNS:
+                yield (lambda: f"gamma: boundary of G{sign}{i} x",
+                       shell_connection(sys, x, i, sign),
+                       boundary(sys, view.elements[view.connection(k, i, sign)]))
+    if d >= 2:
+        s = boundary(sys, x)
+        for j in range(1, d):
+            yield (lambda: f"psi: boundary of psi{j} x",
+                   shell_fold(sys, s, j), boundary(sys, view.elements[_psi(view, k, j)]))
+        folded_shell, n_face, p_face = shell_big_fold(sys, s)
+        folded = _folded(view, k)
+        yield (lambda: "Psi: boundary of the folded x",
+               folded_shell, boundary(sys, view.elements[folded]))
+        yield (lambda: "N: N of the boundary", view.id(n_face), view.face(folded, 1, MINUS))
+        yield (lambda: "P: P of the boundary", view.id(p_face), view.face(folded, 1, PLUS))
 
 
-def _suite_thm_1_4(run: _Run) -> None:
+def _lemma_1_3_compose(view, n, stream):
+    sys, elements = view.system, view.elements
+    drawn = stream.elements(sys, n)
+    for i in range(1, n + 1):
+        for x, y in composable_pairs(view, drawn, i):
+            yield ({"x": x, "y": y, "i": i}, lambda: f"compose: boundary of x o{i} y",
+                   shell_compose(sys, boundary(sys, elements[x]), boundary(sys, elements[y]), i),
+                   boundary(sys, elements[view.compose(x, y, i)]))
+
+
+def _thm_1_4(view, n, stream):
     """Unique reconstruction from boundary and full folding, by enumeration."""
-    sys = run.system
-    for d in run.dims(1, exhaustive=True):
-        elements = sys.cubes(d)
-        realized: dict = {}
-        bidx: dict = {}
-        for x in elements:
-            b = boundary(sys, x)
-            folded = folding.fold_through(sys, x, d - 1)
-            back = fillers.filler_from_fold(sys, folded, b)
-            run.need(back == x, part="roundtrip", x=x, got=back)
-            key = (b, folded)
-            run.need(
-                realized.get(key, x) == x,
-                part="uniqueness", x=x, other=realized.get(key),
-            )
-            realized[key] = x
-            bidx.setdefault(b, []).append(x)
-        for s in enumerate_shells(sys, d):
-            folded_shell = shell_big_fold(sys, s)[0] if d >= 2 else s
-            for a in bidx.get(folded_shell, ()):
-                run.need(
-                    (s, a) in realized,
-                    part="existence", shell=s, a=a,
-                )
-        for (s, a) in realized:
-            folded_shell = shell_big_fold(sys, s)[0] if d >= 2 else s
-            run.need(
-                boundary(sys, a) == folded_shell,
-                part="necessity", shell=s, a=a,
-            )
+    sys, elements = view.system, view.elements
+    realized: dict = {}
+    by_boundary: dict = {}
+    for x in view.pool(n):
+        s = boundary(sys, elements[x])
+        folded = _folded(view, x)
+        back = fillers.filler_from_fold(sys, elements[folded], s)
+        yield {"x": x}, lambda: "roundtrip: the filler of boundary and folding", view.id(back), x
+        other = realized.setdefault((s, folded), x)
+        yield ({"x": x, "y": other}, lambda: "uniqueness: y has the boundary and folding of x",
+               other, x)
+        by_boundary.setdefault(s, []).append(x)
+    ext = shell_system(sys, n)
+    for t in ext.id_view.pool(n):
+        shell = elements[t]
+        folded_shell = shell_big_fold(sys, shell)[0] if n >= 2 else shell
+        for a in by_boundary.get(folded_shell, ()):
+            yield ({"s": t, "x": a}, lambda: "existence: an element has boundary s and folding x",
+                   (shell, a) in realized, True)
+    for (shell, a) in realized:
+        folded_shell = shell_big_fold(sys, shell)[0] if n >= 2 else shell
+        yield ({"s": shell, "x": a}, lambda: "necessity: x fits the folded s",
+               boundary(sys, elements[a]), folded_shell)
 
 
-def _suite_lemma_1_5(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(2):
-        for x in run.elements(d):
-            b = boundary(sys, x)
-            for j in range(1, d):
-                back = fillers.unfold_step(sys, folding.psi(sys, x, j), b, j)
-                run.need(back == x, j=j, x=x, got=back)
+def _lemma_1_5(view, b):
+    sys, k = view.system, b["x"]
+    x, d = view.elements[k], view.dim(k)
+    s = boundary(sys, x)
+    for j in range(1, d):
+        back = fillers.unfold_step(sys, view.elements[_psi(view, k, j)], s, j)
+        yield (lambda: f"unfold psi{j} x along the boundary of x", back, x)
 
 
-def _suite_lemma_2_3(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1, lift=1):
-        for c in run.elements(d):
-            for i in range(1, d + 1):
-                for sign in SIGNS:
-                    lhs = folding.psi(sys, sys.connection(c, i, sign), i)
-                    run.need(
-                        lhs == sys.degeneracy(c, i),
-                        part="i", i=i, sign=sign, c=c, got=lhs,
-                    )
-                    for j in range(i + 2, d + 1):
-                        lhs = folding.psi(sys, sys.connection(c, i, sign), j)
-                        rhs = sys.connection(folding.psi(sys, c, j - 1), i, sign)
-                        run.need(lhs == rhs, part="ii", i=i, j=j, sign=sign, c=c)
-            for i in range(1, d):
-                plus = folding.psi(
-                    sys, folding.psi(sys, sys.connection(c, i, PLUS), i + 1), i
-                )
-                rhs = sys.degeneracy(
-                    sys.compose(
-                        sys.connection(sys.face(c, i + 1, MINUS), i, PLUS), c, i + 1
-                    ),
-                    i,
-                )
-                run.need(plus == rhs, part="iii+", i=i, c=c)
-                minus = folding.psi(
-                    sys, folding.psi(sys, sys.connection(c, i, MINUS), i + 1), i
-                )
-                rhs = sys.degeneracy(
-                    sys.compose(
-                        c, sys.connection(sys.face(c, i + 1, PLUS), i, MINUS), i + 1
-                    ),
-                    i,
-                )
-                run.need(minus == rhs, part="iii-", i=i, c=c)
+# ---------------------------------------------------------------------------
+# thinness suites
 
 
-def _suite_lemma_2_4(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(2):
-        for x in run.elements(d):
-            for j in range(1, d):
-                run.need(
-                    folding.is_j_thin(sys, x, j)
-                    == folding.is_j_thin(sys, folding.psi(sys, x, j), j - 1),
-                    j=j, x=x,
-                )
+def _lemma_2_3(view, b):
+    c = b["x"]
+    d = view.dim(c)
+    for i in range(1, d + 1):
+        for sign in SIGNS:
+            g = view.connection(c, i, sign)
+            yield (lambda: f"i: psi{i} G{sign}{i} x = e{i} x",
+                   _psi(view, g, i), view.degeneracy(c, i))
+            for j in range(i + 2, d + 1):
+                yield (lambda: f"ii: psi{j} G{sign}{i} x = G{sign}{i} psi{j - 1} x",
+                       _psi(view, g, j), view.connection(_psi(view, c, j - 1), i, sign))
+    for i in range(1, d):
+        plus = _psi(view, _psi(view, view.connection(c, i, PLUS), i + 1), i)
+        gamma = view.connection(view.face(c, i + 1, MINUS), i, PLUS)
+        yield (lambda: f"iii+: psi{i} psi{i + 1} G+{i} x",
+               plus, view.degeneracy(view.compose(gamma, c, i + 1), i))
+        minus = _psi(view, _psi(view, view.connection(c, i, MINUS), i + 1), i)
+        gamma = view.connection(view.face(c, i + 1, PLUS), i, MINUS)
+        yield (lambda: f"iii-: psi{i} psi{i + 1} G-{i} x",
+               minus, view.degeneracy(view.compose(c, gamma, i + 1), i))
 
 
-def _suite_lemma_2_5(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1):
-        elements = run.elements(d)
-        for j in range(1, d + 1):
-            degenerate = [y for y in elements if is_degenerate_at(sys, y, j)]
-            for i in range(1, d + 1):
-                for y, z in composable_pairs(sys, degenerate, i):
-                    x = sys.compose(y, z, i)
-                    run.need(
-                        is_degenerate_at(sys, x, j),
-                        i=i, j=j, y=y, z=z, got=x,
-                    )
+def _lemma_2_4(view, b):
+    sys, k = view.system, b["x"]
+    x = view.elements[k]
+    for j in range(1, view.dim(k)):
+        yield (lambda: f"x is {j}-thin iff psi{j} x is {j - 1}-thin",
+               folding.is_j_thin(sys, x, j),
+               folding.is_j_thin(sys, view.elements[_psi(view, k, j)], j - 1))
 
 
-def _suite_lemma_2_6(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1, lift=1):
-        for y in run.elements(d):
-            for k in range(1, d + 2):
-                run.need(
-                    folding.is_j_thin(sys, sys.degeneracy(y, k), k - 1),
-                    k=k, y=y,
-                )
+def _lemma_2_5(view, n, stream):
+    drawn = stream.elements(view.system, n)
+    for j in range(1, n + 1):
+        degenerate = [y for y in drawn if degenerate_at(view, y, j)]
+        for i in range(1, n + 1):
+            for y, z in composable_pairs(view, degenerate, i):
+                yield ({"x": y, "y": z, "i": i},
+                       lambda: f"the o{i} composite of {j}-degenerate x, y is {j}-degenerate",
+                       *_retraction(view, view.compose(y, z, i), j))
 
 
-def _suite_prop_2_1(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1):
-        elements = run.elements(d)
-        thin_by_boundary: dict = {}
-        for x in elements:
-            if folding.is_thin(sys, x):
-                thin_by_boundary.setdefault(boundary(sys, x), []).append(x)
-                run.need(
-                    is_commutative(sys, boundary(sys, x)),
-                    part="i", x=x,
-                )
-        ext = shell_system(sys, d)
-        for s in run.shells_at(d):
-            commutative = is_commutative(sys, s)
-            run.need(
-                commutative == folding.is_thin(ext, s),
-                part="ii", shell=s,
-            )
-            if d > run.config.exhaustive_dim:
-                continue
-            fillers_of_s = thin_by_boundary.get(s, [])
-            if commutative:
-                filler = fillers.thin_filler(sys, s)
-                run.need(
-                    boundary(sys, filler) == s and folding.is_thin(sys, filler),
-                    part="iii-exists", shell=s, filler=filler,
-                )
-                run.need(
-                    fillers_of_s == [filler],
-                    part="iii-unique", shell=s, enumerated=len(fillers_of_s),
-                )
-            else:
-                run.need(
-                    not fillers_of_s,
-                    part="iii-none", shell=s, enumerated=len(fillers_of_s),
-                )
+def _lemma_2_6(view, b):
+    y = b["x"]
+    for k in range(1, view.dim(y) + 2):
+        folded = _fold_through(view, view.degeneracy(y, k), k - 1)
+        yield (lambda: f"e{k} x is {k - 1}-thin", *_retraction(view, folded, 1))
 
 
-def _suite_prop_2_2(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1, lift=1):
-        for c in run.elements(d):
-            for i in range(1, d + 2):
-                run.need(
-                    folding.is_thin(sys, sys.degeneracy(c, i)),
-                    part="i-eps", i=i, c=c,
-                )
-            for i in range(1, d + 1):
-                for sign in SIGNS:
-                    run.need(
-                        folding.is_thin(sys, sys.connection(c, i, sign)),
-                        part="i-gamma", i=i, sign=sign, c=c,
-                    )
-    # closure under composition: seeded random thin pairs at the top dimension
-    top = min(run.config.max_dim, sys.max_dim)
+def _prop_2_1_thin(view, b):
+    sys, x = view.system, view.elements[b["x"]]
+    if folding.is_thin(sys, x):
+        yield (lambda: "i: the boundary of a thin x commutes",
+               is_commutative(sys, boundary(sys, x)), True)
+
+
+def _prop_2_1_shells(view, n, stream):
+    sys = view.system
+    ext = shell_system(sys, n)
+    for s in stream.elements(ext, n):
+        shell = view.elements[s]
+        yield ({"s": s}, lambda: "ii: s commutes iff s is thin",
+               is_commutative(sys, shell), folding.is_thin(ext, shell))
+
+
+def _prop_2_1_fillers(view, n, stream):
+    sys, elements = view.system, view.elements
+    thin_by_boundary: dict = {}
+    for x in view.pool(n):
+        if folding.is_thin(sys, elements[x]):
+            thin_by_boundary.setdefault(boundary(sys, elements[x]), []).append(x)
+    for s in shell_system(sys, n).id_view.pool(n):
+        shell = elements[s]
+        found = thin_by_boundary.get(shell, [])
+        if is_commutative(sys, shell):
+            filler = fillers.thin_filler(sys, shell)
+            k = view.id(filler)
+            yield ({"s": s, "x": k}, lambda: "iii-exists: x is a thin filler of s",
+                   boundary(sys, filler) == shell and folding.is_thin(sys, filler), True)
+            yield ({"s": s, "x": k},
+                   lambda: f"iii-unique: {len(found)} thin fillers of s enumerated, not only x",
+                   found == [k], True)
+        else:
+            yield ({"s": s}, lambda: f"iii-none: {len(found)} thin fillers of a non-commutative s",
+                   not found, True)
+
+
+def _prop_2_2_thin(view, b):
+    c = b["x"]
+    d = view.dim(c)
+    for i in range(1, d + 2):
+        yield (lambda: f"i-eps: e{i} x is thin",
+               *_retraction(view, _folded(view, view.degeneracy(c, i)), 1))
+    for i in range(1, d + 1):
+        for sign in SIGNS:
+            yield (lambda: f"i-gamma: G{sign}{i} x is thin",
+                   *_retraction(view, _folded(view, view.connection(c, i, sign)), 1))
+
+
+def _prop_2_2_closure(view, n, stream):
+    # seeded random thin pairs at the top dimension; a pair that is not thin
+    # spends one of at most 30 attempts per instance
+    sys, rng, samples = view.system, stream.rng, stream.samples
     produced, attempts = 0, 0
-    while produced < run.config.samples and attempts < run.config.samples * 30:
+    while produced < samples and attempts < samples * 30:
         attempts += 1
-        i = run.rng.randint(1, top)
-        got = sys.sample_pair(top, i, run.rng)
-        if got is None:
+        i = rng.randint(1, n)
+        got = sys.sample_pair(n, i, rng)
+        if got is None or not all(folding.is_thin(sys, x) for x in got):
             continue
-        a, b = got
-        if not (folding.is_thin(sys, a) and folding.is_thin(sys, b)):
-            continue
-        c = sys.compose(a, b, i)
-        run.need(folding.is_thin(sys, c), part="ii", i=i, a=a, b=b, got=c)
+        a, b = map(view.id, got)
+        yield ({"x": a, "y": b, "i": i}, lambda: f"ii: the o{i} composite of thin x, y is thin",
+               *_retraction(view, _folded(view, view.compose(a, b, i)), 1))
         produced += 1
 
 
-def _suite_cor_2_7(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1, lift=1):
-        for c in run.elements(d):
-            for i in range(1, d + 2):
-                run.need(
-                    is_commutative(sys, shell_degeneracy(sys, c, i)),
-                    part="i-eps", i=i, c=c,
-                )
-            for i in range(1, d + 1):
-                for sign in SIGNS:
-                    run.need(
-                        is_commutative(sys, shell_connection(sys, c, i, sign)),
-                        part="i-gamma", i=i, sign=sign, c=c,
-                    )
-    for d in run.dims(2, exhaustive=True):
-        commutative = [
-            s for s in shell_system(sys, d).cubes(d) if is_commutative(sys, s)
-        ]
-        ext = shell_system(sys, d)
-        for i in range(1, d + 1):
-            for s, t in composable_pairs(ext, commutative, i):
-                run.need(
-                    is_commutative(sys, shell_compose(sys, s, t, i)),
-                    part="ii", i=i, s=s, t=t,
-                )
+def _cor_2_7_lifts(view, b):
+    sys, c = view.system, b["x"]
+    x, d = view.elements[c], view.dim(c)
+    for i in range(1, d + 2):
+        yield (lambda: f"i-eps: the e{i} shell of x commutes",
+               is_commutative(sys, shell_degeneracy(sys, x, i)), True)
+    for i in range(1, d + 1):
+        for sign in SIGNS:
+            yield (lambda: f"i-gamma: the G{sign}{i} shell of x commutes",
+                   is_commutative(sys, shell_connection(sys, x, i, sign)), True)
 
 
-def _suite_thm_2_8(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1, exhaustive=True):
-        for x in sys.cubes(d):
-            if not folding.is_thin(sys, x):
-                continue
-            expr = fillers.thin_decompose(sys, x)
-            run.need(fillers.is_base_free(expr), part="base-free", x=x)
-            run.need(
-                fillers.evaluate(sys, expr) == x,
-                part="evaluates", x=x,
-            )
+def _cor_2_7_composites(view, n, stream):
+    sys, elements = view.system, view.elements
+    shells = shell_system(sys, n).id_view
+    commutative = [s for s in shells.pool(n) if is_commutative(sys, elements[s])]
+    for i in range(1, n + 1):
+        for s, t in composable_pairs(shells, commutative, i):
+            yield ({"s": s, "t": t, "i": i}, lambda: f"ii: s o{i} t commutes",
+                   is_commutative(sys, shell_compose(sys, elements[s], elements[t], i)), True)
 
 
-def _suite_cor_2_9(run: _Run) -> None:
-    sys = run.system
-    for d in run.dims(1, exhaustive=True):
-        ext = shell_system(sys, d)
-        for s in ext.cubes(d):
-            if not is_commutative(sys, s):
-                continue
-            expr = fillers.thin_decompose(ext, s)
-            run.need(fillers.is_base_free(expr), part="base-free", shell=s)
-            run.need(
-                fillers.evaluate(ext, expr) == s,
-                part="evaluates", shell=s,
-            )
-
-
-def _suite_thm_3_1(run: _Run) -> None:
-    sys = run.system
-    top = min(run.config.max_dim, sys.max_dim)
-    if top < 2:
+def _thm_2_8(view, b):
+    sys, x = view.system, view.elements[b["x"]]
+    if not folding.is_thin(sys, x):
         return
-    theta = fillers.theta_from_connections(sys, top, spot_check=False)
-    lower = sys.cubes(top - 1)
-    for a in lower:
-        for i in range(1, top + 1):
-            run.need(
-                theta(shell_degeneracy(sys, a, i)) == sys.degeneracy(a, i),
-                part="eps", i=i, a=a,
-            )
-        for i in range(1, top):
+    expr = fillers.thin_decompose(sys, x)
+    yield (lambda: "base-free: the decomposition of x", fillers.is_base_free(expr), True)
+    yield (lambda: "evaluates: the decomposition of x", fillers.evaluate(sys, expr), x)
+
+
+def _cor_2_9(view, n, stream):
+    sys = view.system
+    ext = shell_system(sys, n)
+    for s in ext.id_view.pool(n):
+        shell = view.elements[s]
+        if not is_commutative(sys, shell):
+            continue
+        expr = fillers.thin_decompose(ext, shell)
+        yield {"s": s}, lambda: "base-free: the decomposition of s", fillers.is_base_free(expr), True
+        yield {"s": s}, lambda: "evaluates: the decomposition of s", fillers.evaluate(ext, expr), shell
+
+
+def _thm_3_1_lifts(view, n, stream):
+    sys = view.system
+    theta = fillers.theta_from_connections(sys, n, spot_check=False)
+    for k in view.pool(n - 1):
+        a = view.elements[k]
+        for i in range(1, n + 1):
+            yield ({"x": k}, lambda: f"eps: theta of the e{i} shell of x is e{i} x",
+                   theta(shell_degeneracy(sys, a, i)), sys.degeneracy(a, i))
+        for i in range(1, n):
             for sign in SIGNS:
-                run.need(
-                    theta(shell_connection(sys, a, i, sign))
-                    == sys.connection(a, i, sign),
-                    part="gamma", i=i, sign=sign, a=a,
-                )
-    # theta is a morphism on commutative shells
-    domain = theta.domain() if top <= run.config.exhaustive_dim else None
-    if domain is not None:
-        ext = shell_system(sys, top)
-        for s in domain:
-            image = theta(s)
-            run.need(boundary(sys, image) == s, part="faces", shell=s)
-        for i in range(1, top + 1):
-            for s, t in composable_pairs(ext, domain, i):
-                run.need(
-                    theta(shell_compose(sys, s, t, i))
-                    == sys.compose(theta(s), theta(t), i),
-                    part="compose", i=i, s=s, t=t,
-                )
-        # the connections read back off theta agree with the model's own,
-        # and re-deriving theta from them closes the loop
-        override = fillers.connections_from_theta(theta)
-        for a in lower:
-            for i in range(1, top):
-                for sign in SIGNS:
-                    run.need(
-                        override.connection(a, i, sign) == sys.connection(a, i, sign),
-                        part="roundtrip-gamma", i=i, sign=sign, a=a,
-                    )
-        theta2 = fillers.theta_from_connections(override, top, spot_check=False)
-        for s in domain:
-            run.need(theta2(s) == theta(s), part="roundtrip-theta", shell=s)
-        # thin classes coincide element for element
-        images = {theta(s) for s in domain}
-        for x in sys.cubes(top):
-            native = folding.is_thin(sys, x)
-            run.need(
-                native == (x in images),
-                part="thin-class", x=x, native=native,
-            )
-            run.need(
-                native == folding.is_thin(override, x),
-                part="thin-class-override", x=x, native=native,
-            )
+                yield ({"x": k}, lambda: f"gamma: theta of the G{sign}{i} shell of x is G{sign}{i} x",
+                       theta(shell_connection(sys, a, i, sign)), sys.connection(a, i, sign))
+
+
+def _thm_3_1_structure(view, n, stream):
+    """theta is a morphism on the commutative shells, and the round trip closes."""
+    sys, elements = view.system, view.elements
+    theta = fillers.theta_from_connections(sys, n, spot_check=False)
+    shells = shell_system(sys, n).id_view
+    domain = [shells.id(s) for s in theta.domain()]
+    for s in domain:
+        yield {"s": s}, lambda: "faces: theta(s) fills s", boundary(sys, theta(elements[s])), elements[s]
+    for i in range(1, n + 1):
+        for s, t in composable_pairs(shells, domain, i):
+            yield ({"s": s, "t": t, "i": i}, lambda: f"compose: theta(s o{i} t)",
+                   theta(shell_compose(sys, elements[s], elements[t], i)),
+                   sys.compose(theta(elements[s]), theta(elements[t]), i))
+    # the connections read back off theta agree with the model's own,
+    # and re-deriving theta from them closes the loop
+    override = fillers.connections_from_theta(theta)
+    for k in view.pool(n - 1):
+        a = elements[k]
+        for i in range(1, n):
+            for sign in SIGNS:
+                yield ({"x": k}, lambda: f"roundtrip-gamma: G{sign}{i} x read off theta",
+                       override.connection(a, i, sign), sys.connection(a, i, sign))
+    theta2 = fillers.theta_from_connections(override, n, spot_check=False)
+    for s in domain:
+        yield ({"s": s}, lambda: "roundtrip-theta: theta re-derived from its connections",
+               theta2(elements[s]), theta(elements[s]))
+    # thin classes coincide element for element
+    images = {view.id(theta(elements[s])) for s in domain}
+    for x in view.pool(n):
+        native = folding.is_thin(sys, elements[x])
+        yield {"x": x}, lambda: "thin-class: x is thin iff x is a theta image", native, x in images
+        yield ({"x": x}, lambda: "thin-class-override: x is thin under theta's connections",
+               native, folding.is_thin(override, elements[x]))
 
 
 @dataclass(frozen=True)
 class Suite:
     suite_id: str
     description: str
-    func: Callable
+    parts: tuple  # registry entries under ``suite_id``, in the order they run
+
+
+def _suite(suite_id: str, description: str, *parts) -> Suite:
+    """A suite of parts given as (kind, min_dim, lift, equations[, exhaustive_only])."""
+    return Suite(suite_id, description, tuple(
+        Law(suite_id, kind, lowest, lift, description, equations, exhaustive_only=any(only))
+        for kind, lowest, lift, equations, *only in parts
+    ))
 
 
 SUITES = (
-    Suite("lemma-1.1", "folding a degeneracy collapses to the first degeneracy",
-          _suite_lemma_1_1),
-    Suite("prop-1.2", "folded cubes are degenerate beyond direction 1 and their"
-          " two main faces share a boundary", _suite_prop_1_2),
-    Suite("lemma-1.3", "taking boundaries commutes with every operation and fold",
-          _suite_lemma_1_3),
-    Suite("thm-1.4", "an element is uniquely determined by boundary plus full fold,"
-          " and every compatible pair is realized", _suite_thm_1_4),
-    Suite("lemma-1.5", "one folding step is invertible given the boundary",
-          _suite_lemma_1_5),
-    Suite("lemma-2.3", "foldings of connections reduce to degeneracies",
-          _suite_lemma_2_3),
-    Suite("lemma-2.4", "partial thinness transfers along one folding step",
-          _suite_lemma_2_4),
-    Suite("lemma-2.5", "composites of j-degenerate elements are j-degenerate",
-          _suite_lemma_2_5),
-    Suite("lemma-2.6", "a k-th degeneracy is (k-1)-fold partially thin",
-          _suite_lemma_2_6),
-    Suite("prop-2.1", "commutative shells are exactly the thin shells and have"
-          " unique thin fillers", _suite_prop_2_1),
-    Suite("prop-2.2", "degeneracies and connections are thin; thinness is closed"
-          " under composition", _suite_prop_2_2),
-    Suite("cor-2.7", "degenerate and connection shells commute; composites of"
-          " commutative shells commute", _suite_cor_2_7),
-    Suite("thm-2.8", "thin elements decompose into degeneracies and connections",
-          _suite_thm_2_8),
-    Suite("cor-2.9", "commutative shells decompose into degenerate and connection"
-          " shells", _suite_cor_2_9),
-    Suite("thm-3.1", "thin structures and connection sets determine each other"
-          " with the same thin class", _suite_thm_3_1),
+    _suite("lemma-1.1", "folding a degeneracy collapses to the first degeneracy",
+           ("element", 1, 1, _lemma_1_1)),
+    _suite("prop-1.2", "folded cubes are degenerate beyond direction 1 and their"
+           " two main faces share a boundary", ("element", 2, 0, _prop_1_2)),
+    _suite("lemma-1.3", "taking boundaries commutes with every operation and fold",
+           ("element", 1, 0, _lemma_1_3), ("pool", 1, 0, _lemma_1_3_compose)),
+    _suite("thm-1.4", "an element is uniquely determined by boundary plus full fold,"
+           " and every compatible pair is realized", ("pool", 1, 0, _thm_1_4, True)),
+    _suite("lemma-1.5", "one folding step is invertible given the boundary",
+           ("element", 2, 0, _lemma_1_5)),
+    _suite("lemma-2.3", "foldings of connections reduce to degeneracies",
+           ("element", 1, 1, _lemma_2_3)),
+    _suite("lemma-2.4", "partial thinness transfers along one folding step",
+           ("element", 2, 0, _lemma_2_4)),
+    _suite("lemma-2.5", "composites of j-degenerate elements are j-degenerate",
+           ("pool", 1, 0, _lemma_2_5)),
+    _suite("lemma-2.6", "a k-th degeneracy is (k-1)-fold partially thin",
+           ("element", 1, 1, _lemma_2_6)),
+    _suite("prop-2.1", "commutative shells are exactly the thin shells and have"
+           " unique thin fillers", ("element", 1, 0, _prop_2_1_thin),
+           ("pool", 1, 0, _prop_2_1_shells), ("pool", 1, 0, _prop_2_1_fillers, True)),
+    _suite("prop-2.2", "degeneracies and connections are thin; thinness is closed"
+           " under composition", ("element", 1, 1, _prop_2_2_thin),
+           ("top", 1, 0, _prop_2_2_closure)),
+    _suite("cor-2.7", "degenerate and connection shells commute; composites of"
+           " commutative shells commute", ("element", 1, 1, _cor_2_7_lifts),
+           ("pool", 2, 0, _cor_2_7_composites, True)),
+    _suite("thm-2.8", "thin elements decompose into degeneracies and connections",
+           ("element", 1, 0, _thm_2_8, True)),
+    _suite("cor-2.9", "commutative shells decompose into degenerate and connection"
+           " shells", ("pool", 1, 0, _cor_2_9, True)),
+    _suite("thm-3.1", "thin structures and connection sets determine each other"
+           " with the same thin class", ("top", 2, 0, _thm_3_1_lifts),
+           ("top", 2, 0, _thm_3_1_structure, True)),
 )
 
 SUITE_INDEX = {s.suite_id: s for s in SUITES}
 
 
-def run_suite(system: CubeSystem, suite_id: str, config: Optional[SuiteConfig] = None) -> LawReport:
+def _describer(system: CubeSystem):
+    """Describe an element id, or a shell or element object a statement compares."""
+    elements = system.id_view.elements
+
+    def describe(v):
+        x = elements[v] if type(v) is int else v
+        if isinstance(x, Shell):
+            return shell_system(system, x.dim).describe(x)
+        return system.describe(x)
+
+    return describe
+
+
+def run_suite(
+    system: CubeSystem,
+    suite_id: str,
+    *,
+    max_dim: int,
+    exhaustive_dim: int = 3,
+    samples: int = 500,
+    seed: int = 0,
+) -> LawReport:
+    """Check every part of one suite: exhaustive up to ``exhaustive_dim``, seeded above."""
     if suite_id not in SUITE_INDEX:
         raise UnknownLaw(suite_id)
-    config = config or SuiteConfig()
-    run = _Run(system, config, suite_id)
-    report = LawReport(law_id=suite_id)
-    start = time.perf_counter()
-    try:
-        SUITE_INDEX[suite_id].func(run)
-    except _Fail as fail:
-        report.passed = False
-        report.counterexample = fail.payload
-    except CubicalError as exc:
-        report.passed = False
-        report.counterexample = {"error": type(exc).__name__, "message": str(exc)}
-    report.instances = run.instances
-    report.wall_ms = (time.perf_counter() - start) * 1000.0
-    return report
+    options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
+    return _run(system, suite_id, SUITE_INDEX[suite_id].parts, _describer(system), True, **options)
 
 
-def run_suites(system: CubeSystem, suite_ids=None, config: Optional[SuiteConfig] = None):
-    if suite_ids is None:
-        selected = [s.suite_id for s in SUITES]
-    else:
-        unknown = set(suite_ids) - set(SUITE_INDEX)
-        if unknown:
-            raise UnknownLaw(", ".join(sorted(unknown)))
-        selected = [s.suite_id for s in SUITES if s.suite_id in set(suite_ids)]
-    return [run_suite(system, sid, config) for sid in selected]
+def run_suites(system: CubeSystem, suite_ids=None, **options) -> list[LawReport]:
+    return [run_suite(system, k, **options) for k in select(SUITE_INDEX, suite_ids)]

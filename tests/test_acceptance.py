@@ -26,7 +26,7 @@ from cubecat import (
     shell_big_fold,
     thin_decompose,
 )
-from cubecat.suites import SuiteConfig, run_suite
+from cubecat.suites import run_suite
 from conftest import edge_cube, nerve_of, tower_of
 
 CATS = ("terminal", "poset22", "free_square", "parallel_pair")
@@ -68,9 +68,9 @@ def test_criterion_2_folding_boundaries():
     """Folded degeneracies and folded faces degenerate; N and P share boundaries."""
     failures = []
     for label, system in all_systems(4):
-        cfg = SuiteConfig(max_dim=4, exhaustive_dim=3, samples=SAMPLES_DIM4, seed=SEED)
+        cfg = dict(max_dim=4, exhaustive_dim=3, samples=SAMPLES_DIM4, seed=SEED)
         for suite_id in ("lemma-1.1", "prop-1.2"):
-            report = run_suite(system, suite_id, cfg)
+            report = run_suite(system, suite_id, **cfg)
             if not report.passed:
                 failures.append(f"{label}:{suite_id}")
     verdict(2, not failures, "folding boundary suites on 8 models at dims 2-4"
@@ -82,12 +82,12 @@ def test_criterion_3_unique_filler_round_trip():
     per valid (fold, boundary) pair and zero otherwise."""
     start = time.perf_counter()
     failures = []
-    cfg = SuiteConfig(max_dim=3, exhaustive_dim=3, samples=0, seed=SEED)
+    cfg = dict(max_dim=3, exhaustive_dim=3, samples=0, seed=SEED)
     for label, system in (
         ("nerve(poset22)", nerve_of("poset22", 3)),
         ("tower(free_square)", tower_of("free_square", 3)),
     ):
-        report = run_suite(system, "thm-1.4", cfg)
+        report = run_suite(system, "thm-1.4", **cfg)
         if not report.passed:
             failures.append(f"{label}: {report.counterexample}")
     # round-trip across the remaining models as well
@@ -108,9 +108,9 @@ def test_criterion_4_thin_fillers():
     """Commutative shells at dims <= 3 have unique thin fillers; others none."""
     failures = []
     noncommutative_seen = 0
-    cfg = SuiteConfig(max_dim=3, exhaustive_dim=3, samples=0, seed=SEED)
+    cfg = dict(max_dim=3, exhaustive_dim=3, samples=0, seed=SEED)
     for label, system in all_systems(3):
-        report = run_suite(system, "prop-2.1", cfg)
+        report = run_suite(system, "prop-2.1", **cfg)
         if not report.passed:
             failures.append(f"{label}: {report.counterexample}")
     for name in ("free_square", "parallel_pair"):
@@ -131,14 +131,14 @@ def test_criterion_5_thinness_closure():
     commutative 2-shell composites commutative, exhaustively."""
     failures = []
     for label, system in all_systems(3):
-        cfg = SuiteConfig(max_dim=3, exhaustive_dim=3, samples=200, seed=SEED)
-        report = run_suite(system, "prop-2.2", cfg)
+        cfg = dict(max_dim=3, exhaustive_dim=3, samples=200, seed=SEED)
+        report = run_suite(system, "prop-2.2", **cfg)
         if not report.passed:
             failures.append(f"{label}:prop-2.2")
     # 1000 seeded random composites of thin dimension-3 tower elements
     tower = tower_of("free_square", 3)
-    cfg = SuiteConfig(max_dim=3, exhaustive_dim=3, samples=1000, seed=SEED)
-    report = run_suite(tower, "prop-2.2", cfg)
+    cfg = dict(max_dim=3, exhaustive_dim=3, samples=1000, seed=SEED)
+    report = run_suite(tower, "prop-2.2", **cfg)
     if not report.passed:
         failures.append("tower(free_square):prop-2.2 (1000 samples)")
     # commutative shell composites, exhaustive over the free square category
@@ -146,7 +146,7 @@ def test_criterion_5_thinness_closure():
         ("nerve(free_square)", nerve_of("free_square", 3)),
         ("tower(free_square)", tower),
     ):
-        report = run_suite(system, "cor-2.7", cfg)
+        report = run_suite(system, "cor-2.7", **cfg)
         if not report.passed:
             failures.append(f"{label}:cor-2.7")
     verdict(5, not failures, "thinness and commutativity closed under composition"
@@ -176,14 +176,14 @@ def test_criterion_7_thin_structures():
     identical thin classes."""
     start = time.perf_counter()
     failures = []
-    cfg = SuiteConfig(max_dim=3, exhaustive_dim=3, samples=0, seed=SEED)
+    cfg = dict(max_dim=3, exhaustive_dim=3, samples=0, seed=SEED)
     for label, system in (
         ("nerve(poset22)", nerve_of("poset22", 3)),
         ("nerve(free_square)", nerve_of("free_square", 3)),
         ("tower(poset22)", tower_of("poset22", 3)),
         ("tower(free_square)", tower_of("free_square", 3)),
     ):
-        report = run_suite(system, "thm-3.1", cfg)
+        report = run_suite(system, "thm-3.1", **cfg)
         if not report.passed:
             failures.append(f"{label}: {report.counterexample}")
     elapsed = time.perf_counter() - start

@@ -11,7 +11,7 @@ from cubecat import (
     check_axiom,
     run_axiom_suite,
 )
-from cubecat.core import REGISTRY, composable_pairs
+from cubecat.core import REGISTRY, composable_pairs, run_law
 from cubecat.errors import MalformedSample, UnknownLaw
 from conftest import nerve_of, tower_of
 
@@ -151,3 +151,28 @@ def test_interchange_instance_counts_are_pinned(name, grids):
     # the exhaustive loop runs on element ids; it must bind exactly the grids it always did
     report = run_axiom_suite(tower_of(name, 3), max_dim=3, law_ids=["INTERCHANGE"])[0]
     assert report.passed and report.instances == grids
+
+
+def test_unavailable_draw_is_skipped(monkeypatch):
+    # a top shell the search cannot assemble is one instance fewer, not the
+    # end of the dimension's samples
+    from cubecat.shells import ShellExtension
+
+    options = dict(max_dim=3, exhaustive_dim=2, samples=10, seed=4)
+    law = REGISTRY["FACE-FACE"]
+    exhaustive = run_law(tower_of("poset22", 3), law, **dict(options, max_dim=2)).instances
+    full = run_law(tower_of("poset22", 3), law, **options)
+    assert full.passed and full.instances == exhaustive + 10
+    draw = ShellExtension.random_top_shell
+    misses = []
+
+    def miss_once(self, rng, pinned=None):
+        if not misses:
+            misses.append(rng)
+            return None
+        return draw(self, rng, pinned)
+
+    monkeypatch.setattr(ShellExtension, "random_top_shell", miss_once)
+    report = run_law(tower_of("poset22", 3), law, **options)
+    assert len(misses) == 1
+    assert report.passed and report.instances == exhaustive + 9

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from cubecat import PLUS, bundled_category, nerve
+from cubecat import PLUS, bundled_category, nerve, shell_tower
 from cubecat.cli import main, make_parser
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -89,6 +89,12 @@ GOLDEN_REPORTS = {
     "theorems_tower_parallel_pair_d3": ("theorems", "--model", "tower", "--cat", "parallel_pair",
                                         "--dim", "3", "--exhaustive-dim", "2", "--samples", "40",
                                         "--seed", "11"),
+    # sampled nerve runs: the enumerated dimension-4 pool and its composable-mate index
+    "theorems_nerve_parallel_pair_d4": ("theorems", "--model", "nerve", "--cat", "parallel_pair",
+                                        "--dim", "4", "--exhaustive-dim", "2", "--samples", "50",
+                                        "--seed", "0"),
+    "axioms_nerve_parallel_pair_d4": ("axioms", "--model", "nerve", "--cat", "parallel_pair",
+                                      "--dim", "4", "--exhaustive-dim", "2", "--seed", "3"),
 }
 
 
@@ -285,6 +291,14 @@ def _poset22_four_cube() -> bytes:
     return json.dumps(system.describe(system.degeneracy(x, 4))).encode()
 
 
+def _two_shell_with_face_seven() -> bytes:
+    """A 2-shell of the poset22 tower with an extra face entry "7+"."""
+    tower = shell_tower(bundled_category("poset22"), 1, 2)
+    doc = tower.describe(tower.cubes(2)[0])
+    doc["faces"]["7+"] = doc["faces"]["1-"]
+    return json.dumps(doc).encode()
+
+
 BAD_DOCUMENTS = {
     "missing-vertices": b'{"dim": 2, "vertices": {"00": "A"}, "edges": {}}',
     "null": b"null",
@@ -296,6 +310,16 @@ BAD_DOCUMENTS = {
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
     "undecodable": b"\xff\xfe{",
     "nerve-dim-above-model": _poset22_four_cube(),
+    # a 1-shell over the nerve's 0-cubes is not an element of the model
+    "shell-below-top": json.dumps({"dim": 1, "faces": {
+        "1-": {"dim": 0, "vertices": {"": "00"}},
+        "1+": {"dim": 0, "vertices": {"": "00"}},
+    }}).encode(),
+    "shell-face-out-of-range": _two_shell_with_face_seven(),
+    # too many digits for int(): a ValueError, not a bad key, at the parent
+    "shell-face-huge-index": b'{"dim": 3, "faces": {"' + b"9" * 5000 + b'-": 5}}',
+    "extra-vertex": json.dumps(
+        {**SQUARE_DOC, "vertices": {**SQUARE_DOC["vertices"], "111": "11"}}).encode(),
 }
 # name -> (document, the model families that must reject it); a tower's
 # nerve leaves stop at its base dimension 1

@@ -4,7 +4,7 @@ import pytest
 
 from cubecat import BrokenNerveSystem, bundled_category
 from cubecat.errors import UnknownLaw
-from cubecat.suites import SUITES, SuiteConfig, run_suite, run_suites
+from cubecat.suites import SUITES, run_suite, run_suites
 from conftest import nerve_of, tower_of
 
 EXPECTED_IDS = [
@@ -19,23 +19,23 @@ def test_registry_ids_and_order():
 
 
 def test_all_suites_pass_on_small_models():
-    cfg = SuiteConfig(max_dim=2, exhaustive_dim=2, samples=50, seed=3)
+    cfg = dict(max_dim=2, exhaustive_dim=2, samples=50, seed=3)
     for system in (nerve_of("parallel_pair", 2), tower_of("poset22", 2)):
-        reports = run_suites(system, config=cfg)
+        reports = run_suites(system, **cfg)
         assert [r.law_id for r in reports if not r.passed] == []
         assert all(r.instances > 0 for r in reports)
 
 
 def test_unknown_suite_rejected(poset_nerve):
     with pytest.raises(UnknownLaw):
-        run_suite(poset_nerve, "thm-0.0")
+        run_suite(poset_nerve, "thm-0.0", max_dim=2)
     with pytest.raises(UnknownLaw):
         run_suites(poset_nerve, ["lemma-1.1", "nope"])
 
 
 def test_selection_preserves_registry_order(poset_nerve):
-    cfg = SuiteConfig(max_dim=1, exhaustive_dim=1, samples=10, seed=0)
-    reports = run_suites(poset_nerve, ["thm-2.8", "lemma-1.1"], cfg)
+    cfg = dict(max_dim=1, exhaustive_dim=1, samples=10, seed=0)
+    reports = run_suites(poset_nerve, ["thm-2.8", "lemma-1.1"], **cfg)
     assert [r.law_id for r in reports] == ["lemma-1.1", "thm-2.8"]
 
 
@@ -43,14 +43,25 @@ def test_suites_catch_broken_models():
     # the corrupted degeneracy still lands on thin elements, so thinness
     # suites pass; the boundary-morphism suite sees the wrong formal shell
     broken = BrokenNerveSystem(bundled_category("poset22"), 2)
-    cfg = SuiteConfig(max_dim=2, exhaustive_dim=2, samples=20, seed=0)
-    report = run_suite(broken, "lemma-1.3", cfg)
+    cfg = dict(max_dim=2, exhaustive_dim=2, samples=20, seed=0)
+    report = run_suite(broken, "lemma-1.3", **cfg)
     assert not report.passed
-    assert report.counterexample is not None
+    # the law counterexample shape: the binding's elements parse back, a
+    # label names the failing part, and the two compared shells are given
+    payload = report.counterexample
+    assert set(payload) == {"binding", "equation", "lhs", "rhs"}
+    x = broken.parse(payload["binding"]["x"])
+    assert broken.dim(x) == 1
+    assert payload["equation"].startswith("eps: ")
+    assert payload["lhs"] != payload["rhs"]
+    # a suite whose model raises keeps the binding it raised on
+    report = run_suite(broken, "cor-2.7", **cfg)
+    assert report.counterexample["error"] == "NotComposable"
+    assert set(report.counterexample["binding"]) == {"x"}
 
 
 def test_suite_reports_are_seed_stable(square_tower):
-    cfg = SuiteConfig(max_dim=3, exhaustive_dim=2, samples=40, seed=9)
-    first = run_suite(square_tower, "prop-2.2", cfg)
-    second = run_suite(square_tower, "prop-2.2", cfg)
+    cfg = dict(max_dim=3, exhaustive_dim=2, samples=40, seed=9)
+    first = run_suite(square_tower, "prop-2.2", **cfg)
+    second = run_suite(square_tower, "prop-2.2", **cfg)
     assert first.as_dict() == second.as_dict()
