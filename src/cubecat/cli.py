@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -76,8 +77,51 @@ def _read_json(path: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump(doc, newline: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    Every JSON, TAP and text report is written here.  As in the stdlib
+    encoder, types are tested in its order and numbers are written by
+    ``int.__repr__`` and ``float.__repr__``.  A non-str key or a value that
+    is not JSON raises ``TypeError``.  ``newline`` is the line break plus
+    the indent of the current level.
+    """
+    if isinstance(doc, str):
+        return _quote(doc)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float):
+        if doc != doc:
+            return "NaN"
+        if doc == math.inf:
+            return "Infinity"
+        if doc == -math.inf:
+            return "-Infinity"
+        return float.__repr__(doc)
+    inner = newline + "  "
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = [_dump(v, inner) for v in doc]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        for key in doc:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [f"{_quote(k)}: {_dump(doc[k], inner)}" for k in sorted(doc)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +300,12 @@ def cmd_render(args) -> int:
     x = system.parse(doc)
     n = system.dim(x)
     j = args.dir
+    if n < 2:
+        raise ParseError(f"a {n}-cube has no folding direction; --kind {args.kind} needs"
+                         " a cube of dimension 2 or more")
+    if not 1 <= j <= n - 1:
+        raise ParseError(f"--dir must be between 1 and {n - 1} for --kind {args.kind}"
+                         f" on a {n}-cube, not {j}")
     if args.kind == "psi":
         grid = [[
             arrays.SymbolicCell(arrays.GAMMA_PLUS),
@@ -272,8 +322,6 @@ def cmd_render(args) -> int:
         resolved = arrays.resolve_symbols(system, grid, dir_v=j, dir_h=j + 1)
         print(arrays.render_ascii(resolved), end="")
     else:  # unfold
-        if not 1 <= j <= n - 1:
-            raise ParseError(f"--dir must be between 1 and {n - 1} for unfold")
         print(arrays.render_ascii(unfold_partition(system, x, j)), end="")
     return 0
 

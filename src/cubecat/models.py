@@ -317,12 +317,21 @@ def mask_to_bits(mask: int, n: int) -> str:
     return "".join("1" if mask & (1 << k) else "0" for k in range(n))
 
 
-def edge_labels(n: int) -> Iterator[str]:
+# Document labels, built once per dimension: a cube document keys its
+# vertices and edges by these strings.
+
+
+@lru_cache(maxsize=None)
+def vertex_labels(n: int) -> tuple:
+    """Document labels of the vertices ("01" and so on) in mask order."""
+    return tuple(mask_to_bits(v, n) for v in range(1 << n))
+
+
+@lru_cache(maxsize=None)
+def edge_labels(n: int) -> tuple:
     """Document labels of the edges ("0*1" and so on) in canonical slot order."""
-    for base, k in edge_bases(n):
-        bits = list(mask_to_bits(base, n))
-        bits[k] = "*"
-        yield "".join(bits)
+    labels = vertex_labels(n)
+    return tuple(f"{labels[base][:k]}*{labels[base][k + 1:]}" for base, k in edge_bases(n))
 
 
 class NerveCube:
@@ -531,7 +540,7 @@ class NerveSystem(CubeSystem):
         n = x.n
         return {
             "dim": n,
-            "vertices": {mask_to_bits(v, n): x.vertex(v) for v in range(1 << n)},
+            "vertices": dict(zip(vertex_labels(n), x.vertices)),
             "edges": dict(zip(edge_labels(n), x.edges)),
         }
 
@@ -552,15 +561,14 @@ class NerveSystem(CubeSystem):
                 f" not {len(vdoc)} and {len(edoc)}"
             )
         try:
-            vertices = tuple(vdoc[mask_to_bits(v, n)] for v in range(1 << n))
+            vertices = tuple(map(vdoc.__getitem__, vertex_labels(n)))
         except KeyError as exc:
             raise ParseError(f"missing vertex entry {exc}") from exc
-        edges = []
-        for key in edge_labels(n):
-            if key not in edoc:
-                raise ParseError(f"missing edge entry {key!r}")
-            edges.append(edoc[key])
-        cube = NerveCube(n, vertices, tuple(edges))
+        try:
+            edges = tuple(map(edoc.__getitem__, edge_labels(n)))
+        except KeyError as exc:
+            raise ParseError(f"missing edge entry {exc}") from exc
+        cube = NerveCube(n, vertices, edges)
         cube.validate(self.cat)
         return cube
 

@@ -11,7 +11,8 @@ the tower models.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 from . import folding
@@ -68,6 +69,12 @@ class Shell:
 
     def __repr__(self):
         return f"Shell(dim={self.dim})"
+
+
+@lru_cache(maxsize=None)
+def face_keys(n: int) -> MappingProxyType:
+    """Document key ("1-" .. f"{n}+") of each (direction, sign) of an n-shell, in slot order."""
+    return MappingProxyType({f"{i}{sign}": (i, sign) for i in range(1, n + 1) for sign in SIGNS})
 
 
 def _shell_of_ids(view, dim: int, faces) -> Shell:
@@ -246,9 +253,7 @@ class ShellExtension(CubeSystem):
         if isinstance(x, Shell):
             return {
                 "dim": x.dim,
-                "faces": {
-                    f"{i}{s}": self.describe(f) for (i, s), f in x.items()
-                },
+                "faces": dict(zip(face_keys(x.dim), map(self.describe, x.faces))),
             }
         return self.base.describe(x)
 
@@ -389,7 +394,7 @@ class ShellExtension(CubeSystem):
             return self.base.parse(doc)
         if n > self.top:
             raise ParseError(f"shell dimension {n} is outside 1..{self.top}")
-        keys = {f"{i}{sign}": (i, sign) for i in range(1, n + 1) for sign in SIGNS}
+        keys = face_keys(n)
         faces = {}
         for key, sub in raw.items():
             if key not in keys:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import math
+import os
 import pathlib
 import re
 import resource
@@ -10,9 +12,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubecat import PLUS, bundled_category, nerve, shell_tower
-from cubecat.cli import main, make_parser
+from cubecat import PLUS, bundled_category, is_thin, nerve, shell_tower
+from cubecat.cli import _dump, main, make_parser
+from conftest import tower_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -23,7 +27,7 @@ SQUARE_DOC = {
 }
 
 
-def run_cli(*args, stdin=None, timeout=300, preexec_fn=None):
+def run_cli(*args, stdin=None, timeout=300, preexec_fn=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "cubecat.cli", *args],
         capture_output=True,
@@ -31,6 +35,7 @@ def run_cli(*args, stdin=None, timeout=300, preexec_fn=None):
         input=stdin,
         timeout=timeout,
         preexec_fn=preexec_fn,
+        env=env,
     )
 
 
@@ -131,6 +136,26 @@ def test_reports_are_seed_deterministic():
     assert first.stdout == second.stdout
     different = run_cli(*args[:-3], "12", "--format", "json")
     assert different.returncode == 0
+
+
+def test_reports_are_identical_across_hash_seeds(tmp_path):
+    # a tower 3-shell: a connection on a 2-shell that does not commute
+    tower = tower_of("free_square", 3)
+    square = next(x for x in tower.cubes(2) if not is_thin(tower, x))
+    path = tmp_path / "shell.json"
+    path.write_text(json.dumps(tower.describe(tower.connection(square, 1, PLUS))),
+                    encoding="utf-8")
+    tower_args = ("--model", "tower", "--cat", "free_square", "--dim", "3",
+                  "--format", "json", str(path))
+    for argv in (
+        ("fold", *tower_args),
+        ("decompose", *tower_args),
+        ("theorems", "--model", "nerve", "--cat", "poset22", "--dim", "2", "--format", "json"),
+    ):
+        first, second = (run_cli(*argv, env={**os.environ, "PYTHONHASHSEED": seed})
+                         for seed in ("1", "2"))
+        assert first.returncode == second.returncode == 0, first.stderr
+        assert first.stdout.encode() == second.stdout.encode(), argv
 
 
 def test_tap_output_shape():
@@ -275,6 +300,30 @@ def test_render_matches_golden(square_file):
     assert result.stdout == (GOLDEN / "identity_array.txt").read_text(encoding="utf-8")
 
 
+EDGE_DOC = {"dim": 1, "vertices": {"0": "00", "1": "01"}, "edges": {"*": "00->01"}}
+POINT_DOC = {"dim": 0, "vertices": {"": "00"}}
+
+
+@pytest.mark.parametrize("kind", ["psi", "identity", "unfold"])
+@pytest.mark.parametrize("doc, direction, message", [
+    pytest.param(SQUARE_DOC, 0, "--dir must be between 1 and 1 for --kind {} on a 2-cube, not 0",
+                 id="dir-0"),
+    pytest.param(SQUARE_DOC, 2, "--dir must be between 1 and 1 for --kind {} on a 2-cube, not 2",
+                 id="dir-n"),
+    pytest.param(EDGE_DOC, 1, "a 1-cube has no folding direction; --kind {} needs", id="1-cube"),
+    pytest.param(POINT_DOC, 1, "a 0-cube has no folding direction; --kind {} needs", id="0-cube"),
+])
+def test_render_checks_dir_up_front(tmp_path, kind, doc, direction, message):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["render", "--cat", "poset22", "--dim", "2", "--kind", kind,
+                     "--dir", str(direction), str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: {message.format(kind)}"), err.getvalue()
+
+
 def test_render_unfold(square_file):
     result = run_cli("render", "--cat", "poset22", "--dim", "2",
                      "--kind", "unfold", "--dir", "1", square_file)
@@ -404,3 +453,37 @@ def test_render_transport_rejects_single_cube(square_file):
     result = run_cli("render", "--cat", "poset22", "--dim", "2",
                      "--kind", "transport", square_file)
     assert result.returncode == 2
+
+
+# Strings that need escaping in JSON: quotes, backslashes, control and
+# non-ASCII characters (lone surrogates included), mixed with any others.
+_JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+    st.characters(exclude_categories=()),
+))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 300),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]), _JSON_TEXT,
+)
+_JSON_TREES = st.recursive(_JSON_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_JSON_TEXT, kids, max_size=4),
+), max_leaves=30)
+
+
+@settings(deadline=None)
+@given(_JSON_TREES)
+def test_dump_is_json_dumps_byte_for_byte(doc):
+    assert _dump(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {1, 2}},
+    [{"x": object()}],
+    {1: "int key"},
+    {"a": {"b": 1, 2: "mixed keys"}},
+])
+def test_dump_refuses_what_is_not_json(doc):
+    with pytest.raises(TypeError):
+        _dump(doc)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from cubecat import MINUS, PLUS, bundled_category, nerve
+from cubecat.models import edge_bases, edge_labels, mask_to_bits, vertex_labels
 from cubecat.errors import DimensionTooLarge, IndexOutOfRange, ParseError
 from conftest import edge_cube, nerve_of
 
@@ -106,10 +107,25 @@ def test_face_errors(poset_nerve):
 
 
 def test_describe_parse_round_trip(poset_nerve, square_nerve):
-    for system in (poset_nerve, square_nerve):
-        for n in range(3):
-            for x in system.cubes(n)[:5]:
-                assert system.parse(system.describe(x)) == x
+    for n in range(4):
+        for x in poset_nerve.cubes(n):
+            assert poset_nerve.parse(poset_nerve.describe(x)) == x
+    for n in range(3):
+        for x in square_nerve.cubes(n)[:5]:
+            assert square_nerve.parse(square_nerve.describe(x)) == x
+
+
+def test_label_tables_keep_the_document_order():
+    assert edge_labels(2) == ("*0", "*1", "0*", "1*")
+    for n in range(5):
+        # reference: the base vertex's bit-string with its direction-k bit starred
+        starred = []
+        for base, k in edge_bases(n):
+            bits = list(mask_to_bits(base, n))
+            bits[k] = "*"
+            starred.append("".join(bits))
+        assert edge_labels(n) == tuple(starred)
+        assert vertex_labels(n) == tuple(mask_to_bits(v, n) for v in range(1 << n))
 
 
 def test_parse_rejects_non_commuting_square(square_nerve):

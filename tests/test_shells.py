@@ -182,8 +182,10 @@ def test_shell_serialization_round_trip():
     for s in ext.cubes(2)[:8]:
         assert ext.parse(ext.describe(s)) == s
     deep = tower_of("free_square", 3)
-    for s in deep.cubes(3)[:4]:
-        assert deep.parse(deep.describe(s)) == s
+    for n in (2, 3):
+        for s in deep.cubes(n):
+            assert deep.parse(deep.describe(s)) == s
+    assert list(deep.describe(s)["faces"]) == ["1-", "1+", "2-", "2+", "3-", "3+"]
 
 
 def test_tower_elements_are_their_own_boundaries():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubecat import BrokenNerveSystem, bundled_category
+from cubecat import BrokenNerveSystem, bundled_category, fillers
 from cubecat.errors import UnknownLaw
 from cubecat.suites import SUITES, run_suite, run_suites
 from conftest import nerve_of, tower_of
@@ -65,3 +65,21 @@ def test_suite_reports_are_seed_stable(square_tower):
     first = run_suite(square_tower, "prop-2.2", **cfg)
     second = run_suite(square_tower, "prop-2.2", **cfg)
     assert first.as_dict() == second.as_dict()
+
+
+def test_thm_3_1_builds_theta_once(monkeypatch, poset_nerve):
+    built = []
+    theta_from_connections = fillers.theta_from_connections
+
+    def counted(system, *args, **kwargs):
+        built.append(system)
+        return theta_from_connections(system, *args, **kwargs)
+
+    monkeypatch.setattr(fillers, "theta_from_connections", counted)
+    # enumerated top: theta, then theta2 from the connections read off it
+    assert run_suite(poset_nerve, "thm-3.1", max_dim=3, exhaustive_dim=3).passed
+    assert len(built) == 2 and built[0] is poset_nerve and built[1] is not poset_nerve
+    # sampled top: only the lifts run, on one theta
+    built.clear()
+    assert run_suite(poset_nerve, "thm-3.1", max_dim=3, exhaustive_dim=2, samples=5).passed
+    assert built == [poset_nerve]
