@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import arrays, fillers, folding, models, shells, suites
-from .core import LawReport, PLUS, run_axiom_suite, LAWS
+from .core import LawReport, MINUS, PLUS, run_axiom_suite, LAWS
 from .errors import CubicalError, NotThin, ParseError, UnknownLaw
 
 FAMILIES = ("nerve", "tower", "broken")
@@ -290,7 +290,19 @@ def cmd_render(args) -> int:
         if not isinstance(doc, list) or len(doc) != 2:
             raise ParseError("transport rendering needs a two-element list of cubes")
         a, b = system.parse(doc[0]), system.parse(doc[1])
-        i = args.dir
+        n, i = system.dim(a), args.dir
+        if system.dim(b) != n:
+            raise ParseError(f"transport rendering needs two cubes of one dimension,"
+                             f" not a {n}-cube and a {system.dim(b)}-cube")
+        if n < 1:
+            raise ParseError("a 0-cube has no direction; --kind transport needs"
+                             " cubes of dimension 1 or more")
+        if not 1 <= i <= n:
+            raise ParseError(f"--dir must be between 1 and {n} for --kind transport"
+                             f" on a pair of {n}-cubes, not {i}")
+        if system.face(a, i, PLUS) != system.face(b, i, MINUS):
+            raise ParseError(f"the pair does not compose in direction {i}: the upper"
+                             f" {i}-face of the first cube is not the lower {i}-face of the second")
         arr = arrays.ComposableArray(system, [
             [system.connection(a, i, PLUS), system.degeneracy(a, i + 1)],
             [system.degeneracy(a, i), system.connection(b, i, PLUS)],

@@ -61,6 +61,8 @@ class CubeSystem:
     built on another passes it as ``base`` and says with :meth:`owns_from`
     which calls and which dimensions of ``cubes`` it hands down; a root
     system defines ``dim``, ``_cubes``, ``describe`` and ``parse`` itself.
+    A system and every system stacked on it share one id space, whose
+    ``ids``, ``elements``, ``dims`` and ``hashes`` stores the id views hold.
     """
 
     max_dim: int
@@ -165,9 +167,10 @@ class IdView:
 
     A system and every system stacked on it share one id space: ids are
     handed out in first-seen order, ``elements[k]`` is the one canonical
-    object of id k and ``dims[k]`` its dimension.  ``id`` interns an
-    element; ``face``, ``degeneracy``, ``connection`` and ``compose`` take
-    and return ids.  Each answers a call whose first argument lies below the
+    object of id k, ``dims[k]`` its dimension and ``hashes[k]`` its hash,
+    taken once when it is interned (a shell hashes the hashes of its face
+    ids, so no face is hashed again).  ``id`` interns an element; ``face``,
+    ``degeneracy``, ``connection`` and ``compose`` take and return ids.  Each answers a call whose first argument lies below the
     system's ``owns_from(op)`` dimension with the base's operation, so a
     result is stored once, by its owner, however many systems are stacked on
     it.  The owner keeps it in ``tables[op]``: faces, degeneracies and
@@ -190,9 +193,10 @@ class IdView:
         self.system = system
         self.base = base
         if base is None:
-            self.ids, self.elements, self.dims = {}, [], []
+            self.ids, self.elements, self.dims, self.hashes = {}, [], [], []
         else:
-            self.ids, self.elements, self.dims = base.ids, base.elements, base.dims
+            self.ids, self.elements, self.dims, self.hashes = (
+                base.ids, base.elements, base.dims, base.hashes)
         self.tables = {op: {} for op in OPS}
         self.pools: dict = {}
         self.indexes: dict = {}
@@ -208,7 +212,8 @@ class IdView:
     def _build(self) -> None:
         # closures rather than methods: the law loops call them millions of times
         system, base = self.system, self.base
-        ids, elements, dims, dim = self.ids, self.elements, self.dims, system.dim
+        ids, elements, dims, hashes, dim = (
+            self.ids, self.elements, self.dims, self.hashes, system.dim)
 
         def intern(x) -> int:
             n = len(elements)
@@ -216,6 +221,7 @@ class IdView:
             if k == n:
                 elements.append(x)
                 dims.append(dim(x))
+                hashes.append(hash(x))
             return k
 
         def operation(op: str):

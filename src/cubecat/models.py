@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 from typing import Iterator
 
 from . import core
@@ -51,9 +52,6 @@ class FinCatPresentation:
 
     def tgt(self, m: str) -> str:
         return self.morphisms[m][1]
-
-    def id_of(self, obj: str) -> str:
-        return self.identities[obj]
 
     def is_identity(self, m: str) -> bool:
         s, t = self.morphisms[m]
@@ -251,37 +249,62 @@ def edge_bases(n: int) -> Iterator[tuple]:
             yield insert_bit(compact, k, 0), k
 
 
-# Index tables shared by all nerve systems: operations become pure tuple
-# reindexing, with edge entries tagged ("e", slot) for a copied edge and
-# ("v", vertex) for a fresh identity.
+# Pickers shared by all nerve systems: each operation gathers its source
+# entries (and for lifts the identities, for composites the category
+# composites) into one tuple and reindexes it with one precompiled
+# ``itemgetter``, built once per dimension and direction.
+
+
+def _picker(indexes) -> itemgetter:
+    """A function taking a tuple to the tuple of its entries at ``indexes``."""
+    if len(indexes) > 1:
+        return itemgetter(*indexes)
+    # one index: a slice keeps the result a tuple; no index picks ()
+    k = indexes[0] if indexes else 0
+    return itemgetter(slice(k, k + len(indexes)))
 
 
 @lru_cache(maxsize=None)
-def _face_tables(n: int, pos: int, bit: int):
-    vmap = tuple(insert_bit(v, pos, bit) for v in range(1 << (n - 1)))
+def _face_pickers(n: int, pos: int, bit: int) -> tuple:
+    vmap = [insert_bit(v, pos, bit) for v in range(1 << (n - 1))]
     emap = []
     for base, k in edge_bases(n - 1):
         old_k = k if k < pos else k + 1
         emap.append(edge_slot(n, insert_bit(base, pos, bit), old_k))
-    return vmap, tuple(emap)
+    return _picker(vmap), _picker(emap)
+
+
+def _lift_pickers(n: int, vmap: list, sources: list) -> tuple:
+    """Pickers of an (n+1)-cube lifted from an n-cube x.
+
+    Its edge k copies edge m of x for the source ("e", m) and is the
+    identity on vertex m of x for ("v", m).  The pickers take x's vertices
+    to the lift's, x's vertices to those whose identities it uses, and x's
+    edges followed by those identities to the lift's edges.
+    """
+    copied = n * (1 << n) // 2
+    idents = sorted({m for tag, m in sources if tag == "v"})
+    at = {m: copied + k for k, m in enumerate(idents)}
+    emap = [m if tag == "e" else at[m] for tag, m in sources]
+    return _picker(vmap), _picker(idents), _picker(emap)
 
 
 @lru_cache(maxsize=None)
-def _degeneracy_tables(n: int, pos: int):
+def _degeneracy_pickers(n: int, pos: int) -> tuple:
     big = n + 1
-    vmap = tuple(remove_bit(v, pos) for v in range(1 << big))
-    emap = []
+    vmap = [remove_bit(v, pos) for v in range(1 << big)]
+    sources = []
     for base, k in edge_bases(big):
         if k == pos:
-            emap.append(("v", remove_bit(base, pos)))
+            sources.append(("v", remove_bit(base, pos)))
         else:
             old_k = k if k < pos else k - 1
-            emap.append(("e", edge_slot(n, remove_bit(base, pos), old_k)))
-    return vmap, tuple(emap)
+            sources.append(("e", edge_slot(n, remove_bit(base, pos), old_k)))
+    return _lift_pickers(n, vmap, sources)
 
 
 @lru_cache(maxsize=None)
-def _connection_tables(n: int, pos: int, sign: Sign):
+def _connection_pickers(n: int, pos: int, sign: Sign) -> tuple:
     big = n + 1
     pick = min if sign == PLUS else max
 
@@ -289,28 +312,37 @@ def _connection_tables(n: int, pos: int, sign: Sign):
         merged = pick((v >> pos) & 1, (v >> (pos + 1)) & 1)
         return insert_bit(remove_bit(remove_bit(v, pos + 1), pos), pos, merged)
 
-    vmap = tuple(collapse(v) for v in range(1 << big))
-    emap = []
+    vmap = [collapse(v) for v in range(1 << big)]
+    sources = []
     for base, k in edge_bases(big):
         a, b = collapse(base), collapse(base | (1 << k))
         if a == b:
-            emap.append(("v", a))
+            sources.append(("v", a))
         else:
             d = (a ^ b).bit_length() - 1
-            emap.append(("e", edge_slot(n, a, d)))
-    return vmap, tuple(emap)
+            sources.append(("e", edge_slot(n, a, d)))
+    return _lift_pickers(n, vmap, sources)
 
 
 @lru_cache(maxsize=None)
-def _compose_tables(n: int, pos: int):
-    vmap = tuple((v >> pos) & 1 for v in range(1 << n))
-    emap = []
+def _compose_pickers(n: int, pos: int) -> tuple:
+    """Pickers of the direction-pos composite of n-cubes x and y.
+
+    They take x's vertices followed by y's to the composite's, an n-cube's
+    edges to its direction-pos edges (those the composite joins), and x's
+    edges, y's edges and the joined composites to the composite's edges.
+    """
+    size, edges = 1 << n, n * (1 << n) // 2
+    vmap = [v + size * ((v >> pos) & 1) for v in range(size)]
+    joined, emap = [], []
     for base, k in edge_bases(n):
+        slot = edge_slot(n, base, k)
         if k == pos:
-            emap.append(("j", edge_slot(n, base, pos)))
+            emap.append(2 * edges + len(joined))
+            joined.append(slot)
         else:
-            emap.append(((base >> pos) & 1, edge_slot(n, base, k)))
-    return vmap, tuple(emap)
+            emap.append(slot + edges * ((base >> pos) & 1))
+    return _picker(vmap), _picker(joined), _picker(emap)
 
 
 def mask_to_bits(mask: int, n: int) -> str:
@@ -430,29 +462,24 @@ class NerveSystem(CubeSystem):
         n = x.n
         if not 1 <= i <= n:
             raise IndexOutOfRange("face", i, n)
-        vmap, emap = _face_tables(n, i - 1, 0 if sign == MINUS else 1)
-        xv, xe = x.vertices, x.edges
-        return NerveCube(n - 1, tuple(xv[m] for m in vmap), tuple(xe[m] for m in emap))
+        vertices, edges = _face_pickers(n, i - 1, 0 if sign == MINUS else 1)
+        return NerveCube(n - 1, vertices(x.vertices), edges(x.edges))
 
     def _degeneracy(self, x: NerveCube, i: int) -> NerveCube:
         if not 1 <= i <= x.n + 1:
             raise IndexOutOfRange("degeneracy", i, x.n)
-        return self._lift(x, *_degeneracy_tables(x.n, i - 1))
+        return self._lift(x, *_degeneracy_pickers(x.n, i - 1))
 
     def _connection(self, x: NerveCube, i: int, sign: Sign) -> NerveCube:
         if x.n == 0 or not 1 <= i <= x.n:
             raise IndexOutOfRange("connection", i, x.n)
-        return self._lift(x, *_connection_tables(x.n, i - 1, sign))
+        return self._lift(x, *_connection_pickers(x.n, i - 1, sign))
 
-    def _lift(self, x: NerveCube, vmap: tuple, emap: tuple) -> NerveCube:
-        """The (n+1)-cube reindexing x: edges tagged "e" are copied, "v" are identities."""
-        xv, xe = x.vertices, x.edges
-        ident = self.cat.id_of
-        return NerveCube(
-            x.n + 1,
-            tuple(xv[m] for m in vmap),
-            tuple(xe[m] if tag == "e" else ident(xv[m]) for tag, m in emap),
-        )
+    def _lift(self, x: NerveCube, vertices, idents, edges) -> NerveCube:
+        """The (n+1)-cube reindexing x's vertices, and its edges followed by identities."""
+        xv = x.vertices
+        ident = self.cat.identities.__getitem__
+        return NerveCube(x.n + 1, vertices(xv), edges(x.edges + tuple(map(ident, idents(xv)))))
 
     def _compose(self, x: NerveCube, y: NerveCube, i: int) -> NerveCube:
         n = x.n
@@ -461,20 +488,10 @@ class NerveSystem(CubeSystem):
         left, right = self.face(x, i, PLUS), self.face(y, i, MINUS)
         if left != right:
             raise NotComposable(i, self.describe(left), self.describe(right), "compose")
-        vmap, emap = _compose_tables(n, i - 1)
-        xv, xe = x.vertices, x.edges
-        yv, ye = y.vertices, y.edges
-        table = self.cat.table
-        return NerveCube(
-            n,
-            tuple(yv[v] if side else xv[v] for v, side in enumerate(vmap)),
-            tuple(
-                table[(ye[m], xe[m])]
-                if tag == "j"
-                else (ye[m] if tag else xe[m])
-                for tag, m in emap
-            ),
-        )
+        vertices, joined, edges = _compose_pickers(n, i - 1)
+        xe, ye = x.edges, y.edges
+        composites = tuple(map(self.cat.table.__getitem__, zip(joined(ye), joined(xe))))
+        return NerveCube(n, vertices(x.vertices + y.vertices), edges(xe + ye + composites))
 
     # -- enumeration ----------------------------------------------------
 

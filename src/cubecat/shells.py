@@ -35,34 +35,44 @@ def _slot(i: int, sign: Sign) -> int:
 
 
 class Shell:
-    """Immutable family of faces indexed by (direction, sign)."""
+    """Immutable family of faces indexed by (direction, sign).
 
-    __slots__ = ("dim", "faces", "_hash")
+    The faces are held as element ids, in slot order (1,-), (1,+), (2,-),
+    (2,+), ..., of one id space: ``space`` is its shared ``IdView.elements``
+    list, which turns an id back into its element when a face is asked for.
+    Equality stays structural.  The hash is taken from the faces' recorded
+    hashes, two shells of one id space compare their face ids, and shells
+    of two spaces (two separately built towers) compare their faces.
+    """
 
-    def __init__(self, dim: int, faces: tuple):
+    __slots__ = ("dim", "ids", "space", "_hash")
+
+    def __init__(self, view, dim: int, ids: tuple):
         self.dim = dim
-        self.faces = faces  # slot order: (1,-), (1,+), (2,-), (2,+), ...
-        self._hash = hash((dim, faces))
+        self.ids = ids
+        self.space = view.elements
+        self._hash = hash((dim, tuple(map(view.hashes.__getitem__, ids))))
+
+    @property
+    def faces(self) -> tuple:
+        return tuple(map(self.space.__getitem__, self.ids))
 
     def face(self, i: int, sign: Sign):
         if not 1 <= i <= self.dim:
             raise IndexOutOfRange("shell face", i, self.dim)
-        return self.faces[_slot(i, sign)]
+        return self.space[self.ids[_slot(i, sign)]]
 
     def items(self):
-        for i in range(1, self.dim + 1):
-            for sign in SIGNS:
-                yield (i, sign), self.faces[_slot(i, sign)]
+        return zip(face_keys(self.dim).values(), self.faces)
 
     def __eq__(self, other):
         if self is other:
             return True
-        return (
-            isinstance(other, Shell)
-            and self._hash == other._hash
-            and self.dim == other.dim
-            and self.faces == other.faces
-        )
+        if not (isinstance(other, Shell) and self._hash == other._hash and self.dim == other.dim):
+            return False
+        if self.space is other.space:
+            return self.ids == other.ids
+        return self.faces == other.faces
 
     def __hash__(self):
         return self._hash
@@ -77,22 +87,22 @@ def face_keys(n: int) -> MappingProxyType:
     return MappingProxyType({f"{i}{sign}": (i, sign) for i in range(1, n + 1) for sign in SIGNS})
 
 
-def _shell_of_ids(view, dim: int, faces) -> Shell:
-    """The shell whose faces have these element ids, given in slot order."""
-    return Shell(dim, tuple(map(view.elements.__getitem__, faces)))
+def _face_ids(view, s: Shell) -> tuple:
+    """The face ids of s in the view's id space; a shell of another space is re-interned."""
+    return s.ids if s.space is view.elements else tuple(map(view.id, s.faces))
 
 
 def check_incidence(system: CubeSystem, shell: Shell) -> None:
     """Faces of faces must agree across the shell."""
     n = shell.dim
     view = system.id_view
-    faces = [view.id(f) for f in shell.faces]  # slot order
+    faces, face = _face_ids(view, shell), view.face
     for i in range(2, n + 1):
         for j in range(1, i):
             for a in SIGNS:
                 for b in SIGNS:
-                    lhs = view.face(faces[_slot(i, a)], j, b)
-                    rhs = view.face(faces[_slot(j, b)], i - 1, a)
+                    lhs = face(faces[_slot(i, a)], j, b)
+                    rhs = face(faces[_slot(j, b)], i - 1, a)
                     if lhs != rhs:
                         raise BoundaryMismatch(
                             f"incidence fails between faces ({i},{a}) and ({j},{b})"
@@ -109,7 +119,8 @@ def make_shell(system: CubeSystem, dim: int, faces: dict) -> Shell:
     for (i, s), f in faces.items():
         if system.dim(f) != dim - 1:
             raise BoundaryMismatch(f"face ({i},{s}) has dimension {system.dim(f)}")
-    shell = Shell(dim, tuple(faces[(i, s)] for i in range(1, dim + 1) for s in SIGNS))
+    view = system.id_view
+    shell = Shell(view, dim, tuple(view.id(faces[i, s]) for i in range(1, dim + 1) for s in SIGNS))
     check_incidence(system, shell)
     return shell
 
@@ -125,8 +136,8 @@ def boundary(system: CubeSystem, x) -> Shell:
     if n < 1:
         raise IndexOutOfRange("boundary", 1, n)
     view = system.id_view
-    k = view.id(x)
-    return _shell_of_ids(view, n, (view.face(k, i, s) for i in range(1, n + 1) for s in SIGNS))
+    k, face = view.id(x), view.face
+    return Shell(view, n, tuple([face(k, i, s) for i in range(1, n + 1) for s in SIGNS]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +148,23 @@ def shell_compose(system: CubeSystem, s: Shell, t: Shell, i: int) -> Shell:
     n = s.dim
     if t.dim != n or not 1 <= i <= n:
         raise IndexOutOfRange("shell_compose", i, n)
-    if s.face(i, PLUS) != t.face(i, MINUS):
-        raise NotComposable(
-            i,
-            system.describe(s.face(i, PLUS)),
-            system.describe(t.face(i, MINUS)),
-            "shell_compose",
-        )
     view = system.id_view
+    sf, tf = _face_ids(view, s), _face_ids(view, t)
+    minus = 2 * i - 2  # the slot of (i, -); (i, +) follows it
+    if sf[minus + 1] != tf[minus]:
+        raise NotComposable(
+            i, view.describe(sf[minus + 1]), view.describe(tf[minus]), "shell_compose"
+        )
+    compose = view.compose
     faces = []
     for j in range(1, n + 1):
-        i2 = i - 1 if j < i else i
-        for a in SIGNS:
-            if j != i:
-                faces.append(view.compose(view.id(s.face(j, a)), view.id(t.face(j, a)), i2))
-            else:
-                faces.append(view.id((s if a == MINUS else t).face(i, a)))
-    return _shell_of_ids(view, n, faces)
+        k = 2 * j - 2
+        if j == i:
+            faces += sf[k], tf[k + 1]
+        else:
+            i2 = i - 1 if j < i else i
+            faces += compose(sf[k], tf[k], i2), compose(sf[k + 1], tf[k + 1], i2)
+    return Shell(view, n, tuple(faces))
 
 
 def shell_degeneracy(system: CubeSystem, a, j: int) -> Shell:
@@ -171,7 +182,7 @@ def shell_degeneracy(system: CubeSystem, a, j: int) -> Shell:
                 faces.append(view.degeneracy(view.face(k, i, s), j - 1))
             else:
                 faces.append(view.degeneracy(view.face(k, i - 1, s), j))
-    return _shell_of_ids(view, n, faces)
+    return Shell(view, n, tuple(faces))
 
 
 def shell_connection(system: CubeSystem, a, j: int, sign: Sign) -> Shell:
@@ -189,7 +200,7 @@ def shell_connection(system: CubeSystem, a, j: int, sign: Sign) -> Shell:
                 faces.append(view.connection(view.face(k, i, s), j - 1, sign))
             else:
                 faces.append(view.connection(view.face(k, i - 1, s), j, sign))
-    return _shell_of_ids(view, n, faces)
+    return Shell(view, n, tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +315,7 @@ class ShellExtension(CubeSystem):
                 return
             budget -= 1
             if slot == 2 * n:
-                yield _shell_of_ids(view, n, chosen)
+                yield Shell(view, n, tuple(chosen))
                 return
             i, sign = slot // 2 + 1, SIGNS[slot % 2]
             req = tuple([face(c, i - 1, sign) for c in chosen[: 2 * i - 2]])

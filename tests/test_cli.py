@@ -151,6 +151,9 @@ def test_reports_are_identical_across_hash_seeds(tmp_path):
         ("fold", *tower_args),
         ("decompose", *tower_args),
         ("theorems", "--model", "nerve", "--cat", "poset22", "--dim", "2", "--format", "json"),
+        # a sampled tower report: shells hash their faces' recorded hashes
+        ("theorems", "--model", "tower", "--cat", "poset22", "--dim", "3", "--exhaustive-dim", "2",
+         "--samples", "20", "--seed", "5", "--format", "json"),
     ):
         first, second = (run_cli(*argv, env={**os.environ, "PYTHONHASHSEED": seed})
                          for seed in ("1", "2"))
@@ -302,16 +305,33 @@ def test_render_matches_golden(square_file):
 
 EDGE_DOC = {"dim": 1, "vertices": {"0": "00", "1": "01"}, "edges": {"*": "00->01"}}
 POINT_DOC = {"dim": 0, "vertices": {"": "00"}}
+EDGE_PAIR = [EDGE_DOC, {"dim": 1, "vertices": {"0": "01", "1": "11"}, "edges": {"*": "01->11"}}]
+TRANSPORT = "--dir must be between 1 and 1 for --kind transport on a pair of 1-cubes, not {}"
 
 
-@pytest.mark.parametrize("kind", ["psi", "identity", "unfold"])
-@pytest.mark.parametrize("doc, direction, message", [
-    pytest.param(SQUARE_DOC, 0, "--dir must be between 1 and 1 for --kind {} on a 2-cube, not 0",
-                 id="dir-0"),
-    pytest.param(SQUARE_DOC, 2, "--dir must be between 1 and 1 for --kind {} on a 2-cube, not 2",
-                 id="dir-n"),
-    pytest.param(EDGE_DOC, 1, "a 1-cube has no folding direction; --kind {} needs", id="1-cube"),
-    pytest.param(POINT_DOC, 1, "a 0-cube has no folding direction; --kind {} needs", id="0-cube"),
+@pytest.mark.parametrize("kind, doc, direction, message", [
+    pytest.param(kind, doc, direction, message, id=f"{name}-{kind}")
+    for kind in ("psi", "identity", "unfold")
+    for name, doc, direction, message in [
+        ("dir-0", SQUARE_DOC, 0,
+         "--dir must be between 1 and 1 for --kind {} on a 2-cube, not 0"),
+        ("dir-n", SQUARE_DOC, 2,
+         "--dir must be between 1 and 1 for --kind {} on a 2-cube, not 2"),
+        ("1-cube", EDGE_DOC, 1, "a 1-cube has no folding direction; --kind {} needs"),
+        ("0-cube", POINT_DOC, 1, "a 0-cube has no folding direction; --kind {} needs"),
+    ]
+] + [
+    pytest.param("transport", EDGE_PAIR, 0, TRANSPORT.format(0), id="dir-0-transport"),
+    pytest.param("transport", EDGE_PAIR, 2, TRANSPORT.format(2), id="dir-n-transport"),
+    pytest.param("transport", EDGE_PAIR, 5, TRANSPORT.format(5), id="dir-5-transport"),
+    pytest.param("transport", EDGE_PAIR[::-1], 1,
+                 "the pair does not compose in direction 1: the upper 1-face of the first cube"
+                 " is not the lower 1-face of the second\n", id="not-composable-transport"),
+    pytest.param("transport", [EDGE_DOC, SQUARE_DOC], 1,
+                 "transport rendering needs two cubes of one dimension, not a 1-cube and a 2-cube",
+                 id="mixed-dims-transport"),
+    pytest.param("transport", [POINT_DOC, POINT_DOC], 1,
+                 "a 0-cube has no direction; --kind transport needs", id="0-cube-transport"),
 ])
 def test_render_checks_dir_up_front(tmp_path, kind, doc, direction, message):
     path = tmp_path / "cube.json"

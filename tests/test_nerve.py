@@ -5,7 +5,17 @@ import itertools
 import pytest
 
 from cubecat import MINUS, PLUS, bundled_category, nerve
-from cubecat.models import edge_bases, edge_labels, mask_to_bits, vertex_labels
+from cubecat.core import composable_pairs
+from cubecat.models import (
+    NerveCube,
+    edge_bases,
+    edge_labels,
+    edge_slot,
+    insert_bit,
+    mask_to_bits,
+    remove_bit,
+    vertex_labels,
+)
 from cubecat.errors import DimensionTooLarge, IndexOutOfRange, ParseError
 from conftest import edge_cube, nerve_of
 
@@ -167,3 +177,102 @@ def test_compose_concatenates_direction_edges(square_nerve):
                 if base & (1 << pos):
                     continue
                 assert w.edge(base, pos) == cat.compose(v.edge(base, pos), u.edge(base, pos))
+
+
+# The nerve operations as plain per-entry reindexing, before they were
+# compiled into pickers; the pickers must agree with them everywhere.
+
+
+def reference_face(x, i, sign):
+    n, pos, bit = x.n, i - 1, 0 if sign == MINUS else 1
+    vmap = tuple(insert_bit(v, pos, bit) for v in range(1 << (n - 1)))
+    emap = []
+    for base, k in edge_bases(n - 1):
+        old_k = k if k < pos else k + 1
+        emap.append(edge_slot(n, insert_bit(base, pos, bit), old_k))
+    xv, xe = x.vertices, x.edges
+    return NerveCube(n - 1, tuple(xv[m] for m in vmap), tuple(xe[m] for m in emap))
+
+
+def reference_lift(cat, x, vmap, emap):
+    xv, xe = x.vertices, x.edges
+    return NerveCube(
+        x.n + 1,
+        tuple(xv[m] for m in vmap),
+        tuple(xe[m] if tag == "e" else cat.identities[xv[m]] for tag, m in emap),
+    )
+
+
+def reference_degeneracy(cat, x, i):
+    n, pos = x.n, i - 1
+    big = n + 1
+    vmap = tuple(remove_bit(v, pos) for v in range(1 << big))
+    emap = []
+    for base, k in edge_bases(big):
+        if k == pos:
+            emap.append(("v", remove_bit(base, pos)))
+        else:
+            old_k = k if k < pos else k - 1
+            emap.append(("e", edge_slot(n, remove_bit(base, pos), old_k)))
+    return reference_lift(cat, x, vmap, emap)
+
+
+def reference_connection(cat, x, i, sign):
+    n, pos = x.n, i - 1
+    big = n + 1
+    pick = min if sign == PLUS else max
+
+    def collapse(v):
+        merged = pick((v >> pos) & 1, (v >> (pos + 1)) & 1)
+        return insert_bit(remove_bit(remove_bit(v, pos + 1), pos), pos, merged)
+
+    vmap = tuple(collapse(v) for v in range(1 << big))
+    emap = []
+    for base, k in edge_bases(big):
+        a, b = collapse(base), collapse(base | (1 << k))
+        if a == b:
+            emap.append(("v", a))
+        else:
+            d = (a ^ b).bit_length() - 1
+            emap.append(("e", edge_slot(n, a, d)))
+    return reference_lift(cat, x, vmap, emap)
+
+
+def reference_compose(cat, x, y, i):
+    n, pos = x.n, i - 1
+    vmap = tuple((v >> pos) & 1 for v in range(1 << n))
+    emap = []
+    for base, k in edge_bases(n):
+        if k == pos:
+            emap.append(("j", edge_slot(n, base, pos)))
+        else:
+            emap.append(((base >> pos) & 1, edge_slot(n, base, k)))
+    xv, xe = x.vertices, x.edges
+    yv, ye = y.vertices, y.edges
+    return NerveCube(
+        n,
+        tuple(yv[v] if side else xv[v] for v, side in enumerate(vmap)),
+        tuple(cat.table[(ye[m], xe[m])] if tag == "j" else (ye[m] if tag else xe[m])
+              for tag, m in emap),
+    )
+
+
+@pytest.mark.parametrize("name", ["poset22", "free_square", "parallel_pair"])
+def test_pickers_agree_with_per_entry_reindexing(name):
+    system = nerve_of(name, 3)
+    cat = system.cat
+    checked = 0
+    for n in range(4):
+        cubes = system.cubes(n)
+        for x in cubes:
+            for i in range(1, n + 1):
+                for sign in (MINUS, PLUS):
+                    assert system._face(x, i, sign) == reference_face(x, i, sign)
+                    assert system._connection(x, i, sign) == reference_connection(cat, x, i, sign)
+            for i in range(1, n + 2):
+                assert system._degeneracy(x, i) == reference_degeneracy(cat, x, i)
+        for i in range(1, n + 1):
+            for x, y in composable_pairs(system, cubes, i):
+                assert system._compose(x, y, i) == reference_compose(cat, x, y, i)
+                checked += 1
+    assert checked > len(system.cubes(3))

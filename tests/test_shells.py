@@ -25,7 +25,10 @@ from cubecat import (
     shell_degeneracy,
     shell_fold,
     shell_system,
+    shell_tower,
 )
+from cubecat.core import composable_pairs
+from cubecat.shells import Shell, check_incidence
 from cubecat.errors import BoundaryMismatch, DimensionTooLarge, NotComposable
 from conftest import edge_cube, nerve_of, tower_of
 
@@ -255,3 +258,66 @@ def test_shell_system_does_not_keep_its_base_alive():
     del system, s
     gc.collect()
     assert ref() is None
+
+
+def _two_towers():
+    """Two towers over poset22 whose id spaces number the same elements differently."""
+    cat = bundled_category("poset22")
+    one, two = shell_tower(cat, 1, 2), shell_tower(cat, 1, 2)
+    # a degenerate edge and a degenerate 2-shell take early ids
+    for system, n in ((two.base.base, 0), (two.base, 1)):
+        system.degeneracy(system.cubes(n)[-1], 1)
+    return one, two
+
+
+def test_equal_shells_of_two_towers_are_equal_keys():
+    one, two = _two_towers()
+    for n in (2, 3):
+        ours, theirs = one.cubes(n), two.cubes(n)
+        assert all(s.space is not t.space for s, t in zip(ours, theirs))
+        assert [s.ids for s in ours] != [t.ids for t in theirs]
+        assert ours == theirs
+        assert [hash(s) for s in ours] == [hash(t) for t in theirs]
+        position = {s: k for k, s in enumerate(ours)}
+        assert [position[t] for t in theirs] == list(range(len(ours)))
+
+
+def test_a_shell_of_another_tower_is_used_as_a_native_one():
+    one, two = _two_towers()
+    for n, system in ((2, one.base.base), (3, one.base)):
+        twin = {t: t for t in two.cubes(n)}  # this tower's shell -> the other's
+        for i in range(1, n + 1):
+            pairs = itertools.islice(composable_pairs(one, one.cubes(n), i), 40)
+            for s, t in pairs:
+                native = shell_compose(system, s, t, i)
+                assert native.space is s.space
+                for left, right in ((twin[s], twin[t]), (s, twin[t]), (twin[s], t)):
+                    assert shell_compose(system, left, right, i) == native
+                check_incidence(system, twin[s])
+    # the other tower's shells that break incidence are refused as native ones are
+    def swapped(tower, s):  # the shell with its two direction-1 faces exchanged
+        (first, second), rest = s.ids[:2], s.ids[2:]
+        return Shell(tower.id_view, 3, (second, first) + rest)
+
+    def refused(system, shell) -> bool:
+        try:
+            check_incidence(system, shell)
+        except BoundaryMismatch:
+            return True
+        return False
+
+    twin = {t: t for t in two.cubes(3)}
+    verdicts = [refused(one.base, swapped(one, s)) for s in one.cubes(3)]
+    assert any(verdicts) and not all(verdicts)
+    assert [refused(one.base, swapped(two, twin[s])) for s in one.cubes(3)] == verdicts
+
+
+def test_recorded_hashes_are_the_elements_hashes():
+    tower = shell_tower(bundled_category("parallel_pair"), 1, 2)
+    reports = run_axiom_suite(tower, max_dim=3, exhaustive_dim=2, samples=20,
+                              law_ids=["COMP-FACE", "GAMMA-FACE", "EPS-COMP"])
+    assert all(r.passed for r in reports)
+    view = tower.id_view
+    assert 3 in view.dims
+    assert len(view.hashes) == len(view.elements)
+    assert all(h == hash(x) for h, x in zip(view.hashes, view.elements))

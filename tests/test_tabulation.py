@@ -20,7 +20,7 @@ from cubecat import (
     shell_tower,
 )
 from cubecat.core import composable_pairs
-from cubecat.shells import Shell, boundary, enumerate_shells, shell_system
+from cubecat.shells import boundary, enumerate_shells, make_shell, shell_system
 from cubecat.errors import DimensionTooLarge, IndexOutOfRange, NotComposable
 from cubecat.fillers import ConnectionOverrideSystem
 from conftest import nerve_of, tower_of
@@ -151,8 +151,8 @@ def test_a_shell_is_its_own_boundary():
     tower = tower_of("poset22", 3)
     for n in (2, 3):
         for s in tower.cubes(n)[:50]:
-            faces = tuple(tower.face(s, i, sign) for i in range(1, n + 1) for sign in (MINUS, PLUS))
-            assert boundary(tower, s) == Shell(n, faces)
+            faces = {(i, sign): tower.face(s, i, sign) for i in range(1, n + 1) for sign in (MINUS, PLUS)}
+            assert boundary(tower, s) == make_shell(tower, n, faces)
 
 
 def test_a_tower_samples_its_top_the_same_whether_or_not_it_was_listed():
