@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import MINUS, PLUS, CubeSystem, is_degenerate_at
+from .core import MINUS, PLUS, CubeSystem, degenerate_at
 from .errors import (
     BadTiling,
     InterchangeViolation,
@@ -294,6 +294,7 @@ def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> Composa
     n_rows, n_cols = len(cells), len(cells[0]) if cells else 0
     if any(len(row) != n_cols for row in cells):
         raise Unresolvable("symbol grid is ragged")
+    view = system.id_view
 
     def resolved(r, c):
         return 0 <= r < n_rows and 0 <= c < n_cols and cells[r][c].kind == PLAIN \
@@ -339,10 +340,8 @@ def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> Composa
                 if f is None:
                     continue
                 out = system.degeneracy(f, direction)
-                if not (
-                    is_degenerate_at(system, out, dir_v)
-                    and is_degenerate_at(system, out, dir_h)
-                ):
+                k = view.id(out)
+                if not (degenerate_at(view, k, dir_v) and degenerate_at(view, k, dir_h)):
                     raise Unresolvable(
                         f"cell ({r},{c}) cannot be an identity for both directions"
                     )
@@ -448,27 +447,20 @@ def _render_tiles(tiles, n_rows, n_cols, dir_v, dir_h) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_ascii(diagram, labels=None) -> str:
+def render_ascii(diagram) -> str:
     """Deterministic box diagram of an array or partition with a legend line."""
     if isinstance(diagram, ComposableArray):
         n_rows, n_cols = diagram.shape
         tiles = []
         for r in range(n_rows):
             for c in range(n_cols):
-                if labels is not None:
-                    label = labels[r][c]
-                elif diagram.kinds is not None:
-                    label = diagram.kinds[r][c]
-                else:
-                    label = _default_label(r, c)
+                label = diagram.kinds[r][c] if diagram.kinds is not None else _default_label(r, c)
                 tiles.append((r, c, r + 1, c + 1, label))
         return _render_tiles(tiles, n_rows, n_cols, diagram.dir_v, diagram.dir_h)
     if isinstance(diagram, ComposablePartition):
         tiles = []
-        for idx, cell in enumerate(diagram.cells):
-            label = cell.label if cell.label is not None else (
-                labels[idx] if labels is not None else _default_label(cell.r0, cell.c0)
-            )
+        for cell in diagram.cells:
+            label = cell.label if cell.label is not None else _default_label(cell.r0, cell.c0)
             tiles.append((cell.r0, cell.c0, cell.r1, cell.c1, label))
         return _render_tiles(
             tiles, diagram.n_rows, diagram.n_cols, diagram.dir_v, diagram.dir_h

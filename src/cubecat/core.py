@@ -12,10 +12,10 @@ and "+".
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -140,19 +140,73 @@ class CubeSystem:
         return pair + tuple(view.elements[k] for k in (z, rng.choice(ws)))
 
 
-def is_degenerate_at(system: CubeSystem, x, i: int) -> bool:
-    """True iff x lies in the image of the i-th degeneracy.
+def degenerate_at(view: "IdView", k: int, i: int) -> bool:
+    """True iff id k lies in the image of the i-th degeneracy.
 
-    Uses the retraction test x == eps_i(face_i^- x), which avoids asking
+    Uses the retraction test k == eps_i(face_i^- k), which avoids asking
     models for a degeneracy-image oracle.
     """
-    view = system.id_view
-    return degenerate_at(view, view.id(x), i)
-
-
-def degenerate_at(view: "IdView", k: int, i: int) -> bool:
-    """:func:`is_degenerate_at` on element ids."""
     return k == view.degeneracy(view.face(k, i, MINUS), i)
+
+
+# ---------------------------------------------------------------------------
+# the face laws, written once
+#
+# Each formula below gives one face of a degeneracy, a connection or a
+# composite from the faces of its arguments, on element ids.  It is the
+# right side of a registry law (EPS-FACE, GAMMA-FACE, COMP-FACE; FACE-FACE
+# is ``incidences``), and the face of the matching formal operation of the
+# shell extension (``shells``), which Lemma 1.3 compares with the model's
+# own boundaries.  Each is asked for one face at a time, so a law computes
+# a right side only when the runner reaches its statement.
+
+
+@lru_cache(maxsize=None)
+def slots(n: int) -> tuple:
+    """The (direction, sign) of each face of an n-cube, in slot order (1,-), (1,+), (2,-), ..."""
+    return tuple((i, sign) for i in range(1, n + 1) for sign in SIGNS)
+
+
+def slot(i: int, sign: Sign) -> int:
+    """The position of face (i, sign) in :func:`slots`."""
+    return 2 * (i - 1) + (0 if sign == MINUS else 1)
+
+
+@lru_cache(maxsize=None)
+def incidences(n: int) -> tuple:
+    """FACE-FACE on an n-cube: ((i, a), (j, b), (i - 1, a)) for j < i, meaning
+
+    d^b_j d^a_i x = d^a_{i-1} d^b_j x, in the order (i, j, a, b) ascending.
+    """
+    return tuple(
+        ((i, a), (j, b), (i - 1, a))
+        for i in range(2, n + 1) for j in range(1, i) for a in SIGNS for b in SIGNS
+    )
+
+
+def degeneracy_face(view: "IdView", k: int, j: int, i: int, sign: Sign) -> int:
+    """Face (i, sign) of the j-th degeneracy of id k (EPS-FACE)."""
+    if i == j:
+        return k
+    if i < j:
+        return view.degeneracy(view.face(k, i, sign), j - 1)
+    return view.degeneracy(view.face(k, i - 1, sign), j)
+
+
+def connection_face(view: "IdView", k: int, j: int, g: Sign, i: int, sign: Sign) -> int:
+    """Face (i, sign) of the connection G^g_j of id k (GAMMA-FACE)."""
+    if i == j or i == j + 1:
+        return k if sign == g else view.degeneracy(view.face(k, j, sign), j)
+    if i < j:
+        return view.connection(view.face(k, i, sign), j - 1, g)
+    return view.connection(view.face(k, i - 1, sign), j, g)
+
+
+def composite_face(view: "IdView", x_face: int, y_face: int, i: int, j: int, sign: Sign) -> int:
+    """Face (j, sign) of x o_i y, given the (j, sign) faces of x and y (COMP-FACE)."""
+    if j == i:
+        return x_face if sign == MINUS else y_face
+    return view.compose(x_face, y_face, i - 1 if j < i else i)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +511,9 @@ class Law:
 
 def _eq_face_face(sys: IdView, b) -> Iterator:
     x = b["x"]
-    n = sys.dim(x)
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            for a, bt in itertools.product(SIGNS, SIGNS):
-                yield (
-                    lambda: f"d{bt}{j} d{a}{i}",
-                    sys.face(sys.face(x, i, a), j, bt),
-                    sys.face(sys.face(x, j, bt), i - 1, a),
-                )
+    face = sys.face
+    for (i, a), (j, bt), (k, c) in incidences(sys.dim(x)):
+        yield (lambda: f"d{bt}{j} d{a}{i}", face(face(x, i, a), j, bt), face(face(x, j, bt), k, c))
 
 
 def _eq_eps_face(sys: IdView, b) -> Iterator:
@@ -473,16 +521,8 @@ def _eq_eps_face(sys: IdView, b) -> Iterator:
     n = sys.dim(x)
     for j in range(1, n + 2):
         ex = sys.degeneracy(x, j)
-        for i in range(1, n + 2):
-            for a in SIGNS:
-                lhs = sys.face(ex, i, a)
-                if i == j:
-                    rhs = x
-                elif i < j:
-                    rhs = sys.degeneracy(sys.face(x, i, a), j - 1)
-                else:
-                    rhs = sys.degeneracy(sys.face(x, i - 1, a), j)
-                yield (lambda: f"d{a}{i} e{j}", lhs, rhs)
+        for i, a in slots(n + 1):
+            yield (lambda: f"d{a}{i} e{j}", sys.face(ex, i, a), degeneracy_face(sys, x, j, i, a))
 
 
 def _eq_eps_eps(sys: IdView, b) -> Iterator:
@@ -509,20 +549,15 @@ def _eq_eps_unit(sys: IdView, b) -> Iterator:
 
 def _eq_comp_face(sys: IdView, b) -> Iterator:
     x, y, i = b["x"], b["y"], b["i"]
-    n = sys.dim(x)
+    face = sys.face
     z = sys.compose(x, y, i)
-    yield (lambda: f"d-{i} (x o{i} y)", sys.face(z, i, MINUS), sys.face(x, i, MINUS))
-    yield (lambda: f"d+{i} (x o{i} y)", sys.face(z, i, PLUS), sys.face(y, i, PLUS))
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        i2 = i - 1 if j < i else i
-        for a in SIGNS:
-            yield (
-                lambda: f"d{a}{j} (x o{i} y)",
-                sys.face(z, j, a),
-                sys.compose(sys.face(x, j, a), sys.face(y, j, a), i2),
-            )
+    # the two i-faces first, then the others in slot order
+    for j, a in ((i, MINUS), (i, PLUS), *(key for key in slots(sys.dim(x)) if key[0] != i)):
+        yield (
+            lambda: f"d{a}{j} (x o{i} y)",
+            face(z, j, a),
+            composite_face(sys, face(x, j, a), face(y, j, a), i, j, a),
+        )
 
 
 def _eq_assoc(sys: IdView, b) -> Iterator:
@@ -562,19 +597,9 @@ def _eq_gamma_face(sys: IdView, b) -> Iterator:
     for i in range(1, n + 1):
         for g in SIGNS:
             cx = sys.connection(x, i, g)
-            for m in range(1, n + 2):
-                for a in SIGNS:
-                    lhs = sys.face(cx, m, a)
-                    if m in (i, i + 1):
-                        if a == g:
-                            rhs = x
-                        else:
-                            rhs = sys.degeneracy(sys.face(x, i, a), i)
-                    elif m < i:
-                        rhs = sys.connection(sys.face(x, m, a), i - 1, g)
-                    else:
-                        rhs = sys.connection(sys.face(x, m - 1, a), i, g)
-                    yield (lambda: f"d{a}{m} G{g}{i}", lhs, rhs)
+            for m, a in slots(n + 1):
+                yield (lambda: f"d{a}{m} G{g}{i}", sys.face(cx, m, a),
+                       connection_face(sys, x, i, g, m, a))
 
 
 def _eq_gamma_eps(sys: IdView, b) -> Iterator:

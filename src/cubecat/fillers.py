@@ -11,10 +11,12 @@ element as a composite of degeneracies and connections only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from . import folding
-from .core import ALL, MINUS, PLUS, CubeSystem, Sign, check_sign, run_axiom_suite, tabulated
+from .core import (
+    ALL, MINUS, PLUS, CubeSystem, Sign, check_sign, run_axiom_suite, slots, tabulated,
+)
 from .errors import (
     AxiomFailure,
     MorphismViolation,
@@ -26,6 +28,7 @@ from .errors import (
 )
 from .shells import (
     Shell,
+    _face_ids,
     boundary,
     enumerate_shells,
     is_commutative,
@@ -38,10 +41,12 @@ SIGN_CHARS = {MINUS: "−", PLUS: "+"}  # emitted sign strings
 SIGN_PARSE = {"-": MINUS, "−": MINUS, "minus": MINUS, "+": PLUS, "plus": PLUS}
 
 
-def _first_mismatch(s: Shell, t: Shell):
-    for (i, sign), f in s.items():
-        if t.face(i, sign) != f:
-            return (i, sign)
+def _first_mismatch(system: CubeSystem, s: Shell, t: Shell):
+    """The first (direction, sign), in slot order, at which the faces of s and t differ."""
+    view = system.id_view
+    for key, f, g in zip(slots(s.dim), _face_ids(view, s), _face_ids(view, t)):
+        if f != g:
+            return key
     return None
 
 
@@ -55,7 +60,7 @@ def unfold_step(system: CubeSystem, a, s: Shell, j: int):
     if s.dim != n or not 1 <= j <= n - 1:
         raise PreconditionFailed(f"unfold_step needs dim(a) = dim(s) and 1 <= j < {n}")
     folded_shell = shell_fold(system, s, j)
-    mismatch = _first_mismatch(boundary(system, a), folded_shell)
+    mismatch = _first_mismatch(system, boundary(system, a), folded_shell)
     if mismatch is not None:
         raise PreconditionFailed(
             f"boundary of a differs from the folded shell at face {mismatch}"
@@ -79,7 +84,7 @@ def filler_from_fold(system: CubeSystem, a, s: Shell):
     sigma[n - 1] = s
     for j in range(n - 1, 0, -1):
         sigma[j - 1] = shell_fold(system, sigma[j], j)
-    mismatch = _first_mismatch(boundary(system, a), sigma[0])
+    mismatch = _first_mismatch(system, boundary(system, a), sigma[0])
     if mismatch is not None:
         raise PreconditionFailed(
             f"boundary of a differs from the fully folded shell at face {mismatch}"
@@ -224,7 +229,7 @@ def expression_from_doc(system: CubeSystem, doc: dict) -> GeneratorExpression:
                 expression_from_doc(system, doc["left"]),
                 expression_from_doc(system, doc["right"]),
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed expression document: {exc}") from exc
     raise ParseError(f"unknown expression node kind {doc.get('kind')!r}")
 
@@ -292,7 +297,7 @@ class ThinStructure:
 
 
 def theta_from_connections(
-    system: CubeSystem, top: Optional[int] = None, *, spot_check: bool = True
+    system: CubeSystem, top: int, *, spot_check: bool = True
 ) -> ThinStructure:
     """The thin structure induced by the system's own connections.
 
@@ -301,8 +306,6 @@ def theta_from_connections(
     connections.  A quick law check at low dimension rejects plainly broken
     models up front.
     """
-    if top is None:
-        top = system.max_dim
     if spot_check:
         for report in run_axiom_suite(
             system, max_dim=min(2, top), exhaustive_dim=2, samples=0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MINUS, PLUS, SIGNS, CubeSystem, degenerate_at, is_degenerate_at
+from .core import MINUS, PLUS, SIGNS, CubeSystem, degenerate_at, degeneracy_face, slots
 from .errors import BoundaryMismatch, IndexOutOfRange, PostconditionViolated
 
 
@@ -34,13 +34,8 @@ def _psi(view, x: int, i: int) -> int:
     return view.compose(view.compose(left, x, i + 1), right, i + 1)
 
 
-def fold_through(system: CubeSystem, x, j: int):
-    """psi_1 psi_2 ... psi_j applied to x (the j-fold partial folding)."""
-    view = system.id_view
-    return view.elements[_fold_through(view, view.id(x), j)]
-
-
 def _fold_through(view, x: int, j: int) -> int:
+    """psi_1 psi_2 ... psi_j applied to id x (the j-fold partial folding)."""
     for i in range(j, 0, -1):
         x = _psi(view, x, i)
     return x
@@ -55,12 +50,12 @@ class FoldResult:
     p_face: object
 
 
-def big_psi(system: CubeSystem, x, *, verify: bool = True) -> FoldResult:
+def big_psi(system: CubeSystem, x) -> FoldResult:
     """Apply the full chain psi_1 ... psi_{n-1}; empty at dimension 1.
 
-    Postconditions are re-checked unless ``verify`` is disabled: every face
-    of the folded cube beyond direction 1 must be degenerate in direction 1,
-    and the two direction-1 faces must share their whole boundary.
+    Postconditions are re-checked: every face of the folded cube beyond
+    direction 1 must be degenerate in direction 1, and the two direction-1
+    faces must share their whole boundary.
     """
     n = system.dim(x)
     if n < 1:
@@ -69,45 +64,40 @@ def big_psi(system: CubeSystem, x, *, verify: bool = True) -> FoldResult:
     folded = _fold_through(view, view.id(x), n - 1)
     n_face = view.face(folded, 1, MINUS)
     p_face = view.face(folded, 1, PLUS)
-    if verify:
-        for i in range(2, n + 1):
-            for sign in SIGNS:
-                if not degenerate_at(view, view.face(folded, i, sign), 1):
-                    raise PostconditionViolated(
-                        f"face ({i},{sign}) of the folded cube is not degenerate"
-                    )
-        for i in range(1, n):
-            for sign in SIGNS:
-                if view.face(n_face, i, sign) != view.face(p_face, i, sign):
-                    raise PostconditionViolated(
-                        f"folded boundary composites disagree at face ({i},{sign})"
-                    )
+    for i in range(2, n + 1):
+        for sign in SIGNS:
+            if not degenerate_at(view, view.face(folded, i, sign), 1):
+                raise PostconditionViolated(
+                    f"face ({i},{sign}) of the folded cube is not degenerate"
+                )
+    for i, sign in slots(n - 1):
+        if view.face(n_face, i, sign) != view.face(p_face, i, sign):
+            raise PostconditionViolated(
+                f"folded boundary composites disagree at face ({i},{sign})"
+            )
     return FoldResult(*(view.elements[k] for k in (folded, n_face, p_face)))
 
 
 def reconstruct_folded_shell(system: CubeSystem, n_face, p_face):
     """The boundary a fully folded cube must have, given its two main faces.
 
-    Faces beyond direction 1 are forced: each is the first degeneracy of the
-    corresponding face of ``n_face``.
+    It is the boundary of the first degeneracy of ``n_face`` with face (1,+)
+    replaced by ``p_face``: the faces beyond direction 1 are forced.
     """
     from .shells import make_shell  # local import; shells builds on folding
 
     d = system.dim(n_face)
     if system.dim(p_face) != d:
         raise BoundaryMismatch("main faces have different dimensions")
-    for i in range(1, d + 1):
-        for sign in SIGNS:
-            if system.face(n_face, i, sign) != system.face(p_face, i, sign):
-                raise BoundaryMismatch(
-                    f"main faces disagree on their ({i},{sign}) face"
-                )
-    faces = {(1, MINUS): n_face, (1, PLUS): p_face}
-    for i in range(2, d + 2):
-        for sign in SIGNS:
-            faces[(i, sign)] = system.degeneracy(
-                system.face(n_face, i - 1, sign), 1
+    view = system.id_view
+    n, p = view.id(n_face), view.id(p_face)
+    for i, sign in slots(d):
+        if view.face(n, i, sign) != view.face(p, i, sign):
+            raise BoundaryMismatch(
+                f"main faces disagree on their ({i},{sign}) face"
             )
+    faces = {key: view.elements[degeneracy_face(view, n, 1, *key)] for key in slots(d + 1)}
+    faces[1, PLUS] = p_face
     return make_shell(system, d + 1, faces)
 
 
@@ -129,4 +119,5 @@ def is_j_thin(system: CubeSystem, x, j: int) -> bool:
     n = system.dim(x)
     if not 0 <= j <= n - 1:
         raise IndexOutOfRange("is_j_thin", j, n)
-    return is_degenerate_at(system, fold_through(system, x, j), 1)
+    view = system.id_view
+    return degenerate_at(view, _fold_through(view, view.id(x), j), 1)

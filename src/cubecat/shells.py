@@ -3,9 +3,11 @@
 An n-shell over a system is a family of 2n elements of dimension n-1
 satisfying the incidence relations.  Attaching the set of all n-shells on
 top of dimensions 0..n-1 yields a new cube system whose top-dimensional
-operations are transcribed face-by-face from the composition, degeneracy
-and connection face laws; iterating this construction above a nerve gives
-the tower models.
+operations are the face laws: the incidence relations, the slot order and
+the face of a degeneracy, a connection or a composite are the ones
+``core`` writes once (``incidences``, ``slots``, ``degeneracy_face``,
+``connection_face``, ``composite_face``) and its registry laws check.
+Iterating this construction above a nerve gives the tower models.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from types import MappingProxyType
 from typing import Iterator, Optional
 
 from . import folding
-from .core import MINUS, PLUS, SIGNS, CubeSystem, Sign, tabulated
+from .core import (
+    MINUS, PLUS, CubeSystem, Sign, composite_face, connection_face, degeneracy_face, incidences,
+    slot, slots, tabulated,
+)
 from .errors import (
     BoundaryMismatch,
     DimensionTooLarge,
@@ -28,10 +33,6 @@ from .models import FinCatPresentation, nerve
 
 
 NODE_BUDGET = 4000  # search nodes a random top shell may visit
-
-
-def _slot(i: int, sign: Sign) -> int:
-    return 2 * (i - 1) + (0 if sign == MINUS else 1)
 
 
 class Shell:
@@ -60,7 +61,7 @@ class Shell:
     def face(self, i: int, sign: Sign):
         if not 1 <= i <= self.dim:
             raise IndexOutOfRange("shell face", i, self.dim)
-        return self.space[self.ids[_slot(i, sign)]]
+        return self.space[self.ids[slot(i, sign)]]
 
     def items(self):
         return zip(face_keys(self.dim).values(), self.faces)
@@ -84,7 +85,7 @@ class Shell:
 @lru_cache(maxsize=None)
 def face_keys(n: int) -> MappingProxyType:
     """Document key ("1-" .. f"{n}+") of each (direction, sign) of an n-shell, in slot order."""
-    return MappingProxyType({f"{i}{sign}": (i, sign) for i in range(1, n + 1) for sign in SIGNS})
+    return MappingProxyType({f"{i}{sign}": (i, sign) for i, sign in slots(n)})
 
 
 def _face_ids(view, s: Shell) -> tuple:
@@ -94,33 +95,27 @@ def _face_ids(view, s: Shell) -> tuple:
 
 def check_incidence(system: CubeSystem, shell: Shell) -> None:
     """Faces of faces must agree across the shell."""
-    n = shell.dim
     view = system.id_view
     faces, face = _face_ids(view, shell), view.face
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            for a in SIGNS:
-                for b in SIGNS:
-                    lhs = face(faces[_slot(i, a)], j, b)
-                    rhs = face(faces[_slot(j, b)], i - 1, a)
-                    if lhs != rhs:
-                        raise BoundaryMismatch(
-                            f"incidence fails between faces ({i},{a}) and ({j},{b})"
-                        )
+    for (i, a), (j, b), (k, c) in incidences(shell.dim):
+        if face(faces[slot(i, a)], j, b) != face(faces[slot(j, b)], k, c):
+            raise BoundaryMismatch(
+                f"incidence fails between faces ({i},{a}) and ({j},{b})"
+            )
 
 
 def make_shell(system: CubeSystem, dim: int, faces: dict) -> Shell:
     """Validating constructor from a {(direction, sign): element} mapping."""
     if dim < 1:
         raise IndexOutOfRange("make_shell", dim, dim)
-    missing = [(i, s) for i in range(1, dim + 1) for s in SIGNS if (i, s) not in faces]
+    missing = [key for key in slots(dim) if key not in faces]
     if missing:
         raise BoundaryMismatch(f"shell misses faces {missing}")
     for (i, s), f in faces.items():
         if system.dim(f) != dim - 1:
             raise BoundaryMismatch(f"face ({i},{s}) has dimension {system.dim(f)}")
     view = system.id_view
-    shell = Shell(view, dim, tuple(view.id(faces[i, s]) for i in range(1, dim + 1) for s in SIGNS))
+    shell = Shell(view, dim, tuple(view.id(faces[key]) for key in slots(dim)))
     check_incidence(system, shell)
     return shell
 
@@ -137,11 +132,11 @@ def boundary(system: CubeSystem, x) -> Shell:
         raise IndexOutOfRange("boundary", 1, n)
     view = system.id_view
     k, face = view.id(x), view.face
-    return Shell(view, n, tuple([face(k, i, s) for i in range(1, n + 1) for s in SIGNS]))
+    return Shell(view, n, tuple([face(k, i, s) for i, s in slots(n)]))
 
 
 # ---------------------------------------------------------------------------
-# formal shell operations (faces transcribed from the corresponding laws)
+# formal shell operations (each face is the core face law, on ids)
 
 
 def shell_compose(system: CubeSystem, s: Shell, t: Shell, i: int) -> Shell:
@@ -150,21 +145,12 @@ def shell_compose(system: CubeSystem, s: Shell, t: Shell, i: int) -> Shell:
         raise IndexOutOfRange("shell_compose", i, n)
     view = system.id_view
     sf, tf = _face_ids(view, s), _face_ids(view, t)
-    minus = 2 * i - 2  # the slot of (i, -); (i, +) follows it
-    if sf[minus + 1] != tf[minus]:
-        raise NotComposable(
-            i, view.describe(sf[minus + 1]), view.describe(tf[minus]), "shell_compose"
-        )
-    compose = view.compose
-    faces = []
-    for j in range(1, n + 1):
-        k = 2 * j - 2
-        if j == i:
-            faces += sf[k], tf[k + 1]
-        else:
-            i2 = i - 1 if j < i else i
-            faces += compose(sf[k], tf[k], i2), compose(sf[k + 1], tf[k + 1], i2)
-    return Shell(view, n, tuple(faces))
+    upper, lower = sf[slot(i, PLUS)], tf[slot(i, MINUS)]
+    if upper != lower:
+        raise NotComposable(i, view.describe(upper), view.describe(lower), "shell_compose")
+    return Shell(view, n, tuple([
+        composite_face(view, x, y, i, j, sign) for x, y, (j, sign) in zip(sf, tf, slots(n))
+    ]))
 
 
 def shell_degeneracy(system: CubeSystem, a, j: int) -> Shell:
@@ -173,16 +159,7 @@ def shell_degeneracy(system: CubeSystem, a, j: int) -> Shell:
         raise IndexOutOfRange("shell_degeneracy", j, n - 1)
     view = system.id_view
     k = view.id(a)
-    faces = []
-    for i in range(1, n + 1):
-        for s in SIGNS:
-            if i == j:
-                faces.append(k)
-            elif i < j:
-                faces.append(view.degeneracy(view.face(k, i, s), j - 1))
-            else:
-                faces.append(view.degeneracy(view.face(k, i - 1, s), j))
-    return Shell(view, n, tuple(faces))
+    return Shell(view, n, tuple([degeneracy_face(view, k, j, i, s) for i, s in slots(n)]))
 
 
 def shell_connection(system: CubeSystem, a, j: int, sign: Sign) -> Shell:
@@ -191,16 +168,7 @@ def shell_connection(system: CubeSystem, a, j: int, sign: Sign) -> Shell:
         raise IndexOutOfRange("shell_connection", j, n - 1)
     view = system.id_view
     k = view.id(a)
-    faces = []
-    for i in range(1, n + 1):
-        for s in SIGNS:
-            if i in (j, j + 1):
-                faces.append(k if s == sign else view.degeneracy(view.face(k, j, s), j))
-            elif i < j:
-                faces.append(view.connection(view.face(k, i, s), j - 1, sign))
-            else:
-                faces.append(view.connection(view.face(k, i - 1, s), j, sign))
-    return Shell(view, n, tuple(faces))
+    return Shell(view, n, tuple([connection_face(view, k, j, sign, i, s) for i, s in slots(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +184,7 @@ class ShellExtension(CubeSystem):
     Nothing above ``top`` is representable, hence the operation ceiling.
     """
 
-    def __init__(self, base: CubeSystem, top: Optional[int] = None):
-        if top is None:
-            top = base.max_dim + 1
+    def __init__(self, base: CubeSystem, top: int):
         if top < 1:
             raise ValueError("shell extension needs top >= 1")
         self.top = top
@@ -284,10 +250,23 @@ class ShellExtension(CubeSystem):
         for depth in range(self.top):
             index: dict = {}
             for x in elements:
-                key = tuple(view.face(x, j, b) for j in range(1, depth + 1) for b in SIGNS)
+                key = tuple([view.face(x, j, b) for j, b in slots(depth)])
                 index.setdefault(key, []).append(x)
             profile_index.append(index)
         return profile_index
+
+    @cached_property
+    def _incidence_plan(self) -> tuple:
+        """FACE-FACE read for the search: face q of the face placed at slot p
+        is face r of the face placed earlier at slot q.  ``needs[p]`` lists
+        (slot of q, *r) in the order of the profile key, and ``meet[p, q]`` is r.
+        """
+        needs: list = [[] for _ in slots(self.top)]
+        meet: dict = {}
+        for p, q, r in incidences(self.top):
+            needs[slot(*p)].append((slot(*q), *r))
+            meet[p, q] = r
+        return needs, meet
 
     def _shells(self, rng=None, pins: Optional[dict] = None) -> Iterator[Shell]:
         """Top shells, assembled face pair by face pair with backtracking.
@@ -299,41 +278,42 @@ class ShellExtension(CubeSystem):
         maps some (i, sign) to the base element id that face must be.
         """
         view, n, profile_index = self.base.id_view, self.top, self._profile_index
-        face = view.face
+        face, keys = view.face, slots(n)
+        needs, meet = self._incidence_plan
         chosen: list = []  # ids of the faces placed so far, in slot order
         budget = NODE_BUDGET if rng is not None else math.inf
 
-        def fits_pins(c: int, i: int, sign: Sign) -> bool:
-            for (pi, ps), pv in pins.items():
-                if pi > i and face(c, pi - 1, ps) != face(pv, i, sign):
-                    return False
-            return True
+        # per slot, what the pinned faces ask of its candidate: face (j, b) is f
+        pin_checks = [
+            [(*meet[pinned, key], face(pv, *key)) for pinned, pv in pins.items()
+             if (pinned, key) in meet]
+            for key in keys
+        ] if pins else None
 
-        def place(slot: int) -> Iterator[Shell]:
+        def place(at: int) -> Iterator[Shell]:
             nonlocal budget
             if budget <= 0:
                 return
             budget -= 1
-            if slot == 2 * n:
+            if at == len(keys):
                 yield Shell(view, n, tuple(chosen))
                 return
-            i, sign = slot // 2 + 1, SIGNS[slot % 2]
-            req = tuple([face(c, i - 1, sign) for c in chosen[: 2 * i - 2]])
-            if pins and (i, sign) in pins:
-                pv = pins[i, sign]
-                cands = [pv] if req == tuple(
-                    face(pv, j, b) for j in range(1, i) for b in SIGNS
-                ) else []
+            key = keys[at]
+            req = tuple([face(chosen[q], j, b) for q, j, b in needs[at]])
+            if pins and key in pins:
+                pv = pins[key]
+                cands = [pv] if req == tuple([face(pv, j, b) for j, b in slots(key[0] - 1)]) else []
             else:
-                cands = profile_index[i - 1].get(req, ())
+                cands = profile_index[key[0] - 1].get(req, ())
                 if pins:
-                    cands = [c for c in cands if fits_pins(c, i, sign)]
+                    for j, b, f in pin_checks[at]:
+                        cands = [c for c in cands if face(c, j, b) == f]
                 if rng is not None:
                     cands = list(cands)
                     rng.shuffle(cands)
             for c in cands:
                 chosen.append(c)
-                yield from place(slot + 1)
+                yield from place(at + 1)
                 chosen.pop()
 
         return place(0)

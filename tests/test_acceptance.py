@@ -94,7 +94,7 @@ def test_criterion_3_unique_filler_round_trip():
     for label, system in all_systems(3):
         for n in (1, 2, 3):
             for x in system.cubes(n):
-                folded = big_psi(system, x, verify=False).folded
+                folded = big_psi(system, x).folded
                 if filler_from_fold(system, folded, boundary(system, x)) != x:
                     failures.append(f"{label}: dim-{n} round trip")
                     break

@@ -1,17 +1,24 @@
 """Registry laws: API contract, spot checks, and seeded properties."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubecat import (
     MINUS,
     PLUS,
+    SIGNS,
     BrokenNerveSystem,
     bundled_category,
     check_axiom,
+    core,
+    nerve,
     run_axiom_suite,
+    run_suite,
+    shells,
 )
-from cubecat.core import REGISTRY, composable_pairs, run_law
+from cubecat.core import REGISTRY, composable_pairs, incidences, run_law, slots
 from cubecat.errors import MalformedSample, UnknownLaw
 from conftest import nerve_of, tower_of
 
@@ -176,3 +183,38 @@ def test_unavailable_draw_is_skipped(monkeypatch):
     report = run_law(tower_of("poset22", 3), law, **options)
     assert len(misses) == 1
     assert report.passed and report.instances == exhaustive + 9
+
+
+def test_slot_order_and_incidences():
+    assert slots(2) == ((1, MINUS), (1, PLUS), (2, MINUS), (2, PLUS))
+    assert incidences(2) == tuple(
+        ((2, a), (1, b), (1, a)) for a in SIGNS for b in SIGNS
+    )
+    # one incidence per pair of directions j < i and per choice of their two signs
+    for n in range(5):
+        assert len(incidences(n)) == 4 * n * (n - 1) // 2
+        assert all(j < i and k == i - 1 for (i, _), (j, _), (k, _) in incidences(n))
+
+
+def test_a_wrong_shared_face_formula_fails_its_law_and_lemma_1_3(monkeypatch):
+    """The GAMMA-FACE law and the formal shell connection read one formula;
+    the nerve builds its connections on its own, so an off-by-one in that
+    formula fails both the law and Lemma 1.3 (boundaries are a morphism)."""
+    assert shells.connection_face is core.connection_face
+    right = core.connection_face
+
+    def off_by_one(view, k, j, g, i, sign):
+        if i < j:  # face i + 1 of k where face i belongs
+            return view.connection(view.face(k, i + 1, sign), j - 1, g)
+        return right(view, k, j, g, i, sign)
+
+    for module in (core, shells):
+        monkeypatch.setattr(module, "connection_face", off_by_one)
+    system = nerve(bundled_category("poset22"), 3)  # fresh: its tables see only the mutant
+    options = dict(max_dim=3, exhaustive_dim=3, samples=0)
+    law = run_law(system, REGISTRY["GAMMA-FACE"], **options)
+    lemma = run_suite(system, "lemma-1.3", **options)
+    assert not law.passed and not lemma.passed
+    # a mismatch of values, first met on a 2-cube, not an error
+    assert re.fullmatch(r"d[-+]1 G[-+]2", law.counterexample["equation"])
+    assert re.fullmatch(r"gamma: boundary of G[-+]2 x", lemma.counterexample["equation"])

@@ -26,7 +26,7 @@ from cubecat import (
     unfold_step,
 )
 from cubecat.cli import unfold_partition
-from cubecat.errors import NotCommutative, NotThin, PreconditionFailed
+from cubecat.errors import NotCommutative, NotThin, ParseError, PreconditionFailed
 from conftest import edge_cube, nerve_of, tower_of
 
 
@@ -202,6 +202,20 @@ def test_expression_documents_round_trip(poset_nerve):
     assert "\\u2212" in text or "−" in text
     swapped = json.loads(text.replace("\\u2212", "-"))
     assert evaluate(poset_nerve, expression_from_doc(poset_nerve, swapped)) == x
+
+
+@pytest.mark.parametrize("bad", ["x", 1e999], ids=["word", "inf"])
+@pytest.mark.parametrize("kind", ["eps", "gamma", "compose"])
+def test_expression_documents_with_a_bad_dir_are_parse_errors(poset_nerve, kind, bad):
+    cube = poset_nerve.describe(poset_nerve.cubes(1)[0])
+    leaf = {"kind": "eps", "dir": 1, "cube": cube}
+    doc = {
+        "eps": {"kind": "eps", "dir": bad, "cube": cube},
+        "gamma": {"kind": "gamma", "dir": bad, "sign": "+", "cube": cube},
+        "compose": {"kind": "compose", "dir": bad, "left": leaf, "right": leaf},
+    }[kind]
+    with pytest.raises(ParseError, match="malformed expression document"):
+        expression_from_doc(poset_nerve, doc)
 
 
 def test_base_leaves_detected(poset_nerve):
