@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     CubicalError,
@@ -480,18 +480,22 @@ class Law:
     """One checked statement: a registry law, or one part of a theorem suite.
 
     A suite is one or more parts under its id; :func:`run_law` and
-    ``suites.run_suite`` hand their parts to one runner.  ``kind`` fixes
-    how a part is bound.  For "element" the runner binds one cube, for
-    "pair"/"triple" a composable tuple plus its direction ``i``, for "grid"
-    a 2x2 composable grid plus the directions ``i`` and ``j``, all as
-    element ids; ``equations(view, binding)`` then yields (label, lhs, rhs)
-    on the id view.  A "pool" part is handed a whole dimension:
-    ``equations(view, n, stream)`` draws what it needs from the check's
-    :class:`Stream` and yields (binding, label, lhs, rhs); a "top" part is
-    a pool part run only at the highest dimension the run reaches.  A
-    statement holds when lhs == rhs (a predicate is yielded as (label,
-    value, True)); a label is a function naming it, called only for a
-    counterexample.
+    ``suites.run_suite`` hand their parts to one runner.  Every part yields
+    one statement shape, (binding, label, lhs, rhs), on the id view.
+    ``kind`` fixes how a part is bound.  An "element", "pair", "triple" or
+    "grid" part is bound: ``equations(view, bindings)`` consumes the
+    runner's stream of binding tuples of element ids, laid out per kind as
+    in :data:`LAYOUTS`: (x,), (x, y, i) for a composable pair in direction
+    i, (x, y, z, i) for a composable triple, and (x, y, z, w, i, j) for a
+    2x2 grid composable in directions i and j.  It yields each binding's
+    statements lazily, with the binding first, and asks for the next
+    binding when they are done.  A "pool" part is handed a whole
+    dimension: ``equations(view, n, stream)`` draws what it needs from the
+    check's :class:`Stream` and names its own bindings as dicts; a "top"
+    part is a pool part run only at the highest dimension the run reaches.
+    A statement holds when lhs == rhs (a predicate is yielded as (binding,
+    label, value, True)); a label is a function naming it, called only for
+    a counterexample.
 
     ``min_dim`` is the lowest dimension the part is checked at, ``lift``
     how far above it its terms climb (used to skip instantiations a bounded
@@ -509,186 +513,205 @@ class Law:
     exhaustive_only: bool = False
 
 
-def _eq_face_face(sys: IdView, b) -> Iterator:
-    x = b["x"]
+def _eq_face_face(sys: IdView, bindings) -> Iterator:
     face = sys.face
-    for (i, a), (j, bt), (k, c) in incidences(sys.dim(x)):
-        yield (lambda: f"d{bt}{j} d{a}{i}", face(face(x, i, a), j, bt), face(face(x, j, bt), k, c))
+    for b in bindings:
+        x, = b
+        for (i, a), (j, bt), (k, c) in incidences(sys.dim(x)):
+            yield (b, lambda: f"d{bt}{j} d{a}{i}",
+                   face(face(x, i, a), j, bt), face(face(x, j, bt), k, c))
 
 
-def _eq_eps_face(sys: IdView, b) -> Iterator:
-    x = b["x"]
-    n = sys.dim(x)
-    for j in range(1, n + 2):
-        ex = sys.degeneracy(x, j)
-        for i, a in slots(n + 1):
-            yield (lambda: f"d{a}{i} e{j}", sys.face(ex, i, a), degeneracy_face(sys, x, j, i, a))
+def _eq_eps_face(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, = b
+        n = sys.dim(x)
+        for j in range(1, n + 2):
+            ex = sys.degeneracy(x, j)
+            for i, a in slots(n + 1):
+                yield (b, lambda: f"d{a}{i} e{j}",
+                       sys.face(ex, i, a), degeneracy_face(sys, x, j, i, a))
 
 
-def _eq_eps_eps(sys: IdView, b) -> Iterator:
-    x = b["x"]
-    n = sys.dim(x)
-    for j in range(1, n + 2):
-        for i in range(1, j + 1):
+def _eq_eps_eps(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, = b
+        for j in range(1, sys.dim(x) + 2):
+            for i in range(1, j + 1):
+                yield (
+                    b,
+                    lambda: f"e{i} e{j}",
+                    sys.degeneracy(sys.degeneracy(x, j), i),
+                    sys.degeneracy(sys.degeneracy(x, i), j + 1),
+                )
+
+
+def _eq_eps_unit(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, = b
+        for i in range(1, sys.dim(x) + 1):
+            left = sys.degeneracy(sys.face(x, i, MINUS), i)
+            right = sys.degeneracy(sys.face(x, i, PLUS), i)
+            yield (b, lambda: f"left unit o{i}", sys.compose(left, x, i), x)
+            yield (b, lambda: f"right unit o{i}", sys.compose(x, right, i), x)
+
+
+def _eq_comp_face(sys: IdView, bindings) -> Iterator:
+    face, compose = sys.face, sys.compose
+    for b in bindings:
+        x, y, i = b
+        z = compose(x, y, i)
+        # the two i-faces first, then the others in slot order
+        for j, a in ((i, MINUS), (i, PLUS), *(key for key in slots(sys.dim(x)) if key[0] != i)):
             yield (
-                lambda: f"e{i} e{j}",
-                sys.degeneracy(sys.degeneracy(x, j), i),
-                sys.degeneracy(sys.degeneracy(x, i), j + 1),
+                b,
+                lambda: f"d{a}{j} (x o{i} y)",
+                face(z, j, a),
+                composite_face(sys, face(x, j, a), face(y, j, a), i, j, a),
             )
 
 
-def _eq_eps_unit(sys: IdView, b) -> Iterator:
-    x = b["x"]
-    n = sys.dim(x)
-    for i in range(1, n + 1):
-        left = sys.degeneracy(sys.face(x, i, MINUS), i)
-        right = sys.degeneracy(sys.face(x, i, PLUS), i)
-        yield (lambda: f"left unit o{i}", sys.compose(left, x, i), x)
-        yield (lambda: f"right unit o{i}", sys.compose(x, right, i), x)
+def _eq_assoc(sys: IdView, bindings) -> Iterator:
+    compose = sys.compose
+    for b in bindings:
+        x, y, z, i = b
+        yield (b, lambda: f"assoc o{i}",
+               compose(compose(x, y, i), z, i), compose(x, compose(y, z, i), i))
 
 
-def _eq_comp_face(sys: IdView, b) -> Iterator:
-    x, y, i = b["x"], b["y"], b["i"]
-    face = sys.face
-    z = sys.compose(x, y, i)
-    # the two i-faces first, then the others in slot order
-    for j, a in ((i, MINUS), (i, PLUS), *(key for key in slots(sys.dim(x)) if key[0] != i)):
+def _eq_interchange(sys: IdView, bindings) -> Iterator:
+    compose = sys.compose
+    for b in bindings:
+        x, y, z, w, i, j = b
         yield (
-            lambda: f"d{a}{j} (x o{i} y)",
-            face(z, j, a),
-            composite_face(sys, face(x, j, a), face(y, j, a), i, j, a),
+            b,
+            lambda: f"interchange o{i}/o{j}",
+            compose(compose(x, y, i), compose(z, w, i), j),
+            compose(compose(x, z, j), compose(y, w, j), i),
         )
 
 
-def _eq_assoc(sys: IdView, b) -> Iterator:
-    x, y, z, i = b["x"], b["y"], b["z"], b["i"]
-    yield (
-        lambda: f"assoc o{i}",
-        sys.compose(sys.compose(x, y, i), z, i),
-        sys.compose(x, sys.compose(y, z, i), i),
-    )
+def _eq_eps_comp(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, y, i = b
+        z = sys.compose(x, y, i)
+        for j in range(1, sys.dim(x) + 2):
+            i2 = i + 1 if j <= i else i
+            yield (
+                b,
+                lambda: f"e{j} (x o{i} y)",
+                sys.degeneracy(z, j),
+                sys.compose(sys.degeneracy(x, j), sys.degeneracy(y, j), i2),
+            )
 
 
-def _eq_interchange(sys: IdView, b) -> Iterator:
-    x, y, z, w, i, j = b["x"], b["y"], b["z"], b["w"], b["i"], b["j"]
-    yield (
-        lambda: f"interchange o{i}/o{j}",
-        sys.compose(sys.compose(x, y, i), sys.compose(z, w, i), j),
-        sys.compose(sys.compose(x, z, j), sys.compose(y, w, j), i),
-    )
-
-
-def _eq_eps_comp(sys: IdView, b) -> Iterator:
-    x, y, i = b["x"], b["y"], b["i"]
-    n = sys.dim(x)
-    z = sys.compose(x, y, i)
-    for j in range(1, n + 2):
-        i2 = i + 1 if j <= i else i
-        yield (
-            lambda: f"e{j} (x o{i} y)",
-            sys.degeneracy(z, j),
-            sys.compose(sys.degeneracy(x, j), sys.degeneracy(y, j), i2),
-        )
-
-
-def _eq_gamma_face(sys: IdView, b) -> Iterator:
-    x = b["x"]
-    n = sys.dim(x)
-    for i in range(1, n + 1):
-        for g in SIGNS:
-            cx = sys.connection(x, i, g)
-            for m, a in slots(n + 1):
-                yield (lambda: f"d{a}{m} G{g}{i}", sys.face(cx, m, a),
-                       connection_face(sys, x, i, g, m, a))
-
-
-def _eq_gamma_eps(sys: IdView, b) -> Iterator:
-    x = b["x"]
-    n = sys.dim(x)
-    for j in range(1, n + 2):
-        ex = sys.degeneracy(x, j)
-        for i in range(1, n + 2):
+def _eq_gamma_face(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, = b
+        n = sys.dim(x)
+        for i in range(1, n + 1):
             for g in SIGNS:
-                lhs = sys.connection(ex, i, g)
-                if j == i:
-                    rhs = sys.degeneracy(sys.degeneracy(x, i), i)
-                elif j < i:
-                    rhs = sys.degeneracy(sys.connection(x, i - 1, g), j)
-                else:
-                    rhs = sys.degeneracy(sys.connection(x, i, g), j + 1)
-                yield (lambda: f"G{g}{i} e{j}", lhs, rhs)
+                cx = sys.connection(x, i, g)
+                for m, a in slots(n + 1):
+                    yield (b, lambda: f"d{a}{m} G{g}{i}", sys.face(cx, m, a),
+                           connection_face(sys, x, i, g, m, a))
 
 
-def _eq_gamma_gamma(sys: IdView, b) -> Iterator:
-    x = b["x"]
-    n = sys.dim(x)
-    for j in range(1, n + 1):
-        for bt in SIGNS:
-            cx = sys.connection(x, j, bt)
+def _eq_gamma_eps(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, = b
+        n = sys.dim(x)
+        for j in range(1, n + 2):
+            ex = sys.degeneracy(x, j)
             for i in range(1, n + 2):
-                for a in SIGNS:
-                    # mixed signs at equal or upper-adjacent index have no plain law
-                    if i in (j, j + 1) and a != bt:
-                        continue
-                    lhs = sys.connection(cx, i, a)
-                    if i == j:
-                        rhs = sys.connection(cx, i + 1, a)
-                    elif i == j + 1:
-                        rhs = sys.connection(cx, j, bt)
-                    elif i < j:
-                        rhs = sys.connection(sys.connection(x, i, a), j + 1, bt)
+                for g in SIGNS:
+                    lhs = sys.connection(ex, i, g)
+                    if j == i:
+                        rhs = sys.degeneracy(sys.degeneracy(x, i), i)
+                    elif j < i:
+                        rhs = sys.degeneracy(sys.connection(x, i - 1, g), j)
                     else:
-                        rhs = sys.connection(sys.connection(x, i - 1, a), j, bt)
-                    yield (lambda: f"G{a}{i} G{bt}{j}", lhs, rhs)
+                        rhs = sys.degeneracy(sys.connection(x, i, g), j + 1)
+                    yield (b, lambda: f"G{g}{i} e{j}", lhs, rhs)
 
 
-def _eq_gamma_comp(sys: IdView, b) -> Iterator:
-    x, y, i = b["x"], b["y"], b["i"]
-    n = sys.dim(x)
-    z = sys.compose(x, y, i)
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        i2 = i + 1 if j < i else i
-        for g in SIGNS:
-            yield (
-                lambda: f"G{g}{j} (x o{i} y)",
-                sys.connection(z, j, g),
-                sys.compose(sys.connection(x, j, g), sys.connection(y, j, g), i2),
-            )
+def _eq_gamma_gamma(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, = b
+        n = sys.dim(x)
+        for j in range(1, n + 1):
+            for bt in SIGNS:
+                cx = sys.connection(x, j, bt)
+                for i in range(1, n + 2):
+                    for a in SIGNS:
+                        # mixed signs at equal or upper-adjacent index have no plain law
+                        if i in (j, j + 1) and a != bt:
+                            continue
+                        lhs = sys.connection(cx, i, a)
+                        if i == j:
+                            rhs = sys.connection(cx, i + 1, a)
+                        elif i == j + 1:
+                            rhs = sys.connection(cx, j, bt)
+                        elif i < j:
+                            rhs = sys.connection(sys.connection(x, i, a), j + 1, bt)
+                        else:
+                            rhs = sys.connection(sys.connection(x, i - 1, a), j, bt)
+                        yield (b, lambda: f"G{a}{i} G{bt}{j}", lhs, rhs)
 
 
-def _eq_transport(sys: IdView, b) -> Iterator:
-    a, bb, i = b["x"], b["y"], b["i"]
-    top = sys.compose(sys.connection(a, i, PLUS), sys.degeneracy(a, i + 1), i + 1)
-    bottom = sys.compose(sys.degeneracy(a, i), sys.connection(bb, i, PLUS), i + 1)
-    yield (
-        lambda: f"G+{i} of o{i}-composite",
-        sys.connection(sys.compose(a, bb, i), i, PLUS),
-        sys.compose(top, bottom, i),
-    )
+def _eq_gamma_comp(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, y, i = b
+        z = sys.compose(x, y, i)
+        for j in range(1, sys.dim(x) + 1):
+            if j == i:
+                continue
+            i2 = i + 1 if j < i else i
+            for g in SIGNS:
+                yield (
+                    b,
+                    lambda: f"G{g}{j} (x o{i} y)",
+                    sys.connection(z, j, g),
+                    sys.compose(sys.connection(x, j, g), sys.connection(y, j, g), i2),
+                )
 
 
-def _eq_transport_minus(sys: IdView, b) -> Iterator:
-    a, bb, i = b["x"], b["y"], b["i"]
-    top = sys.compose(sys.connection(a, i, MINUS), sys.degeneracy(bb, i), i + 1)
-    bottom = sys.compose(sys.degeneracy(bb, i + 1), sys.connection(bb, i, MINUS), i + 1)
-    yield (
-        lambda: f"G-{i} of o{i}-composite",
-        sys.connection(sys.compose(a, bb, i), i, MINUS),
-        sys.compose(top, bottom, i),
-    )
+def _eq_transport(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        a, bb, i = b
+        top = sys.compose(sys.connection(a, i, PLUS), sys.degeneracy(a, i + 1), i + 1)
+        bottom = sys.compose(sys.degeneracy(a, i), sys.connection(bb, i, PLUS), i + 1)
+        yield (
+            b,
+            lambda: f"G+{i} of o{i}-composite",
+            sys.connection(sys.compose(a, bb, i), i, PLUS),
+            sys.compose(top, bottom, i),
+        )
 
 
-def _eq_gamma_cancel(sys: IdView, b) -> Iterator:
-    x = b["x"]
-    n = sys.dim(x)
-    for i in range(1, n + 1):
-        plus = sys.connection(x, i, PLUS)
-        minus = sys.connection(x, i, MINUS)
-        yield (lambda: f"G+{i} o{i+1} G-{i}",
-               sys.compose(plus, minus, i + 1), sys.degeneracy(x, i))
-        yield (lambda: f"G+{i} o{i} G-{i}", sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
+def _eq_transport_minus(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        a, bb, i = b
+        top = sys.compose(sys.connection(a, i, MINUS), sys.degeneracy(bb, i), i + 1)
+        bottom = sys.compose(sys.degeneracy(bb, i + 1), sys.connection(bb, i, MINUS), i + 1)
+        yield (
+            b,
+            lambda: f"G-{i} of o{i}-composite",
+            sys.connection(sys.compose(a, bb, i), i, MINUS),
+            sys.compose(top, bottom, i),
+        )
+
+
+def _eq_gamma_cancel(sys: IdView, bindings) -> Iterator:
+    for b in bindings:
+        x, = b
+        for i in range(1, sys.dim(x) + 1):
+            plus = sys.connection(x, i, PLUS)
+            minus = sys.connection(x, i, MINUS)
+            yield (b, lambda: f"G+{i} o{i+1} G-{i}",
+                   sys.compose(plus, minus, i + 1), sys.degeneracy(x, i))
+            yield (b, lambda: f"G+{i} o{i} G-{i}",
+                   sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
 
 
 LAWS = (
@@ -761,102 +784,109 @@ class LawReport:
         }
 
 
-def _describe_binding(describe: Callable, binding: dict) -> dict:
+class Layout(NamedTuple):
+    """How a bound kind lays out its binding tuple."""
+
+    names: tuple  # the name of each position: the elements, then the directions
+    arity: int  # how many elements lead the tuple
+    mates: tuple  # (left, right, direction) positions of each pair that must compose
+
+
+LAYOUTS = {
+    "element": Layout(("x",), 1, ()),
+    "pair": Layout(("x", "y", "i"), 2, ((0, 1, 2),)),
+    "triple": Layout(("x", "y", "z", "i"), 3, ((0, 1, 3), (1, 2, 3))),
+    "grid": Layout(("x", "y", "z", "w", "i", "j"), 4,
+                   ((0, 1, 4), (2, 3, 4), (0, 2, 5), (1, 3, 5))),
+}
+
+
+def _binding(kind: str, elements, i: Optional[int], j: Optional[int]) -> tuple:
+    """The binding tuple of ``kind``: the elements, then as many of i, j as it has."""
+    return (*elements, i, j)[:len(LAYOUTS[kind].names)]
+
+
+def _describe_binding(describe: Callable, kind: str, binding) -> dict:
+    # a bound part's tuple is named by its layout; a pool part names its own
+    if kind in LAYOUTS:
+        binding = dict(zip(LAYOUTS[kind].names, binding))
     # the slots i and j hold directions; every other slot holds an element
     return {k: v if k in ("i", "j") else describe(v) for k, v in binding.items()}
 
 
-def _evaluate(law_id: str, view: IdView, groups: Iterable, describe: Callable,
+def _evaluate(law_id: str, view: IdView, groups: Callable, describe: Callable,
               per_statement: bool) -> LawReport:
-    """Check bindings up to the first failing statement, timed.
+    """Check statements up to the first failing one, timed.
 
-    Each group is (equations, bindings): every binding is checked against
-    the statements ``equations(view, binding)`` yields, or, for equations
-    None, is a (binding, label, lhs, rhs) statement itself.  An instance is
-    one binding, or with ``per_statement`` one statement.  A failure
-    reports the binding described, the statement's label, and lhs and rhs
-    unless they are truth values; a :class:`CubicalError`, which a
-    law-abiding model never raises, reports its type and message.
+    ``groups(follow)`` yields (kind, statements) for each part and
+    dimension, the statements being (binding, label, lhs, rhs).  A bound
+    part draws its bindings through ``follow``, which counts each one, so
+    a binding that yields no statement counts too, and holds it until the
+    part asks for the next.  An instance is one binding of a bound part,
+    or with ``per_statement`` one statement.  A failure reports the
+    statement's binding described, its label, and lhs and rhs unless they
+    are truth values; a :class:`CubicalError`, which a law-abiding model
+    never raises, reports its type and message, and the binding being
+    checked when it was raised, if any.
     """
     report = LawReport(law_id=law_id)
     start = time.perf_counter()
     bound = checked = 0
-    binding = None
+    current = None  # the binding a bound part is checking
+
+    def follow(bindings: Iterable) -> Iterator:
+        nonlocal bound, current
+        for current in bindings:
+            bound += 1
+            yield current
+            current = None  # an error from here on is not this binding's
+
     try:
-        for equations, bindings in groups:
-            for binding in bindings:
-                bound += 1
-                if equations is None:
-                    binding, *statement = binding
-                    statements = (statement,)
-                else:
-                    statements = equations(view, binding)
-                for label, lhs, rhs in statements:
-                    checked += 1
-                    if lhs != rhs:
-                        break
-                else:
-                    binding = None  # an error from here on is not this binding's
-                    continue
-                report.passed = False
-                report.counterexample = {
-                    "binding": _describe_binding(describe, binding),
-                    "equation": label(),
-                }
-                if not isinstance(lhs, bool):
-                    report.counterexample.update(lhs=describe(lhs), rhs=describe(rhs))
-                break
-            if not report.passed:
-                break
+        for kind, statements in groups(follow):
+            for binding, label, lhs, rhs in statements:
+                checked += 1
+                if lhs != rhs:
+                    break
+            else:
+                continue
+            report.passed = False
+            report.counterexample = {
+                "binding": _describe_binding(describe, kind, binding),
+                "equation": label(),
+            }
+            if not isinstance(lhs, bool):
+                report.counterexample.update(lhs=describe(lhs), rhs=describe(rhs))
+            break
     except CubicalError as exc:
         report.passed = False
         report.counterexample = {"error": type(exc).__name__, "message": str(exc)}
-        if binding is not None:
-            report.counterexample["binding"] = _describe_binding(describe, binding)
+        if current is not None:
+            report.counterexample["binding"] = _describe_binding(describe, kind, current)
     report.instances = checked if per_statement else bound
     report.wall_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def _exhaustive_bindings(view: IdView, kind: str, n: int) -> Iterator[dict]:
+def _exhaustive_bindings(view: IdView, kind: str, n: int) -> Iterator[tuple]:
     elements = view.pool(n)
     if kind == "pair":
         for i in range(1, n + 1):
             for x, y in composable_pairs(view, elements, i):
-                yield {"x": x, "y": y, "i": i}
+                yield x, y, i
     elif kind == "triple":
         for i in range(1, n + 1):
             for x, y, z in composable_triples(view, elements, i):
-                yield {"x": x, "y": y, "z": z, "i": i}
+                yield x, y, z, i
     elif kind == "grid":
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                for x, y, z, w in interchange_grids(view, elements, i, j):
-                    yield {"x": x, "y": y, "z": z, "w": w, "i": i, "j": j}
+                directions = (i, j)
+                for grid in interchange_grids(view, elements, i, j):
+                    yield grid + directions
     else:  # pragma: no cover
         raise ValueError(kind)
-
-
-# The element slots of each binding shape, and the slot pairs that must
-# compose: (left, right, slot of the direction).
-SLOTS = {"element": "x", "pair": "xy", "triple": "xyz", "grid": "xyzw"}
-MATES = {
-    "element": (),
-    "pair": (("x", "y", "i"),),
-    "triple": (("x", "y", "i"), ("y", "z", "i")),
-    "grid": (("x", "y", "i"), ("z", "w", "i"), ("x", "z", "j"), ("y", "w", "j")),
-}
-
-
-def _binding(kind: str, elements, i: Optional[int], j: Optional[int]) -> dict:
-    binding = dict(zip(SLOTS[kind], elements))
-    if kind != "element":
-        binding["i"] = i
-    if kind == "grid":
-        binding["j"] = j
-    return binding
 
 
 class Stream:
@@ -881,15 +911,15 @@ class Stream:
         draws = (system.sample_element(n, self.rng) for _ in range(self.samples))
         return [view.id(x) for x in draws if x is not None]
 
-    def bindings(self, system: CubeSystem, kind: str, n: int) -> Iterator[dict]:
-        """Element, pair, triple or grid bindings of ids at dimension n."""
+    def bindings(self, system: CubeSystem, kind: str, n: int) -> Iterator[tuple]:
+        """Element, pair, triple or grid binding tuples of ids at dimension n."""
         if kind == "element":
-            return ({"x": x} for x in self.elements(system, n))
+            return zip(self.elements(system, n))
         if n <= self.exhaustive_dim:
             return _exhaustive_bindings(system.id_view, kind, n)
         return self._sampled_bindings(system, kind, n)
 
-    def _sampled_bindings(self, system: CubeSystem, kind: str, n: int) -> Iterator[dict]:
+    def _sampled_bindings(self, system: CubeSystem, kind: str, n: int) -> Iterator[tuple]:
         # composable mates may be scarce: at most 20 attempts per binding
         rng, view = self.rng, system.id_view
         hook = {"pair": system.sample_pair, "triple": system.sample_triple}.get(kind)
@@ -942,15 +972,16 @@ def _run(
         if part.kind != "top" or n == top
     )
 
-    def groups():
+    def groups(follow):
         for n, k in plan:
             part = parts[k]
-            if part.kind in ("pool", "top"):
-                yield None, part.equations(view, n, stream)
+            if part.kind in LAYOUTS:
+                bindings = follow(stream.bindings(system, part.kind, n))
+                yield part.kind, part.equations(view, bindings)
             else:
-                yield part.equations, stream.bindings(system, part.kind, n)
+                yield part.kind, part.equations(view, n, stream)
 
-    return _evaluate(law_id, view, groups(), describe, per_statement)
+    return _evaluate(law_id, view, groups, describe, per_statement)
 
 
 def run_law(
@@ -994,8 +1025,9 @@ def run_axiom_suite(
     return [run_law(system, REGISTRY[k], **options) for k in select(REGISTRY, law_ids)]
 
 
-def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
-    arity = len(SLOTS[law.kind])
+def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[tuple]:
+    layout = LAYOUTS[law.kind]
+    arity = layout.arity
     if len(sample) != arity:
         raise MalformedSample(
             f"{law.law_id} binds {arity} element(s), got {len(sample)}"
@@ -1009,7 +1041,7 @@ def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
     view = system.id_view
     sample = [view.id(x) for x in sample]
     if law.kind == "element":
-        return [{"x": sample[0]}]
+        return [tuple(sample)]
     seconds = range(1, n + 1) if law.kind == "grid" else (None,)
     candidates = (
         _binding(law.kind, sample, i, j) for i in range(1, n + 1) for j in seconds if i != j
@@ -1017,7 +1049,7 @@ def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[dict]:
     bindings = [
         b for b in candidates
         if all(view.face(b[x], b[d], PLUS) == view.face(b[y], b[d], MINUS)
-               for x, y, d in MATES[law.kind])
+               for x, y, d in layout.mates)
     ]
     if not bindings:
         raise MalformedSample(f"{law.law_id}: sample admits no composable instantiation")
@@ -1035,4 +1067,8 @@ def check_axiom(system: CubeSystem, law_id: str, sample: list) -> LawReport:
             f"{law_id}: instantiation would exceed the model's dimension ceiling"
         )
     view = system.id_view
-    return _evaluate(law_id, view, [(law.equations, bindings)], view.describe, False)
+
+    def groups(follow):
+        return [(law.kind, law.equations(view, follow(bindings)))]
+
+    return _evaluate(law_id, view, groups, view.describe, False)

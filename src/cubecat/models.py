@@ -485,8 +485,11 @@ class NerveSystem(CubeSystem):
         n = x.n
         if n == 0 or not 1 <= i <= n or y.n != n:
             raise IndexOutOfRange("compose", i, n)
-        left, right = self.face(x, i, PLUS), self.face(y, i, MINUS)
-        if left != right:
+        # x's upper i-face against y's lower one, compared as picked entries
+        (upper_v, upper_e), (lower_v, lower_e) = (
+            _face_pickers(n, i - 1, 1), _face_pickers(n, i - 1, 0))
+        if upper_v(x.vertices) != lower_v(y.vertices) or upper_e(x.edges) != lower_e(y.edges):
+            left, right = self._face(x, i, PLUS), self._face(y, i, MINUS)
             raise NotComposable(i, self.describe(left), self.describe(right), "compose")
         vertices, joined, edges = _compose_pickers(n, i - 1)
         xe, ye = x.edges, y.edges

@@ -57,59 +57,63 @@ def _folded(view, k: int) -> int:
 # folding suites
 
 
-def _lemma_1_1(view, b):
-    y = b["x"]
-    n = view.dim(y) + 1
-    for r in range(1, n):
-        yield (lambda: f"i: psi_1..psi_{r - 1} e{r} x = e1 x",
-               _fold_through(view, view.degeneracy(y, r), r - 1), view.degeneracy(y, 1))
-    for j in range(1, n):
-        folded = _fold_through(view, view.degeneracy(y, j), n - 1)
-        yield (lambda: f"ii: the full folding of e{j} x is 1-degenerate",
-               *_retraction(view, folded, 1))
+def _lemma_1_1(view, bindings):
+    for b in bindings:
+        y, = b
+        n = view.dim(y) + 1
+        for r in range(1, n):
+            yield (b, lambda: f"i: psi_1..psi_{r - 1} e{r} x = e1 x",
+                   _fold_through(view, view.degeneracy(y, r), r - 1), view.degeneracy(y, 1))
+        for j in range(1, n):
+            folded = _fold_through(view, view.degeneracy(y, j), n - 1)
+            yield (b, lambda: f"ii: the full folding of e{j} x is 1-degenerate",
+                   *_retraction(view, folded, 1))
 
 
-def _prop_1_2(view, b):
-    sys, x = view.system, b["x"]
-    d = view.dim(x)
-    folded = _folded(view, x)
-    for i in range(2, d + 1):
-        for sign in SIGNS:
-            yield (lambda: f"i: d{sign}{i} of the folded x is 1-degenerate",
-                   *_retraction(view, view.face(folded, i, sign), 1))
-    n_face, p_face = (view.elements[view.face(folded, 1, s)] for s in SIGNS)
-    yield (lambda: "ii: N and P share their boundary",
-           boundary(sys, n_face), boundary(sys, p_face))
-    yield (lambda: "iii: N and P force the folded boundary",
-           folding.reconstruct_folded_shell(sys, n_face, p_face),
-           boundary(sys, view.elements[folded]))
-
-
-def _lemma_1_3(view, b):
-    """Taking boundaries is a morphism into the shell extension."""
-    sys, k = view.system, b["x"]
-    x, d = view.elements[k], view.dim(k)
-    if sys.within_ceiling(d + 1):
-        for j in range(1, d + 2):
-            yield (lambda: f"eps: boundary of e{j} x",
-                   shell_degeneracy(sys, x, j),
-                   boundary(sys, view.elements[view.degeneracy(k, j)]))
-        for i in range(1, d + 1):
+def _prop_1_2(view, bindings):
+    sys = view.system
+    for b in bindings:
+        x, = b
+        folded = _folded(view, x)
+        for i in range(2, view.dim(x) + 1):
             for sign in SIGNS:
-                yield (lambda: f"gamma: boundary of G{sign}{i} x",
-                       shell_connection(sys, x, i, sign),
-                       boundary(sys, view.elements[view.connection(k, i, sign)]))
-    if d >= 2:
-        s = boundary(sys, x)
-        for j in range(1, d):
-            yield (lambda: f"psi: boundary of psi{j} x",
-                   shell_fold(sys, s, j), boundary(sys, view.elements[_psi(view, k, j)]))
-        folded_shell, n_face, p_face = shell_big_fold(sys, s)
-        folded = _folded(view, k)
-        yield (lambda: "Psi: boundary of the folded x",
-               folded_shell, boundary(sys, view.elements[folded]))
-        yield (lambda: "N: N of the boundary", view.id(n_face), view.face(folded, 1, MINUS))
-        yield (lambda: "P: P of the boundary", view.id(p_face), view.face(folded, 1, PLUS))
+                yield (b, lambda: f"i: d{sign}{i} of the folded x is 1-degenerate",
+                       *_retraction(view, view.face(folded, i, sign), 1))
+        n_face, p_face = (view.elements[view.face(folded, 1, s)] for s in SIGNS)
+        yield (b, lambda: "ii: N and P share their boundary",
+               boundary(sys, n_face), boundary(sys, p_face))
+        yield (b, lambda: "iii: N and P force the folded boundary",
+               folding.reconstruct_folded_shell(sys, n_face, p_face),
+               boundary(sys, view.elements[folded]))
+
+
+def _lemma_1_3(view, bindings):
+    """Taking boundaries is a morphism into the shell extension."""
+    sys = view.system
+    for b in bindings:
+        k, = b
+        x, d = view.elements[k], view.dim(k)
+        if sys.within_ceiling(d + 1):
+            for j in range(1, d + 2):
+                yield (b, lambda: f"eps: boundary of e{j} x",
+                       shell_degeneracy(sys, x, j),
+                       boundary(sys, view.elements[view.degeneracy(k, j)]))
+            for i in range(1, d + 1):
+                for sign in SIGNS:
+                    yield (b, lambda: f"gamma: boundary of G{sign}{i} x",
+                           shell_connection(sys, x, i, sign),
+                           boundary(sys, view.elements[view.connection(k, i, sign)]))
+        if d >= 2:
+            s = boundary(sys, x)
+            for j in range(1, d):
+                yield (b, lambda: f"psi: boundary of psi{j} x",
+                       shell_fold(sys, s, j), boundary(sys, view.elements[_psi(view, k, j)]))
+            folded_shell, n_face, p_face = shell_big_fold(sys, s)
+            folded = _folded(view, k)
+            yield (b, lambda: "Psi: boundary of the folded x",
+                   folded_shell, boundary(sys, view.elements[folded]))
+            yield (b, lambda: "N: N of the boundary", view.id(n_face), view.face(folded, 1, MINUS))
+            yield (b, lambda: "P: P of the boundary", view.id(p_face), view.face(folded, 1, PLUS))
 
 
 def _lemma_1_3_compose(view, n, stream):
@@ -149,48 +153,53 @@ def _thm_1_4(view, n, stream):
                boundary(sys, elements[a]), folded_shell)
 
 
-def _lemma_1_5(view, b):
-    sys, k = view.system, b["x"]
-    x, d = view.elements[k], view.dim(k)
-    s = boundary(sys, x)
-    for j in range(1, d):
-        back = fillers.unfold_step(sys, view.elements[_psi(view, k, j)], s, j)
-        yield (lambda: f"unfold psi{j} x along the boundary of x", back, x)
+def _lemma_1_5(view, bindings):
+    sys = view.system
+    for b in bindings:
+        k, = b
+        x = view.elements[k]
+        s = boundary(sys, x)
+        for j in range(1, view.dim(k)):
+            back = fillers.unfold_step(sys, view.elements[_psi(view, k, j)], s, j)
+            yield (b, lambda: f"unfold psi{j} x along the boundary of x", back, x)
 
 
 # ---------------------------------------------------------------------------
 # thinness suites
 
 
-def _lemma_2_3(view, b):
-    c = b["x"]
-    d = view.dim(c)
-    for i in range(1, d + 1):
-        for sign in SIGNS:
-            g = view.connection(c, i, sign)
-            yield (lambda: f"i: psi{i} G{sign}{i} x = e{i} x",
-                   _psi(view, g, i), view.degeneracy(c, i))
-            for j in range(i + 2, d + 1):
-                yield (lambda: f"ii: psi{j} G{sign}{i} x = G{sign}{i} psi{j - 1} x",
-                       _psi(view, g, j), view.connection(_psi(view, c, j - 1), i, sign))
-    for i in range(1, d):
-        plus = _psi(view, _psi(view, view.connection(c, i, PLUS), i + 1), i)
-        gamma = view.connection(view.face(c, i + 1, MINUS), i, PLUS)
-        yield (lambda: f"iii+: psi{i} psi{i + 1} G+{i} x",
-               plus, view.degeneracy(view.compose(gamma, c, i + 1), i))
-        minus = _psi(view, _psi(view, view.connection(c, i, MINUS), i + 1), i)
-        gamma = view.connection(view.face(c, i + 1, PLUS), i, MINUS)
-        yield (lambda: f"iii-: psi{i} psi{i + 1} G-{i} x",
-               minus, view.degeneracy(view.compose(c, gamma, i + 1), i))
+def _lemma_2_3(view, bindings):
+    for b in bindings:
+        c, = b
+        d = view.dim(c)
+        for i in range(1, d + 1):
+            for sign in SIGNS:
+                g = view.connection(c, i, sign)
+                yield (b, lambda: f"i: psi{i} G{sign}{i} x = e{i} x",
+                       _psi(view, g, i), view.degeneracy(c, i))
+                for j in range(i + 2, d + 1):
+                    yield (b, lambda: f"ii: psi{j} G{sign}{i} x = G{sign}{i} psi{j - 1} x",
+                           _psi(view, g, j), view.connection(_psi(view, c, j - 1), i, sign))
+        for i in range(1, d):
+            plus = _psi(view, _psi(view, view.connection(c, i, PLUS), i + 1), i)
+            gamma = view.connection(view.face(c, i + 1, MINUS), i, PLUS)
+            yield (b, lambda: f"iii+: psi{i} psi{i + 1} G+{i} x",
+                   plus, view.degeneracy(view.compose(gamma, c, i + 1), i))
+            minus = _psi(view, _psi(view, view.connection(c, i, MINUS), i + 1), i)
+            gamma = view.connection(view.face(c, i + 1, PLUS), i, MINUS)
+            yield (b, lambda: f"iii-: psi{i} psi{i + 1} G-{i} x",
+                   minus, view.degeneracy(view.compose(c, gamma, i + 1), i))
 
 
-def _lemma_2_4(view, b):
-    sys, k = view.system, b["x"]
-    x = view.elements[k]
-    for j in range(1, view.dim(k)):
-        yield (lambda: f"x is {j}-thin iff psi{j} x is {j - 1}-thin",
-               folding.is_j_thin(sys, x, j),
-               folding.is_j_thin(sys, view.elements[_psi(view, k, j)], j - 1))
+def _lemma_2_4(view, bindings):
+    sys = view.system
+    for b in bindings:
+        k, = b
+        x = view.elements[k]
+        for j in range(1, view.dim(k)):
+            yield (b, lambda: f"x is {j}-thin iff psi{j} x is {j - 1}-thin",
+                   folding.is_j_thin(sys, x, j),
+                   folding.is_j_thin(sys, view.elements[_psi(view, k, j)], j - 1))
 
 
 def _lemma_2_5(view, n, stream):
@@ -204,18 +213,21 @@ def _lemma_2_5(view, n, stream):
                        *_retraction(view, view.compose(y, z, i), j))
 
 
-def _lemma_2_6(view, b):
-    y = b["x"]
-    for k in range(1, view.dim(y) + 2):
-        folded = _fold_through(view, view.degeneracy(y, k), k - 1)
-        yield (lambda: f"e{k} x is {k - 1}-thin", *_retraction(view, folded, 1))
+def _lemma_2_6(view, bindings):
+    for b in bindings:
+        y, = b
+        for k in range(1, view.dim(y) + 2):
+            folded = _fold_through(view, view.degeneracy(y, k), k - 1)
+            yield (b, lambda: f"e{k} x is {k - 1}-thin", *_retraction(view, folded, 1))
 
 
-def _prop_2_1_thin(view, b):
-    sys, x = view.system, view.elements[b["x"]]
-    if folding.is_thin(sys, x):
-        yield (lambda: "i: the boundary of a thin x commutes",
-               is_commutative(sys, boundary(sys, x)), True)
+def _prop_2_1_thin(view, bindings):
+    sys = view.system
+    for b in bindings:
+        x = view.elements[b[0]]
+        if folding.is_thin(sys, x):
+            yield (b, lambda: "i: the boundary of a thin x commutes",
+                   is_commutative(sys, boundary(sys, x)), True)
 
 
 def _prop_2_1_shells(view, n, stream):
@@ -249,16 +261,17 @@ def _prop_2_1_fillers(view, n, stream):
                    not found, True)
 
 
-def _prop_2_2_thin(view, b):
-    c = b["x"]
-    d = view.dim(c)
-    for i in range(1, d + 2):
-        yield (lambda: f"i-eps: e{i} x is thin",
-               *_retraction(view, _folded(view, view.degeneracy(c, i)), 1))
-    for i in range(1, d + 1):
-        for sign in SIGNS:
-            yield (lambda: f"i-gamma: G{sign}{i} x is thin",
-                   *_retraction(view, _folded(view, view.connection(c, i, sign)), 1))
+def _prop_2_2_thin(view, bindings):
+    for b in bindings:
+        c, = b
+        d = view.dim(c)
+        for i in range(1, d + 2):
+            yield (b, lambda: f"i-eps: e{i} x is thin",
+                   *_retraction(view, _folded(view, view.degeneracy(c, i)), 1))
+        for i in range(1, d + 1):
+            for sign in SIGNS:
+                yield (b, lambda: f"i-gamma: G{sign}{i} x is thin",
+                       *_retraction(view, _folded(view, view.connection(c, i, sign)), 1))
 
 
 def _prop_2_2_closure(view, n, stream):
@@ -278,16 +291,18 @@ def _prop_2_2_closure(view, n, stream):
         produced += 1
 
 
-def _cor_2_7_lifts(view, b):
-    sys, c = view.system, b["x"]
-    x, d = view.elements[c], view.dim(c)
-    for i in range(1, d + 2):
-        yield (lambda: f"i-eps: the e{i} shell of x commutes",
-               is_commutative(sys, shell_degeneracy(sys, x, i)), True)
-    for i in range(1, d + 1):
-        for sign in SIGNS:
-            yield (lambda: f"i-gamma: the G{sign}{i} shell of x commutes",
-                   is_commutative(sys, shell_connection(sys, x, i, sign)), True)
+def _cor_2_7_lifts(view, bindings):
+    sys = view.system
+    for b in bindings:
+        c, = b
+        x, d = view.elements[c], view.dim(c)
+        for i in range(1, d + 2):
+            yield (b, lambda: f"i-eps: the e{i} shell of x commutes",
+                   is_commutative(sys, shell_degeneracy(sys, x, i)), True)
+        for i in range(1, d + 1):
+            for sign in SIGNS:
+                yield (b, lambda: f"i-gamma: the G{sign}{i} shell of x commutes",
+                       is_commutative(sys, shell_connection(sys, x, i, sign)), True)
 
 
 def _cor_2_7_composites(view, n, stream):
@@ -300,13 +315,15 @@ def _cor_2_7_composites(view, n, stream):
                    is_commutative(sys, shell_compose(sys, elements[s], elements[t], i)), True)
 
 
-def _thm_2_8(view, b):
-    sys, x = view.system, view.elements[b["x"]]
-    if not folding.is_thin(sys, x):
-        return
-    expr = fillers.thin_decompose(sys, x)
-    yield (lambda: "base-free: the decomposition of x", fillers.is_base_free(expr), True)
-    yield (lambda: "evaluates: the decomposition of x", fillers.evaluate(sys, expr), x)
+def _thm_2_8(view, bindings):
+    sys = view.system
+    for b in bindings:
+        x = view.elements[b[0]]
+        if not folding.is_thin(sys, x):
+            continue
+        expr = fillers.thin_decompose(sys, x)
+        yield (b, lambda: "base-free: the decomposition of x", fillers.is_base_free(expr), True)
+        yield (b, lambda: "evaluates: the decomposition of x", fillers.evaluate(sys, expr), x)
 
 
 def _cor_2_9(view, n, stream):

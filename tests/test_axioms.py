@@ -19,7 +19,7 @@ from cubecat import (
     shells,
 )
 from cubecat.core import REGISTRY, composable_pairs, incidences, run_law, slots
-from cubecat.errors import MalformedSample, UnknownLaw
+from cubecat.errors import IndexOutOfRange, MalformedSample, NotComposable, UnknownLaw
 from conftest import nerve_of, tower_of
 
 
@@ -153,11 +153,70 @@ def test_check_axiom_interchange_on_grid(square_nerve):
     assert report.passed and report.instances >= 1
 
 
-@pytest.mark.parametrize("name, grids", [("poset22", 184_550), ("free_square", 4_460_988)])
-def test_interchange_instance_counts_are_pinned(name, grids):
-    # the exhaustive loop runs on element ids; it must bind exactly the grids it always did
-    report = run_axiom_suite(tower_of(name, 3), max_dim=3, law_ids=["INTERCHANGE"])[0]
-    assert report.passed and report.instances == grids
+@pytest.mark.parametrize("law_id, make, name, max_dim, bindings", [
+    ("INTERCHANGE", tower_of, "poset22", 3, 184_550),
+    ("INTERCHANGE", tower_of, "free_square", 3, 4_460_988),
+    # a 1-cube has no direction besides the composite's, so at dimension 1
+    # every GAMMA-COMP pair yields no statement; each still counts
+    ("GAMMA-COMP", nerve_of, "poset22", 1, 16),
+    ("GAMMA-COMP", nerve_of, "poset22", 2, 216),
+], ids=["INTERCHANGE-tower-poset22", "INTERCHANGE-tower-free_square",
+        "GAMMA-COMP-nerve-poset22-d1", "GAMMA-COMP-nerve-poset22-d2"])
+def test_law_instance_counts_are_pinned(law_id, make, name, max_dim, bindings):
+    # the exhaustive loops run on element ids; they must bind exactly what they always did
+    report = run_law(make(name, 3), REGISTRY[law_id], max_dim=max_dim)
+    assert report.passed and report.instances == bindings
+
+
+@pytest.mark.parametrize("k", [1, 6, 7, 100])
+def test_an_error_names_the_grid_being_checked(monkeypatch, k):
+    system = nerve(bundled_category("poset22"), 2)  # fresh: the patch sees every compose
+    view = system.id_view
+    compose, calls = view.compose, []
+
+    def fails_on_kth(x, y, i):
+        calls.append((x, y, i))
+        if len(calls) == k:
+            raise NotComposable(i, "left", "right", "compose")
+        return compose(x, y, i)
+
+    monkeypatch.setattr(view, "compose", fails_on_kth)
+    report = run_law(system, REGISTRY["INTERCHANGE"], max_dim=2, exhaustive_dim=2)
+    # INTERCHANGE composes six times per grid, and grids come in enumeration order
+    grids = [grid + (i, j) for i in (1, 2) for j in (1, 2) if i != j
+             for grid in core.interchange_grids(view, view.pool(2), i, j)]
+    x, y, z, w, i, j = grids[(k - 1) // 6]
+    assert report.counterexample["error"] == "NotComposable"
+    assert report.counterexample["binding"] == {
+        "x": view.describe(x), "y": view.describe(y), "z": view.describe(z),
+        "w": view.describe(w), "i": i, "j": j,
+    }
+    assert report.instances == (k - 1) // 6 + 1
+
+
+def test_an_error_while_drawing_a_binding_names_none(monkeypatch):
+    system = nerve(bundled_category("poset22"), 2)
+    law, options = REGISTRY["INTERCHANGE"], dict(max_dim=2, exhaustive_dim=2)
+    assert run_law(system, law, **options).passed  # from now on every compose is a table hit
+    view = system.id_view
+    face, compose, composed = view.face, view.compose, []
+
+    def counting(x, y, i):
+        composed.append((x, y, i))
+        return compose(x, y, i)
+
+    def fails_once_grids_are_checked(x, i, sign):
+        # only the grid enumerator asks for faces once composing has begun
+        if composed:
+            raise IndexOutOfRange("face", i, view.dim(x))
+        return face(x, i, sign)
+
+    monkeypatch.setattr(view, "compose", counting)
+    monkeypatch.setattr(view, "face", fails_once_grids_are_checked)
+    report = run_law(system, law, **options)
+    assert report.counterexample["error"] == "IndexOutOfRange"
+    assert "binding" not in report.counterexample
+    assert composed and len(composed) == 6 * report.instances
 
 
 def test_unavailable_draw_is_skipped(monkeypatch):
