@@ -21,14 +21,13 @@ from .core import (
     run_axiom_suite,
 )
 from .arrays import (
-    ComposableArray,
     ComposablePartition,
     PartitionCell,
     SymbolicCell,
-    compose_array,
     compose_partition,
     render_ascii,
     resolve_symbols,
+    tile_grid,
 )
 from .folding import (
     FoldResult,

@@ -1,16 +1,19 @@
-"""Two-dimensional composable arrays and rectangular composable partitions.
+"""Rectangular composable partitions: tilings of a rectangle by cubes.
 
-Arrays are full grids composed row-first or column-first (the two must
-agree); partitions tile a rectangle with cells that may span several grid
-units and are composed by an explicit sequence of pairwise merges.  The
-renderer draws either as a box diagram with one label per cell and a
-direction legend.
+A partition tiles a rectangle with cells that may span several grid units;
+an array is the partition of unit tiles that ``tile_grid`` builds once it
+has checked that neighbouring cells share their faces.  A composite is one
+``fillers`` term, evaluated by ``fillers.evaluate``: the rows-first term
+always, and the columns-first term as well when the columns stack.  The two
+must agree, which is the interchange law for arrays.  The renderer draws a
+partition as a box diagram with one label per cell and a direction legend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from .core import MINUS, PLUS, CubeSystem, degenerate_at
 from .errors import (
@@ -19,6 +22,7 @@ from .errors import (
     NotComposable,
     Unresolvable,
 )
+from .fillers import Base, Compose, evaluate
 
 PLAIN = "plain"
 # in every glyph the drawn bars mark the degenerate faces, so two horizontal
@@ -55,85 +59,6 @@ class SymbolicCell:
         return SymbolicCell(PLAIN, cube, label)
 
 
-class ComposableArray:
-    """An r x c grid of same-dimension cubes with matching inner faces.
-
-    ``dir_h`` composes along rows, ``dir_v`` down columns.  Adjacency is
-    validated eagerly so a constructed array is always composable.
-    """
-
-    def __init__(self, system: CubeSystem, rows, dir_v: int, dir_h: int, kinds=None):
-        if dir_v == dir_h:
-            raise NotComposable(dir_v, dir_v, dir_h, "array directions must differ")
-        self.system = system
-        self.rows = tuple(tuple(r) for r in rows)
-        if not self.rows or not self.rows[0]:
-            raise BadTiling("array must have at least one cell")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
-            raise BadTiling("array rows have unequal lengths")
-        self.dir_v = dir_v
-        self.dir_h = dir_h
-        self.kinds = tuple(tuple(k) for k in kinds) if kinds else None
-        dims = {system.dim(x) for row in self.rows for x in row}
-        if len(dims) != 1:
-            raise NotComposable(dir_h, None, None, "array cells have mixed dimensions")
-        for r, row in enumerate(self.rows):
-            for c, x in enumerate(row):
-                if c + 1 < width:
-                    left = system.face(x, dir_h, PLUS)
-                    right = system.face(row[c + 1], dir_h, MINUS)
-                    if left != right:
-                        raise NotComposable(
-                            dir_h, system.describe(left), system.describe(right),
-                            f"cells ({r},{c})-({r},{c + 1})",
-                        )
-                if r + 1 < len(self.rows):
-                    upper = system.face(x, dir_v, PLUS)
-                    lower = system.face(self.rows[r + 1][c], dir_v, MINUS)
-                    if upper != lower:
-                        raise NotComposable(
-                            dir_v, system.describe(upper), system.describe(lower),
-                            f"cells ({r},{c})-({r + 1},{c})",
-                        )
-
-    @property
-    def shape(self):
-        return len(self.rows), len(self.rows[0])
-
-
-def _fold_line(system, cells: Sequence, direction: int):
-    out = cells[0]
-    for x in cells[1:]:
-        out = system.compose(out, x, direction)
-    return out
-
-
-def compose_array(array: ComposableArray):
-    """Common value of row-first and column-first evaluation."""
-    system = array.system
-    by_rows = _fold_line(
-        system,
-        [_fold_line(system, row, array.dir_h) for row in array.rows],
-        array.dir_v,
-    )
-    columns = list(zip(*array.rows))
-    by_cols = _fold_line(
-        system,
-        [_fold_line(system, col, array.dir_v) for col in columns],
-        array.dir_h,
-    )
-    if by_rows != by_cols:
-        raise InterchangeViolation(
-            "row-first and column-first composites differ; the model breaks interchange"
-        )
-    return by_rows
-
-
-# ---------------------------------------------------------------------------
-# partitions
-
-
 @dataclass(frozen=True)
 class PartitionCell:
     """One tile: half-open unit-grid rectangle rows [r0,r1) x cols [c0,c1)."""
@@ -147,17 +72,15 @@ class PartitionCell:
 
 
 class ComposablePartition:
-    """Rectangles tiling a bounding rectangle, merged pairwise in a fixed order.
+    """Rectangles tiling a bounding rectangle.
 
-    ``order`` lists merges as (cell_index_a, cell_index_b) over live cell
-    ids; a merge of horizontally adjacent tiles composes in ``dir_h``,
-    vertically adjacent tiles in ``dir_v``.  Merged cells receive fresh ids
-    counting up from the initial cell count.  Without an explicit order the
-    rows-first order is derived.
+    ``dir_h`` composes along rows, ``dir_v`` down columns.  The tiling is
+    validated eagerly; the faces the cells share are checked when the
+    partition is composed.
     """
 
     def __init__(self, system: CubeSystem, cells: Iterable[PartitionCell],
-                 dir_v: int, dir_h: int, order: Optional[Sequence] = None):
+                 dir_v: int, dir_h: int):
         if dir_v == dir_h:
             raise NotComposable(dir_v, dir_v, dir_h, "partition directions must differ")
         self.system = system
@@ -181,100 +104,93 @@ class ComposablePartition:
             for c in range(self.n_cols):
                 if (r, c) not in covered:
                     raise BadTiling(f"unit square ({r},{c}) is uncovered")
-        self.order = tuple(tuple(step) for step in order) if order is not None else None
-
-    def rows_first_order(self):
-        """Merge cells left-to-right within full-height row bands, then stack."""
-        bands: dict = {}
-        for idx, cell in enumerate(self.cells):
-            bands.setdefault((cell.r0, cell.r1), []).append(idx)
-        for (r0, r1), members in bands.items():
-            for idx in members:
-                if (self.cells[idx].r0, self.cells[idx].r1) != (r0, r1):
-                    raise BadTiling("row band contains a partial-height cell")
-        ordered_bands = sorted(bands.items(), key=lambda kv: kv[0][0])
-        if any(a[0][1] != b[0][0] for a, b in zip(ordered_bands, ordered_bands[1:])):
-            raise BadTiling("row bands do not stack; no rows-first order exists")
-        steps = []
-        next_id = len(self.cells)
-        band_ids = []
-        for (_, _), members in ordered_bands:
-            members = sorted(members, key=lambda idx: self.cells[idx].c0)
-            current = members[0]
-            for idx in members[1:]:
-                steps.append((current, idx))
-                current = next_id
-                next_id += 1
-            band_ids.append(current)
-        current = band_ids[0]
-        for idx in band_ids[1:]:
-            steps.append((current, idx))
-            current = next_id
-            next_id += 1
-        return steps
 
 
-def _merge_direction(a: PartitionCell, b: PartitionCell, dir_v, dir_h):
-    if (a.r0, a.r1) == (b.r0, b.r1) and a.c1 == b.c0:
-        return dir_h, a, b
-    if (a.r0, a.r1) == (b.r0, b.r1) and b.c1 == a.c0:
-        return dir_h, b, a
-    if (a.c0, a.c1) == (b.c0, b.c1) and a.r1 == b.r0:
-        return dir_v, a, b
-    if (a.c0, a.c1) == (b.c0, b.c1) and b.r1 == a.r0:
-        return dir_v, b, a
-    return None, a, b
+def tile_grid(system: CubeSystem, rows, dir_v: int, dir_h: int,
+              labels=None) -> ComposablePartition:
+    """The partition of unit tiles of an r x c grid of same-dimension cubes.
 
-
-def _run_order(partition: ComposablePartition, order) -> object:
-    system = partition.system
-    live = {idx: cell for idx, cell in enumerate(partition.cells)}
-    next_id = len(partition.cells)
-    for step_no, (ia, ib) in enumerate(order):
-        if ia not in live or ib not in live:
-            raise BadTiling(f"step {step_no} names a dead or unknown cell")
-        a, b = live.pop(ia), live.pop(ib)
-        direction, first, second = _merge_direction(a, b, partition.dir_v, partition.dir_h)
-        if direction is None:
-            raise BadTiling(
-                f"step {step_no}: rectangles do not merge into a rectangle"
-            )
-        try:
-            cube = system.compose(first.cube, second.cube, direction)
-        except NotComposable as exc:
-            raise NotComposable(
-                exc.direction, exc.left_face, exc.right_face, f"step {step_no}"
-            ) from exc
-        live[next_id] = PartitionCell(
-            min(first.r0, second.r0), min(first.c0, second.c0),
-            max(first.r1, second.r1), max(first.c1, second.c1), cube,
-        )
-        next_id += 1
-    if len(live) != 1:
-        raise BadTiling("evaluation order leaves more than one cell")
-    final = next(iter(live.values()))
-    if (final.r0, final.c0, final.r1, final.c1) != (
-        0, 0, partition.n_rows, partition.n_cols,
-    ):
-        raise BadTiling("evaluation order did not cover the bounding rectangle")
-    return final.cube
-
-
-def compose_partition(partition: ComposablePartition, verify_order=None):
-    """Composite along the partition's order (rows-first when unspecified).
-
-    A second order, when supplied, must give the same composite.
+    ``labels``, when given, is a grid of the same shape.  Adjacency is
+    validated eagerly so a constructed grid is always composable.
     """
-    order = partition.order
-    if order is None:
-        order = partition.rows_first_order()
-    result = _run_order(partition, order)
-    if verify_order is not None:
-        other = _run_order(partition, verify_order)
-        if other != result:
-            raise InterchangeViolation(
-                "two evaluation orders of the partition disagree"
-            )
+    if dir_v == dir_h:
+        raise NotComposable(dir_v, dir_v, dir_h, "array directions must differ")
+    rows = tuple(tuple(r) for r in rows)
+    if not rows or not rows[0]:
+        raise BadTiling("array must have at least one cell")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise BadTiling("array rows have unequal lengths")
+    dims = {system.dim(x) for row in rows for x in row}
+    if len(dims) != 1:
+        raise NotComposable(dir_h, None, None, "array cells have mixed dimensions")
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if c + 1 < width:
+                left = system.face(x, dir_h, PLUS)
+                right = system.face(row[c + 1], dir_h, MINUS)
+                if left != right:
+                    raise NotComposable(
+                        dir_h, system.describe(left), system.describe(right),
+                        f"cells ({r},{c})-({r},{c + 1})",
+                    )
+            if r + 1 < len(rows):
+                upper = system.face(x, dir_v, PLUS)
+                lower = system.face(rows[r + 1][c], dir_v, MINUS)
+                if upper != lower:
+                    raise NotComposable(
+                        dir_v, system.describe(upper), system.describe(lower),
+                        f"cells ({r},{c})-({r + 1},{c})",
+                    )
+    return ComposablePartition(system, [
+        PartitionCell(r, c, r + 1, c + 1, x, labels[r][c] if labels else None)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
+    ], dir_v, dir_h)
+
+
+def _banded_term(cells, band, place, along: int, across: int):
+    """Compose each band along ``along`` in ``place`` order, then the bands across.
+
+    Returns None when the bands (the distinct ``band`` spans) do not stack.
+    """
+    bands: dict = {}
+    for cell in cells:
+        bands.setdefault(band(cell), []).append(cell)
+    spans = sorted(bands)
+    if any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
+        return None
+    return _fold(across, [
+        _fold(along, [Base(cell.cube) for cell in sorted(bands[span], key=place)])
+        for span in spans
+    ])
+
+
+def _fold(direction: int, terms):
+    out = terms[0]
+    for term in terms[1:]:
+        out = Compose(direction, out, term)
+    return out
+
+
+def compose_partition(partition: ComposablePartition):
+    """The rows-first composite, equal to the columns-first one when that exists.
+
+    Each row band composes left to right in ``dir_h`` and the bands stack in
+    ``dir_v``.  When the column bands stack too, as in every grid, the
+    columns-first term must evaluate to the same cube (interchange).
+    """
+    system, cells = partition.system, partition.cells
+    dir_v, dir_h = partition.dir_v, partition.dir_h
+    by_rows = _banded_term(cells, attrgetter("r0", "r1"), attrgetter("c0"), dir_h, dir_v)
+    if by_rows is None:
+        raise BadTiling("row bands do not stack; no rows-first order exists")
+    result = evaluate(system, by_rows)
+    by_cols = _banded_term(cells, attrgetter("c0", "c1"), attrgetter("r0"), dir_v, dir_h)
+    if by_cols is not None and evaluate(system, by_cols) != result:
+        raise InterchangeViolation(
+            "row-first and column-first composites differ; the model breaks interchange"
+        )
     return result
 
 
@@ -282,7 +198,7 @@ def compose_partition(partition: ComposablePartition, verify_order=None):
 # symbolic cells
 
 
-def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> ComposableArray:
+def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> ComposablePartition:
     """Pin every placeholder cell down from its resolved neighbours.
 
     Degenerate placeholders copy a shared face from any resolved neighbour;
@@ -371,13 +287,13 @@ def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> Composa
         if not progressed:
             raise Unresolvable(f"cells {still} cannot be determined from context")
         pending = still
-    return ComposableArray(
+    return tile_grid(
         system,
         [[cell.cube for cell in row] for row in cells],
         dir_v,
         dir_h,
-        kinds=[[cell.label or _default_label(r, c) for c, cell in enumerate(row)]
-               for r, row in enumerate(cells)],
+        labels=[[cell.label or _default_label(r, c) for c, cell in enumerate(row)]
+                for r, row in enumerate(cells)],
     )
 
 
@@ -401,8 +317,14 @@ _JUNCTIONS = {
 }
 
 
-def _render_tiles(tiles, n_rows, n_cols, dir_v, dir_h) -> str:
-    """tiles: (r0, c0, r1, c1, label); one box-drawing diagram, shared edges once."""
+def render_ascii(partition: ComposablePartition) -> str:
+    """Deterministic box diagram of a partition with a legend line; shared edges once."""
+    n_rows, n_cols = partition.n_rows, partition.n_cols
+    tiles = [
+        (cell.r0, cell.c0, cell.r1, cell.c1,
+         cell.label if cell.label is not None else _default_label(cell.r0, cell.c0))
+        for cell in partition.cells
+    ]
     width = max(3, max(len(t[4]) for t in tiles) + 2)
     hseg = set()
     vseg = set()
@@ -443,26 +365,5 @@ def _render_tiles(tiles, n_rows, n_cols, dir_v, dir_h) -> str:
                         if ch != " ":
                             chars[start + k] = ch
             lines.append("".join(chars).rstrip())
-    lines.append(f"h: direction {dir_h}, v: direction {dir_v}")
+    lines.append(f"h: direction {partition.dir_h}, v: direction {partition.dir_v}")
     return "\n".join(lines) + "\n"
-
-
-def render_ascii(diagram) -> str:
-    """Deterministic box diagram of an array or partition with a legend line."""
-    if isinstance(diagram, ComposableArray):
-        n_rows, n_cols = diagram.shape
-        tiles = []
-        for r in range(n_rows):
-            for c in range(n_cols):
-                label = diagram.kinds[r][c] if diagram.kinds is not None else _default_label(r, c)
-                tiles.append((r, c, r + 1, c + 1, label))
-        return _render_tiles(tiles, n_rows, n_cols, diagram.dir_v, diagram.dir_h)
-    if isinstance(diagram, ComposablePartition):
-        tiles = []
-        for cell in diagram.cells:
-            label = cell.label if cell.label is not None else _default_label(cell.r0, cell.c0)
-            tiles.append((cell.r0, cell.c0, cell.r1, cell.c1, label))
-        return _render_tiles(
-            tiles, diagram.n_rows, diagram.n_cols, diagram.dir_v, diagram.dir_h
-        )
-    raise TypeError(f"cannot render {type(diagram).__name__}")

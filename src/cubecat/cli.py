@@ -303,11 +303,11 @@ def cmd_render(args) -> int:
         if system.face(a, i, PLUS) != system.face(b, i, MINUS):
             raise ParseError(f"the pair does not compose in direction {i}: the upper"
                              f" {i}-face of the first cube is not the lower {i}-face of the second")
-        arr = arrays.ComposableArray(system, [
+        grid = arrays.tile_grid(system, [
             [system.connection(a, i, PLUS), system.degeneracy(a, i + 1)],
             [system.degeneracy(a, i), system.connection(b, i, PLUS)],
-        ], dir_v=i, dir_h=i + 1, kinds=[["G+a", "e'a"], ["ea", "G+b"]])
-        print(arrays.render_ascii(arr), end="")
+        ], dir_v=i, dir_h=i + 1, labels=[["G+a", "e'a"], ["ea", "G+b"]])
+        print(arrays.render_ascii(grid), end="")
         return 0
     x = system.parse(doc)
     n = system.dim(x)

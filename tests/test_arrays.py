@@ -1,4 +1,4 @@
-"""Composable arrays, partitions, symbol resolution, and rendering."""
+"""Composable partitions and grids, symbol resolution, and rendering."""
 
 import pathlib
 
@@ -7,20 +7,24 @@ import pytest
 from cubecat import (
     MINUS,
     PLUS,
-    ComposableArray,
+    Base,
+    Compose,
     ComposablePartition,
     PartitionCell,
     SymbolicCell,
     boundary,
-    compose_array,
+    bundled_category,
     compose_partition,
+    evaluate,
+    nerve,
     psi,
     render_ascii,
     resolve_symbols,
+    tile_grid,
 )
 from cubecat.arrays import DOUBLE, EPS_H, EPS_V, GAMMA_MINUS, GAMMA_PLUS
-from cubecat.core import composable_pairs
-from cubecat.errors import BadTiling, NotComposable, Unresolvable
+from cubecat.core import composable_pairs, interchange_grids
+from cubecat.errors import BadTiling, InterchangeViolation, NotComposable, Unresolvable
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -33,33 +37,33 @@ def identity_square(system):
 
 def test_transport_array_composes_to_connection(poset_nerve):
     for a, b in list(composable_pairs(poset_nerve, poset_nerve.cubes(1), 1))[:20]:
-        arr = ComposableArray(poset_nerve, [
+        grid = tile_grid(poset_nerve, [
             [poset_nerve.connection(a, 1, PLUS), poset_nerve.degeneracy(a, 2)],
             [poset_nerve.degeneracy(a, 1), poset_nerve.connection(b, 1, PLUS)],
         ], dir_v=1, dir_h=2)
         expected = poset_nerve.connection(poset_nerve.compose(a, b, 1), 1, PLUS)
-        assert compose_array(arr) == expected
+        assert compose_partition(grid) == expected
 
 
 def test_psi_row_array(poset_nerve):
     for x in poset_nerve.cubes(2)[:10]:
-        row = ComposableArray(poset_nerve, [[
+        row = tile_grid(poset_nerve, [[
             poset_nerve.connection(poset_nerve.face(x, 2, MINUS), 1, PLUS),
             x,
             poset_nerve.connection(poset_nerve.face(x, 2, PLUS), 1, MINUS),
         ]], dir_v=1, dir_h=2)
-        assert compose_array(row) == psi(poset_nerve, x, 1)
+        assert compose_partition(row) == psi(poset_nerve, x, 1)
 
 
 def test_identity_array_composes_to_its_cell(poset_nerve):
     x = identity_square(poset_nerve)
-    arr = ComposableArray(poset_nerve, [
+    grid = tile_grid(poset_nerve, [
         [x, poset_nerve.degeneracy(poset_nerve.face(x, 2, PLUS), 2)],
         [poset_nerve.degeneracy(poset_nerve.face(x, 1, PLUS), 1),
          poset_nerve.degeneracy(
              poset_nerve.face(poset_nerve.degeneracy(poset_nerve.face(x, 2, PLUS), 2), 1, PLUS), 1)],
     ], dir_v=1, dir_h=2)
-    assert compose_array(arr) == x
+    assert compose_partition(grid) == x
 
 
 def test_array_construction_rejects_bad_adjacency(poset_nerve):
@@ -67,18 +71,22 @@ def test_array_construction_rejects_bad_adjacency(poset_nerve):
     x = next(c for c in squares if poset_nerve.face(c, 2, PLUS).edges[0] == "00->01")
     y = next(c for c in squares if poset_nerve.face(c, 2, MINUS).edges[0] == "10->11")
     with pytest.raises(NotComposable):
-        ComposableArray(poset_nerve, [[x, y]], dir_v=1, dir_h=2)
+        tile_grid(poset_nerve, [[x, y]], dir_v=1, dir_h=2)
+    with pytest.raises(BadTiling, match="rows have unequal lengths"):
+        tile_grid(poset_nerve, [[x, y], [x]], dir_v=1, dir_h=2)
+    with pytest.raises(NotComposable, match="cells have mixed dimensions"):
+        tile_grid(poset_nerve, [[x, poset_nerve.face(x, 2, PLUS)]], dir_v=1, dir_h=2)
+    with pytest.raises(NotComposable, match="directions must differ"):
+        tile_grid(poset_nerve, [[x]], dir_v=2, dir_h=2)
 
 
 def test_interchange_row_vs_column_exhaustive_2x2(poset_nerve):
     # every composable 2x2 array of squares evaluates identically both ways
     squares = poset_nerve.cubes(2)
     count = 0
-    from cubecat.core import interchange_grids
-
     for x, y, z, w in interchange_grids(poset_nerve, squares, 2, 1):
-        arr = ComposableArray(poset_nerve, [[x, y], [z, w]], dir_v=1, dir_h=2)
-        compose_array(arr)  # raises InterchangeViolation on disagreement
+        grid = tile_grid(poset_nerve, [[x, y], [z, w]], dir_v=1, dir_h=2)
+        compose_partition(grid)  # raises InterchangeViolation on disagreement
         count += 1
         if count >= 400:
             break
@@ -101,10 +109,6 @@ def test_partition_simple_span(poset_nerve):
     ], dir_v=1, dir_h=2)
     expected = poset_nerve.compose(poset_nerve.compose(a, b, 2), c, 1)
     assert compose_partition(partition) == expected
-    # column-style order: merge a with nothing first is impossible, but the
-    # reverse band order must agree with rows-first
-    explicit = [(0, 1), (3, 2)]
-    assert compose_partition(partition, verify_order=explicit) == expected
 
 
 def test_single_cell_partition(poset_nerve):
@@ -142,14 +146,43 @@ def test_partition_tiling_validation(poset_nerve):
         ], dir_v=1, dir_h=2)
 
 
-def test_partition_bad_order_detected(poset_nerve):
+def test_pinwheel_partition_has_no_rows_first_term(poset_nerve):
+    # four 1x2 and 2x1 cells turn around a unit centre, so no row band is
+    # the full width of the square and the bands do not stack
     x = poset_nerve.cubes(2)[0]
-    partition = ComposablePartition(
-        poset_nerve, [PartitionCell(0, 0, 1, 1, x)], dir_v=1, dir_h=2,
-        order=[(0, 5)],
-    )
-    with pytest.raises(BadTiling):
+    partition = ComposablePartition(poset_nerve, [
+        PartitionCell(0, 0, 1, 2, x),
+        PartitionCell(0, 2, 2, 3, x),
+        PartitionCell(2, 1, 3, 3, x),
+        PartitionCell(1, 0, 3, 1, x),
+        PartitionCell(1, 1, 2, 2, x),
+    ], dir_v=1, dir_h=2)
+    with pytest.raises(BadTiling, match="row bands do not stack"):
         compose_partition(partition)
+
+
+def test_interchange_violation_is_raised():
+    # a fresh nerve whose compose lies about the last step of the
+    # columns-first evaluation: left column composed with right column
+    system = nerve(bundled_category("poset22"), 2)
+    honest = system.compose
+    x, y, z, w = next(
+        g for g in interchange_grids(system, system.cubes(2), 2, 1)
+        if honest(g[0], g[2], 1) not in (g[0], g[2])
+    )
+    left_column = honest(x, z, 1)
+
+    def compose(a, b, i):
+        out = honest(a, b, i)
+        if i == 2 and a == left_column:
+            return next(c for c in system.cubes(2) if c != out)
+        return out
+
+    grid = tile_grid(system, [[x, y], [z, w]], dir_v=1, dir_h=2)
+    assert compose_partition(grid) == honest(honest(x, y, 2), honest(z, w, 2), 1)
+    system.compose = compose
+    with pytest.raises(InterchangeViolation):
+        compose_partition(grid)
 
 
 def test_resolve_symbols_identity_grid(poset_nerve):
@@ -158,11 +191,12 @@ def test_resolve_symbols_identity_grid(poset_nerve):
         [SymbolicCell.plain(x, "x"), SymbolicCell(EPS_H)],
         [SymbolicCell(EPS_V), SymbolicCell(DOUBLE)],
     ]
-    arr = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
-    assert compose_array(arr) == x
+    resolved = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
+    assert compose_partition(resolved) == x
     # the resolved paddings are the expected degeneracies
-    assert arr.rows[0][1] == poset_nerve.degeneracy(poset_nerve.face(x, 2, PLUS), 2)
-    assert arr.rows[1][0] == poset_nerve.degeneracy(poset_nerve.face(x, 1, PLUS), 1)
+    cells = {(c.r0, c.c0): c.cube for c in resolved.cells}
+    assert cells[0, 1] == poset_nerve.degeneracy(poset_nerve.face(x, 2, PLUS), 2)
+    assert cells[1, 0] == poset_nerve.degeneracy(poset_nerve.face(x, 1, PLUS), 1)
 
 
 def test_resolve_symbols_full_reconstruction_array(poset_nerve):
@@ -175,19 +209,20 @@ def test_resolve_symbols_full_reconstruction_array(poset_nerve):
              SymbolicCell(GAMMA_MINUS)],
             [SymbolicCell(GAMMA_MINUS), SymbolicCell(EPS_V), SymbolicCell(DOUBLE)],
         ]
-        arr = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
-        assert compose_array(arr) == x
+        resolved = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
+        assert compose_partition(resolved) == x
         # middle row alone is the elementary folding
-        middle = ComposableArray(poset_nerve, [arr.rows[1]], dir_v=1, dir_h=2)
-        assert compose_array(middle) == psi(poset_nerve, x, 1)
+        middle = [c.cube for c in resolved.cells if c.r0 == 1]
+        row = tile_grid(poset_nerve, [middle], dir_v=1, dir_h=2)
+        assert compose_partition(row) == psi(poset_nerve, x, 1)
 
 
 def test_resolve_symbols_psi_row(poset_nerve):
     for x in poset_nerve.cubes(2)[:6]:
         grid = [[SymbolicCell(GAMMA_PLUS), SymbolicCell.plain(x, "x"),
                  SymbolicCell(GAMMA_MINUS)]]
-        arr = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
-        assert compose_array(arr) == psi(poset_nerve, x, 1)
+        resolved = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
+        assert compose_partition(resolved) == psi(poset_nerve, x, 1)
 
 
 def test_resolve_symbols_needs_context(poset_nerve):
@@ -201,8 +236,7 @@ def test_resolve_then_render_shows_kinds(poset_nerve):
         [SymbolicCell.plain(x, "x"), SymbolicCell(EPS_H)],
         [SymbolicCell(EPS_V), SymbolicCell(DOUBLE)],
     ]
-    arr = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
-    text = render_ascii(arr)
+    text = render_ascii(resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2))
     for glyph in ("║", "═", "□", "x"):
         assert glyph in text
 
@@ -236,8 +270,6 @@ def test_render_golden(name, poset_nerve):
 
 def test_interchange_on_2x3_arrays(poset_nerve):
     # exhaustive 2x3 arrays of squares: row-first equals column-first
-    from cubecat.core import interchange_grids
-
     squares = poset_nerve.cubes(2)
     count = 0
     for x, y, z, w in interchange_grids(poset_nerve, squares, 2, 1):
@@ -252,10 +284,10 @@ def test_interchange_on_2x3_arrays(poset_nerve):
                 and poset_nerve.face(t, 1, MINUS) == poset_nerve.face(m, 1, PLUS)
             ]
             for t in tail[:2]:
-                arr = ComposableArray(
+                grid = tile_grid(
                     poset_nerve, [[x, y, m], [z, w, t]], dir_v=1, dir_h=2
                 )
-                compose_array(arr)
+                compose_partition(grid)
                 count += 1
         if count >= 300:
             break
@@ -263,7 +295,7 @@ def test_interchange_on_2x3_arrays(poset_nerve):
 
 
 def test_unfold_partition_two_orders_agree(poset_nerve):
-    # rows-first versus an order that assembles the bottom band first
+    # rows-first versus a term that stacks the fold on the bottom band first
     for x in poset_nerve.cubes(2)[:6]:
         s = boundary(poset_nerve, x)
         a = psi(poset_nerve, x, 1)
@@ -274,8 +306,12 @@ def test_unfold_partition_two_orders_agree(poset_nerve):
             PartitionCell(2, 0, 3, 1, poset_nerve.connection(s.face(2, MINUS), 1, MINUS)),
             PartitionCell(2, 1, 3, 2, poset_nerve.degeneracy(s.face(1, PLUS), 1)),
         ], dir_v=1, dir_h=2)
-        bottom_first = [(3, 4), (0, 1), (6, 2), (7, 5)]
-        assert compose_partition(partition, verify_order=bottom_first) == x
+        e_minus, g_plus, fold, g_minus, e_plus = (Base(c.cube) for c in partition.cells)
+        bottom_first = Compose(
+            1, Compose(2, e_minus, g_plus), Compose(1, fold, Compose(2, g_minus, e_plus)),
+        )
+        assert compose_partition(partition) == x
+        assert evaluate(poset_nerve, bottom_first) == x
 
 
 def test_folding_refinement_partition_two_orders(poset_nerve):
@@ -305,11 +341,19 @@ def test_folding_refinement_partition_two_orders(poset_nerve):
         ], dir_v=j, dir_h=j + 1)
         by_rows = compose_partition(partition)
         assert by_rows == a
-        column_bands = [
-            (0, 4), (11, 7),          # left column
-            (1, 2), (8, 9),           # horizontal pairs inside the middle
-            (13, 5), (15, 14),        # stack the middle band
-            (3, 6), (17, 10),         # right column
-            (12, 16), (19, 18),       # glue the three bands
-        ]
-        assert compose_partition(partition, verify_order=column_bands) == a
+        c = [Base(cell.cube) for cell in partition.cells]
+
+        def v(lower, upper):
+            return Compose(j, lower, upper)
+
+        def h(left, right):
+            return Compose(j + 1, left, right)
+
+        column_bands = h(
+            h(
+                v(v(c[0], c[4]), c[7]),                      # left column
+                v(v(h(c[1], c[2]), c[5]), h(c[8], c[9])),    # middle band
+            ),
+            v(v(c[3], c[6]), c[10]),                         # right column
+        )
+        assert evaluate(poset_nerve, column_bands) == a

@@ -465,8 +465,7 @@ def test_render_transport_pair(tmp_path):
     result = run_cli("render", "--cat", "poset22", "--dim", "2",
                      "--kind", "transport", "--dir", "1", str(path))
     assert result.returncode == 0
-    assert "G+a" in result.stdout and "G+b" in result.stdout
-    assert "h: direction 2, v: direction 1" in result.stdout
+    assert result.stdout == (GOLDEN / "transport.txt").read_text(encoding="utf-8")
 
 
 def test_render_transport_rejects_single_cube(square_file):
