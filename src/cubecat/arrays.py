@@ -2,11 +2,13 @@
 
 A partition tiles a rectangle with cells that may span several grid units;
 an array is the partition of unit tiles that ``tile_grid`` builds once it
-has checked that neighbouring cells share their faces.  A composite is one
-``fillers`` term, evaluated by ``fillers.evaluate``: the rows-first term
-always, and the columns-first term as well when the columns stack.  The two
-must agree, which is the interchange law for arrays.  The renderer draws a
-partition as a box diagram with one label per cell and a direction legend.
+has checked that neighbouring cells share their faces.  A composite is
+evaluated by ``fillers.evaluate`` from ``fillers`` terms, one per band and one
+stacking the bands, after the faces they join are checked, so a mismatch
+names its cells or bands: rows first always, and columns first as well when
+the columns stack.  The two must agree, which is the interchange law for
+arrays.  The renderer draws a partition as a box diagram with one label per
+cell and a direction legend.
 """
 
 from __future__ import annotations
@@ -127,21 +129,9 @@ def tile_grid(system: CubeSystem, rows, dir_v: int, dir_h: int,
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
             if c + 1 < width:
-                left = system.face(x, dir_h, PLUS)
-                right = system.face(row[c + 1], dir_h, MINUS)
-                if left != right:
-                    raise NotComposable(
-                        dir_h, system.describe(left), system.describe(right),
-                        f"cells ({r},{c})-({r},{c + 1})",
-                    )
+                _check_shared_face(system, x, row[c + 1], dir_h, f"cells ({r},{c})-({r},{c + 1})")
             if r + 1 < len(rows):
-                upper = system.face(x, dir_v, PLUS)
-                lower = system.face(rows[r + 1][c], dir_v, MINUS)
-                if upper != lower:
-                    raise NotComposable(
-                        dir_v, system.describe(upper), system.describe(lower),
-                        f"cells ({r},{c})-({r + 1},{c})",
-                    )
+                _check_shared_face(system, x, rows[r + 1][c], dir_v, f"cells ({r},{c})-({r + 1},{c})")
     return ComposablePartition(system, [
         PartitionCell(r, c, r + 1, c + 1, x, labels[r][c] if labels else None)
         for r, row in enumerate(rows)
@@ -149,10 +139,19 @@ def tile_grid(system: CubeSystem, rows, dir_v: int, dir_h: int,
     ], dir_v, dir_h)
 
 
-def _banded_term(cells, band, place, along: int, across: int):
+def _check_shared_face(system: CubeSystem, x, y, direction: int, where: str) -> None:
+    """Raise ``NotComposable``, naming ``where``, unless x's upper face is y's lower one."""
+    upper, lower = system.face(x, direction, PLUS), system.face(y, direction, MINUS)
+    if upper != lower:
+        raise NotComposable(direction, system.describe(upper), system.describe(lower), where)
+
+
+def _banded_composite(system: CubeSystem, cells, band, place, along: int, across: int,
+                      name: str):
     """Compose each band along ``along`` in ``place`` order, then the bands across.
 
     Returns None when the bands (the distinct ``band`` spans) do not stack.
+    Each face joined is checked first: a mismatch names both cells or spans.
     """
     bands: dict = {}
     for cell in cells:
@@ -160,10 +159,18 @@ def _banded_term(cells, band, place, along: int, across: int):
     spans = sorted(bands)
     if any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
         return None
-    return _fold(across, [
-        _fold(along, [Base(cell.cube) for cell in sorted(bands[span], key=place)])
-        for span in spans
-    ])
+    lines = [sorted(bands[span], key=place) for span in spans]
+    for line in lines:
+        for a, b in zip(line, line[1:]):
+            _check_shared_face(system, a.cube, b.cube, along,
+                               f"cells ({a.r0},{a.c0})-({b.r0},{b.c0})")
+    composites = [evaluate(system, _fold(along, [Base(cell.cube) for cell in line]))
+                  for line in lines]
+    for k in range(1, len(spans)):
+        (a0, a1), (b0, b1) = spans[k - 1], spans[k]
+        _check_shared_face(system, composites[k - 1], composites[k], across,
+                           f"{name} [{a0},{a1})-[{b0},{b1})")
+    return evaluate(system, _fold(across, list(map(Base, composites))))
 
 
 def _fold(direction: int, terms):
@@ -182,12 +189,13 @@ def compose_partition(partition: ComposablePartition):
     """
     system, cells = partition.system, partition.cells
     dir_v, dir_h = partition.dir_v, partition.dir_h
-    by_rows = _banded_term(cells, attrgetter("r0", "r1"), attrgetter("c0"), dir_h, dir_v)
-    if by_rows is None:
+    result = _banded_composite(system, cells, attrgetter("r0", "r1"), attrgetter("c0"),
+                               dir_h, dir_v, "rows")
+    if result is None:
         raise BadTiling("row bands do not stack; no rows-first order exists")
-    result = evaluate(system, by_rows)
-    by_cols = _banded_term(cells, attrgetter("c0", "c1"), attrgetter("r0"), dir_v, dir_h)
-    if by_cols is not None and evaluate(system, by_cols) != result:
+    by_cols = _banded_composite(system, cells, attrgetter("c0", "c1"), attrgetter("r0"),
+                                dir_v, dir_h, "columns")
+    if by_cols is not None and by_cols != result:
         raise InterchangeViolation(
             "row-first and column-first composites differ; the model breaks interchange"
         )

@@ -236,6 +236,13 @@ class IdView:
     for, and the operation closures are built on the first call, so a
     model that is never asked pays nothing for them.
 
+    Three operations derived from these four are stored the same way, on
+    first use, by the view whose operations computed them, never by the id
+    space it shares: ψ_i in ``psis[i]`` by id, the checked full folding in
+    ``folds`` (ids of the folded cube and its two direction-1 faces, stored
+    once its postconditions hold) and the boundary of a non-shell element in
+    ``boundaries``.  They live as long as the view.
+
     A pool is stored the same way: a view hands a dimension below its
     system's ``owns_from("cubes")`` to its base, so the view of the system
     that enumerates the dimension keeps it, in ``pools[n]``, as its ids and
@@ -252,6 +259,9 @@ class IdView:
             self.ids, self.elements, self.dims, self.hashes = (
                 base.ids, base.elements, base.dims, base.hashes)
         self.tables = {op: {} for op in OPS}
+        self.psis: dict = {}
+        self.folds: dict = {}
+        self.boundaries: dict = {}
         self.pools: dict = {}
         self.indexes: dict = {}
         self.dim = self.dims.__getitem__

@@ -8,6 +8,8 @@ direction i+1 around so they abut the direction-i faces, and composes:
 Applying psi_{n-1} first and psi_1 last accumulates all negative (and all
 positive) faces of x into the two direction-1 faces of the result; every
 other face of the folded cube is degenerate in direction 1.
+
+An id view stores each fold it makes (``IdView.psis``, ``folds``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .core import MINUS, PLUS, SIGNS, CubeSystem, degenerate_at, degeneracy_face
 from .errors import BoundaryMismatch, IndexOutOfRange, PostconditionViolated
 
 
+_NONE: dict = {}  # the ψ table of a direction not folded yet; never filled
+
+
 def psi(system: CubeSystem, x, i: int):
     """Fold x in direction i (valid for 1 <= i <= dim-1)."""
     view = system.id_view
@@ -25,13 +30,17 @@ def psi(system: CubeSystem, x, i: int):
 
 
 def _psi(view, x: int, i: int) -> int:
-    # on element ids: six table lookups, no translation in between
-    n = view.dim(x)
-    if n < 2 or not 1 <= i <= n - 1:
-        raise IndexOutOfRange("psi", i, n)
-    left = view.connection(view.face(x, i + 1, MINUS), i, PLUS)
-    right = view.connection(view.face(x, i + 1, PLUS), i, MINUS)
-    return view.compose(view.compose(left, x, i + 1), right, i + 1)
+    # on element ids: a stored fold, or six table lookups with no translation in between
+    out = view.psis.get(i, _NONE).get(x)
+    if out is None:
+        n = view.dim(x)
+        if n < 2 or not 1 <= i <= n - 1:
+            raise IndexOutOfRange("psi", i, n)
+        left = view.connection(view.face(x, i + 1, MINUS), i, PLUS)
+        right = view.connection(view.face(x, i + 1, PLUS), i, MINUS)
+        out = view.psis.setdefault(i, {})[x] = view.compose(
+            view.compose(left, x, i + 1), right, i + 1)
+    return out
 
 
 def _fold_through(view, x: int, j: int) -> int:
@@ -53,29 +62,34 @@ class FoldResult:
 def big_psi(system: CubeSystem, x) -> FoldResult:
     """Apply the full chain psi_1 ... psi_{n-1}; empty at dimension 1.
 
-    Postconditions are re-checked: every face of the folded cube beyond
-    direction 1 must be degenerate in direction 1, and the two direction-1
-    faces must share their whole boundary.
+    Postconditions are checked on the first call: every face of the folded
+    cube beyond direction 1 must be degenerate in direction 1, and the two
+    direction-1 faces must share their whole boundary.  Only a fold that
+    passes is stored, so one that fails raises on every call.
     """
     n = system.dim(x)
     if n < 1:
         raise IndexOutOfRange("big_psi", 1, n)
     view = system.id_view
-    folded = _fold_through(view, view.id(x), n - 1)
-    n_face = view.face(folded, 1, MINUS)
-    p_face = view.face(folded, 1, PLUS)
-    for i in range(2, n + 1):
-        for sign in SIGNS:
-            if not degenerate_at(view, view.face(folded, i, sign), 1):
+    k = view.id(x)
+    got = view.folds.get(k)
+    if got is None:
+        folded = _fold_through(view, k, n - 1)
+        n_face = view.face(folded, 1, MINUS)
+        p_face = view.face(folded, 1, PLUS)
+        for i in range(2, n + 1):
+            for sign in SIGNS:
+                if not degenerate_at(view, view.face(folded, i, sign), 1):
+                    raise PostconditionViolated(
+                        f"face ({i},{sign}) of the folded cube is not degenerate"
+                    )
+        for i, sign in slots(n - 1):
+            if view.face(n_face, i, sign) != view.face(p_face, i, sign):
                 raise PostconditionViolated(
-                    f"face ({i},{sign}) of the folded cube is not degenerate"
+                    f"folded boundary composites disagree at face ({i},{sign})"
                 )
-    for i, sign in slots(n - 1):
-        if view.face(n_face, i, sign) != view.face(p_face, i, sign):
-            raise PostconditionViolated(
-                f"folded boundary composites disagree at face ({i},{sign})"
-            )
-    return FoldResult(*(view.elements[k] for k in (folded, n_face, p_face)))
+        got = view.folds[k] = (folded, n_face, p_face)
+    return FoldResult(*map(view.elements.__getitem__, got))
 
 
 def reconstruct_folded_shell(system: CubeSystem, n_face, p_face):

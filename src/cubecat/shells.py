@@ -123,7 +123,8 @@ def make_shell(system: CubeSystem, dim: int, faces: dict) -> Shell:
 def boundary(system: CubeSystem, x) -> Shell:
     """The shell of all faces of x (incidence holds automatically).
 
-    An element that is a shell holds its faces, so it is its own boundary.
+    An element that is a shell holds its faces, so it is its own boundary;
+    the view stores the boundary of any other element (``IdView.boundaries``).
     """
     if isinstance(x, Shell):
         return x
@@ -131,8 +132,12 @@ def boundary(system: CubeSystem, x) -> Shell:
     if n < 1:
         raise IndexOutOfRange("boundary", 1, n)
     view = system.id_view
-    k, face = view.id(x), view.face
-    return Shell(view, n, tuple([face(k, i, s) for i, s in slots(n)]))
+    k = view.id(x)
+    out = view.boundaries.get(k)
+    if out is None:
+        face = view.face
+        out = view.boundaries[k] = Shell(view, n, tuple([face(k, i, s) for i, s in slots(n)]))
+    return out
 
 
 # ---------------------------------------------------------------------------

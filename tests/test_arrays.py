@@ -80,6 +80,24 @@ def test_array_construction_rejects_bad_adjacency(poset_nerve):
         tile_grid(poset_nerve, [[x]], dir_v=2, dir_h=2)
 
 
+def test_partition_face_mismatch_names_the_cells_or_bands(poset_nerve):
+    # the two squares of the adjacency test above, as partitions: side by side
+    # they form one row band, stacked they form two
+    squares = poset_nerve.cubes(2)
+    x = next(c for c in squares if poset_nerve.face(c, 2, PLUS).edges[0] == "00->01")
+    y = next(c for c in squares if poset_nerve.face(c, 2, MINUS).edges[0] == "10->11")
+    side = ComposablePartition(poset_nerve, [
+        PartitionCell(0, 0, 1, 1, x), PartitionCell(0, 1, 1, 2, y),
+    ], dir_v=1, dir_h=2)
+    with pytest.raises(NotComposable, match=r"^cells \(0,0\)-\(0,1\): .* direction 2"):
+        compose_partition(side)
+    stacked = ComposablePartition(poset_nerve, [
+        PartitionCell(0, 0, 1, 1, x), PartitionCell(1, 0, 2, 1, y),
+    ], dir_v=2, dir_h=1)
+    with pytest.raises(NotComposable, match=r"^rows \[0,1\)-\[1,2\): .* direction 2"):
+        compose_partition(stacked)
+
+
 def test_interchange_row_vs_column_exhaustive_2x2(poset_nerve):
     # every composable 2x2 array of squares evaluates identically both ways
     squares = poset_nerve.cubes(2)

@@ -14,14 +14,19 @@ from cubecat import (
     MINUS,
     PLUS,
     ShellExtension,
+    big_psi,
     bundled_category,
+    folding,
     nerve,
+    psi,
     run_axiom_suite,
     shell_tower,
 )
 from cubecat.core import composable_pairs
 from cubecat.shells import boundary, enumerate_shells, make_shell, shell_system
-from cubecat.errors import DimensionTooLarge, IndexOutOfRange, NotComposable
+from cubecat.errors import (
+    DimensionTooLarge, IndexOutOfRange, NotComposable, PostconditionViolated,
+)
 from cubecat.fillers import ConnectionOverrideSystem
 from conftest import nerve_of, tower_of
 
@@ -141,6 +146,7 @@ def test_nothing_is_tabulated_at_set_up():
     for s in (system, tower, tower.base, tower.base.base):
         assert stored(s) == 0
         assert not s.id_view.elements
+        assert not (s.id_view.psis or s.id_view.folds or s.id_view.boundaries)
         # the operations themselves are built on first use
         assert not {"id", "face", "compose"} & set(vars(s.id_view))
     tower.face(tower.cubes(3)[0], 1, MINUS)
@@ -202,3 +208,63 @@ def test_enumerate_shells_lists_the_extension_pool_once(monkeypatch):
     for shells in (first, second):
         assert len(shells) == len(pool)
         assert all(s is t for s, t in zip(shells, pool))
+
+
+def test_a_fold_belongs_to_the_view_that_made_it():
+    # the override shares the base's ids and faces but not its connections,
+    # so a fold the base stored must not answer for the override
+    base = nerve(bundled_category("poset22"), 3)
+
+    def gamma(a, i, sign):
+        return base.degeneracy(a, i)
+
+    override = ConnectionOverrideSystem(base, 3, gamma)
+
+    def own_psi(system, x, i):
+        left = system.connection(system.face(x, i + 1, MINUS), i, PLUS)
+        right = system.connection(system.face(x, i + 1, PLUS), i, MINUS)
+        return system.compose(system.compose(left, x, i + 1), right, i + 1)
+
+    refused = 0
+    for x in base.cubes(3):
+        for i in (1, 2):
+            folded = psi(base, x, i)
+            try:
+                expected = own_psi(override, x, i)
+            except NotComposable:
+                with pytest.raises(NotComposable):
+                    psi(override, x, i)
+                refused += 1
+            else:
+                assert psi(override, x, i) == expected
+            assert psi(base, x, i) == folded
+    assert refused, "the override's connections must change some fold"
+    assert override.id_view.psis is not base.id_view.psis
+
+
+def test_a_failed_fold_is_not_stored_and_a_stored_one_is_reused(monkeypatch):
+    system = nerve(bundled_category("poset22"), 3)
+    view = system.id_view
+    x = system.cubes(3)[-1]
+    with monkeypatch.context() as m:
+        m.setattr(folding, "degenerate_at", lambda view, k, i: False)
+        with pytest.raises(PostconditionViolated):
+            big_psi(system, x)
+    assert not view.folds
+    first = big_psi(system, x)
+    assert first.folded == system.degeneracy(first.n_face, 1)
+    answers = (first, psi(system, x, 1), psi(system, x, 2), boundary(system, x))
+    calls = []
+
+    def counted(op):
+        def wrapper(*args):
+            calls.append(args)
+            return op(*args)
+        return wrapper
+
+    monkeypatch.setattr(view, "compose", counted(view.compose))
+    monkeypatch.setattr(view, "face", counted(view.face))
+    again = (big_psi(system, x), psi(system, x, 1), psi(system, x, 2), boundary(system, x))
+    assert again == answers
+    assert again[3] is answers[3]
+    assert not calls, "a stored fold or boundary was computed again"
