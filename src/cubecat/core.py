@@ -96,7 +96,7 @@ class CubeSystem:
     def _mates(self, n: int, i: int, k: int) -> list:
         """Ids of the dimension-n elements whose lower i-face is the upper i-face of id k."""
         view = self.id_view
-        return view.minus_index(n, i).get(view.face(k, i, PLUS), ())
+        return view.index(n, ((i, MINUS),)).get((view.face(k, i, PLUS),), ())
 
     def sample_element(self, n: int, rng):
         elements = self.cubes(n)
@@ -246,8 +246,13 @@ class IdView:
     A pool is stored the same way: a view hands a dimension below its
     system's ``owns_from("cubes")`` to its base, so the view of the system
     that enumerates the dimension keeps it, in ``pools[n]``, as its ids and
-    its elements, both in enumeration order, and keeps the index the
-    sampling hooks draw composable mates from in ``indexes[n, i]``.
+    its elements, both in enumeration order.  That view also keeps every
+    face index of the pool, in ``indexes[n, keys]``: ``index(n, keys)``
+    lists the pool's ids by the tuple of their face ids at ``keys``, a
+    tuple of (direction, sign), each list in pool order.  The exhaustive
+    enumerators, the sampling hooks, the shell search and the suites that
+    look an element up by its boundary all read these, and
+    :func:`face_index` is their one builder.
     """
 
     def __init__(self, system: "CubeSystem", base: Optional["IdView"] = None):
@@ -280,11 +285,12 @@ class IdView:
             self.ids, self.elements, self.dims, self.hashes, system.dim)
 
         def intern(x) -> int:
-            n = len(elements)
-            k = ids.setdefault(x, n)
-            if k == n:
+            k = ids.get(x)
+            if k is None:
+                d = dim(x)  # may raise on a non-element: nothing is stored before it returns
+                k = ids[x] = len(elements)
                 elements.append(x)
-                dims.append(dim(x))
+                dims.append(d)
                 hashes.append(hash(x))
             return k
 
@@ -348,16 +354,14 @@ class IdView:
         """The dimension-n elements, in enumeration order."""
         return self._stored_pool(n)[1]
 
-    def minus_index(self, n: int, i: int) -> dict:
-        """Ids of ``pool(n)`` by the id of their lower i-face, in enumeration order."""
+    def index(self, n: int, keys: tuple) -> dict:
+        """Ids of ``pool(n)`` by the tuple of their face ids at ``keys``, each list in pool order."""
         if n < self.system.owns_from("cubes"):
-            return self.base.minus_index(n, i)
-        index = self.indexes.get((n, i))
-        if index is None:
-            index = self.indexes[n, i] = {}
-            for x in self.pool(n):
-                index.setdefault(self.face(x, i, MINUS), []).append(x)
-        return index
+            return self.base.index(n, keys)
+        got = self.indexes.get((n, keys))
+        if got is None:
+            got = self.indexes[n, keys] = face_index(self.face, self.pool(n), keys)
+        return got
 
     def _stored_pool(self, n: int) -> tuple:
         system = self.system
@@ -419,66 +423,30 @@ def tabulated(cls: type) -> type:
 
 
 # ---------------------------------------------------------------------------
-# composability indexes, sampling
+# face indexes
 
 
-def pair_index(system: CubeSystem, elements: Iterable, i: int):
-    """Index elements by their lower/upper face in direction i."""
-    by_plus: dict = {}
-    by_minus: dict = {}
+def face_index(face: Callable, elements: Iterable, keys: tuple) -> dict:
+    """The elements by the tuple of their faces at ``keys``, each list in the given order."""
+    index: dict = {}
     for x in elements:
-        by_plus.setdefault(system.face(x, i, PLUS), []).append(x)
-        by_minus.setdefault(system.face(x, i, MINUS), []).append(x)
-    return by_plus, by_minus
+        index.setdefault(tuple([face(x, i, sign) for i, sign in keys]), []).append(x)
+    return index
 
 
-def composable_pairs(system: CubeSystem, elements, i: int) -> Iterator[tuple]:
-    by_plus, by_minus = pair_index(system, elements, i)
-    for f, lefts in by_plus.items():
-        rights = by_minus.get(f)
-        if not rights:
-            continue
-        for x in lefts:
-            for y in rights:
+def _pairs(plus: dict, minus: dict) -> Iterator[tuple]:
+    """(x, y) for each key of ``plus``, in its order: x listed under it there, y in ``minus``."""
+    for f, xs in plus.items():
+        ys = minus.get(f, ())
+        for x in xs:
+            for y in ys:
                 yield x, y
 
 
-def composable_triples(system: CubeSystem, elements, i: int) -> Iterator[tuple]:
-    by_plus, by_minus = pair_index(system, elements, i)
-    for f, lefts in by_plus.items():
-        rights = by_minus.get(f)
-        if not rights:
-            continue
-        # each y's mates z are looked up once, not once per x
-        mates = [(y, by_minus.get(system.face(y, i, PLUS), ())) for y in rights]
-        for x in lefts:
-            for y, zs in mates:
-                for z in zs:
-                    yield x, y, z
-
-
-def interchange_grids(system: CubeSystem, elements, i: int, j: int) -> Iterator[tuple]:
-    """(x, y, z, w) with x,y and z,w i-composable and x,z and y,w j-composable."""
-    _, i_minus = pair_index(system, elements, i)
-    _, j_minus = pair_index(system, elements, j)
-    by_both: dict = {}
-    for w in elements:
-        key = (system.face(w, i, MINUS), system.face(w, j, MINUS))
-        by_both.setdefault(key, []).append(w)
-    for x in elements:
-        ys = i_minus.get(system.face(x, i, PLUS), ())
-        if not ys:
-            continue
-        zs = j_minus.get(system.face(x, j, PLUS), ())
-        if not zs:
-            continue
-        # each z's face is looked up once per x, not once per (y, z)
-        z_faces = [(z, system.face(z, i, PLUS)) for z in zs]
-        for y in ys:
-            fy = system.face(y, j, PLUS)
-            for z, fz in z_faces:
-                for w in by_both.get((fz, fy), ()):
-                    yield x, y, z, w
+def composable_pairs(system: CubeSystem, elements, i: int) -> Iterator[tuple]:
+    """(x, y) of a list with x's upper i-face y's lower one, grouped by that face, first seen first."""
+    face = system.face
+    return _pairs(face_index(face, elements, ((i, PLUS),)), face_index(face, elements, ((i, MINUS),)))
 
 
 # ---------------------------------------------------------------------------
@@ -878,25 +846,42 @@ def _evaluate(law_id: str, view: IdView, groups: Callable, describe: Callable,
 
 
 def _exhaustive_bindings(view: IdView, kind: str, n: int) -> Iterator[tuple]:
-    elements = view.pool(n)
-    if kind == "pair":
-        for i in range(1, n + 1):
-            for x, y in composable_pairs(view, elements, i):
+    """Every pair, triple or grid binding at dimension n, read off the view's stored face indexes.
+
+    Directions ascend, i before j.  Pairs and triples are grouped by x's
+    upper i-face, the faces in the order ``pool(n)`` first shows them; grids
+    run over x in pool order; every other element comes in pool order.
+    """
+    face = view.face
+    for i in range(1, n + 1):
+        minus = view.index(n, ((i, MINUS),))
+        if kind == "pair":
+            for x, y in _pairs(view.index(n, ((i, PLUS),)), minus):
                 yield x, y, i
-    elif kind == "triple":
-        for i in range(1, n + 1):
-            for x, y, z in composable_triples(view, elements, i):
-                yield x, y, z, i
-    elif kind == "grid":
-        for i in range(1, n + 1):
+        elif kind == "triple":
+            for x, y in _pairs(view.index(n, ((i, PLUS),)), minus):
+                for z in minus.get((face(y, i, PLUS),), ()):
+                    yield x, y, z, i
+        else:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                directions = (i, j)
-                for grid in interchange_grids(view, elements, i, j):
-                    yield grid + directions
-    else:  # pragma: no cover
-        raise ValueError(kind)
+                j_minus = view.index(n, ((j, MINUS),))
+                by_both = view.index(n, ((i, MINUS), (j, MINUS)))
+                for x in view.pool(n):
+                    ys = minus.get((face(x, i, PLUS),))
+                    if not ys:
+                        continue
+                    zs = j_minus.get((face(x, j, PLUS),))
+                    if not zs:
+                        continue
+                    # each z's face is looked up once per x, not once per (y, z)
+                    z_faces = [(z, face(z, i, PLUS)) for z in zs]
+                    for y in ys:
+                        fy = face(y, j, PLUS)
+                        for z, fz in z_faces:
+                            for w in by_both.get((fz, fy), ()):
+                                yield x, y, z, w, i, j
 
 
 class Stream:

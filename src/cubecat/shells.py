@@ -247,24 +247,10 @@ class ShellExtension(CubeSystem):
     # mates.
 
     @cached_property
-    def _profile_index(self) -> list:
-        """For each depth d < top, the base's (top-1)-element ids by their first d face pairs."""
-        view = self.base.id_view
-        elements = view.pool(self.top - 1)
-        profile_index: list[dict] = []
-        for depth in range(self.top):
-            index: dict = {}
-            for x in elements:
-                key = tuple([view.face(x, j, b) for j, b in slots(depth)])
-                index.setdefault(key, []).append(x)
-            profile_index.append(index)
-        return profile_index
-
-    @cached_property
     def _incidence_plan(self) -> tuple:
         """FACE-FACE read for the search: face q of the face placed at slot p
         is face r of the face placed earlier at slot q.  ``needs[p]`` lists
-        (slot of q, *r) in the order of the profile key, and ``meet[p, q]`` is r.
+        (slot of q, *r) in the order of the index key, and ``meet[p, q]`` is r.
         """
         needs: list = [[] for _ in slots(self.top)]
         meet: dict = {}
@@ -277,13 +263,15 @@ class ShellExtension(CubeSystem):
         """Top shells, assembled face pair by face pair with backtracking.
 
         When face (i, sign) is placed, its first i-1 face pairs are pinned by
-        incidence with the faces already chosen, so candidates come from the
-        profile index.  With an ``rng`` the candidates of each face are
-        shuffled and the search gives up after ``NODE_BUDGET`` nodes; ``pins``
-        maps some (i, sign) to the base element id that face must be.
+        incidence with the faces already chosen, so its candidates are one
+        list of the base's ``index(top - 1, slots(i - 1))``, in pool order.
+        With an ``rng`` the candidates of each face are shuffled and the
+        search gives up after ``NODE_BUDGET`` nodes; ``pins`` maps some
+        (i, sign) to the base element id that face must be.
         """
-        view, n, profile_index = self.base.id_view, self.top, self._profile_index
+        view, n = self.base.id_view, self.top
         face, keys = view.face, slots(n)
+        by_profile = [view.index(n - 1, slots(d)) for d in range(n)]
         needs, meet = self._incidence_plan
         chosen: list = []  # ids of the faces placed so far, in slot order
         budget = NODE_BUDGET if rng is not None else math.inf
@@ -309,7 +297,7 @@ class ShellExtension(CubeSystem):
                 pv = pins[key]
                 cands = [pv] if req == tuple([face(pv, j, b) for j, b in slots(key[0] - 1)]) else []
             else:
-                cands = profile_index[key[0] - 1].get(req, ())
+                cands = by_profile[key[0] - 1].get(req, ())
                 if pins:
                     for j, b, f in pin_checks[at]:
                         cands = [c for c in cands if face(c, j, b) == f]

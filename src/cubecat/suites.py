@@ -27,6 +27,7 @@ from .core import (
     composable_pairs,
     degenerate_at,
     select,
+    slots,
 )
 from .errors import UnknownLaw
 from .folding import _fold_through, _psi
@@ -130,7 +131,6 @@ def _thm_1_4(view, n, stream):
     """Unique reconstruction from boundary and full folding, by enumeration."""
     sys, elements = view.system, view.elements
     realized: dict = {}
-    by_boundary: dict = {}
     for x in view.pool(n):
         s = boundary(sys, elements[x])
         folded = _folded(view, x)
@@ -139,12 +139,11 @@ def _thm_1_4(view, n, stream):
         other = realized.setdefault((s, folded), x)
         yield ({"x": x, "y": other}, lambda: "uniqueness: y has the boundary and folding of x",
                other, x)
-        by_boundary.setdefault(s, []).append(x)
-    ext = shell_system(sys, n)
-    for t in ext.id_view.pool(n):
+    by_boundary = view.index(n, slots(n))
+    for t in shell_system(sys, n).id_view.pool(n):
         shell = elements[t]
         folded_shell = shell_big_fold(sys, shell)[0] if n >= 2 else shell
-        for a in by_boundary.get(folded_shell, ()):
+        for a in by_boundary.get(folded_shell.ids, ()):
             yield ({"s": t, "x": a}, lambda: "existence: an element has boundary s and folding x",
                    (shell, a) in realized, True)
     for (shell, a) in realized:
@@ -241,13 +240,10 @@ def _prop_2_1_shells(view, n, stream):
 
 def _prop_2_1_fillers(view, n, stream):
     sys, elements = view.system, view.elements
-    thin_by_boundary: dict = {}
-    for x in view.pool(n):
-        if folding.is_thin(sys, elements[x]):
-            thin_by_boundary.setdefault(boundary(sys, elements[x]), []).append(x)
+    by_boundary = view.index(n, slots(n))
     for s in shell_system(sys, n).id_view.pool(n):
         shell = elements[s]
-        found = thin_by_boundary.get(shell, [])
+        found = [x for x in by_boundary.get(shell.ids, ()) if folding.is_thin(sys, elements[x])]
         if is_commutative(sys, shell):
             filler = fillers.thin_filler(sys, shell)
             k = view.id(filler)

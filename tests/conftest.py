@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubecat import bundled_category, nerve, shell_tower
+from cubecat import MINUS, PLUS, bundled_category, nerve, shell_tower
 
 _CACHE = {}
 
@@ -52,3 +52,47 @@ def edge_cube(system, name: str):
         if c.edges[0] == name:
             return c
     raise AssertionError(f"no edge {name!r}")
+
+
+def reference_bindings(view, kind: str, n: int):
+    """Pair, triple or grid bindings of ``view.pool(n)`` by plain nested loops.
+
+    The order is the one the exhaustive runner documents: directions
+    ascending, i before j; pairs and triples grouped by x's upper i-face,
+    the faces in the order the pool first shows them; grids by x in pool
+    order; every other element in pool order.
+    """
+    pool, face = view.pool(n), view.face
+
+    def composes(x, y, i):
+        return face(x, i, PLUS) == face(y, i, MINUS)
+
+    for i in range(1, n + 1):
+        if kind == "grid":
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for x in pool:
+                    for y in pool:
+                        if not composes(x, y, i):
+                            continue
+                        for z in pool:
+                            if not composes(x, z, j):
+                                continue
+                            for w in pool:
+                                if composes(z, w, i) and composes(y, w, j):
+                                    yield x, y, z, w, i, j
+            continue
+        for f in dict.fromkeys(face(x, i, PLUS) for x in pool):
+            for x in pool:
+                if face(x, i, PLUS) != f:
+                    continue
+                for y in pool:
+                    if not composes(x, y, i):
+                        continue
+                    if kind == "pair":
+                        yield x, y, i
+                        continue
+                    for z in pool:
+                        if composes(y, z, i):
+                            yield x, y, z, i

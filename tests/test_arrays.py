@@ -23,9 +23,17 @@ from cubecat import (
     tile_grid,
 )
 from cubecat.arrays import DOUBLE, EPS_H, EPS_V, GAMMA_MINUS, GAMMA_PLUS
-from cubecat.core import composable_pairs, interchange_grids
+from cubecat.core import _exhaustive_bindings, composable_pairs
 from cubecat.errors import BadTiling, InterchangeViolation, NotComposable, Unresolvable
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def square_grids(system):
+    """The 2x2 grids of squares, rows joined in direction 2 and stacked in 1, in enumeration order."""
+    view = system.id_view
+    for *grid, i, j in _exhaustive_bindings(view, "grid", 2):
+        if (i, j) == (2, 1):
+            yield tuple(map(view.elements.__getitem__, grid))
 
 
 def identity_square(system):
@@ -100,9 +108,8 @@ def test_partition_face_mismatch_names_the_cells_or_bands(poset_nerve):
 
 def test_interchange_row_vs_column_exhaustive_2x2(poset_nerve):
     # every composable 2x2 array of squares evaluates identically both ways
-    squares = poset_nerve.cubes(2)
     count = 0
-    for x, y, z, w in interchange_grids(poset_nerve, squares, 2, 1):
+    for x, y, z, w in square_grids(poset_nerve):
         grid = tile_grid(poset_nerve, [[x, y], [z, w]], dir_v=1, dir_h=2)
         compose_partition(grid)  # raises InterchangeViolation on disagreement
         count += 1
@@ -185,7 +192,7 @@ def test_interchange_violation_is_raised():
     system = nerve(bundled_category("poset22"), 2)
     honest = system.compose
     x, y, z, w = next(
-        g for g in interchange_grids(system, system.cubes(2), 2, 1)
+        g for g in square_grids(system)
         if honest(g[0], g[2], 1) not in (g[0], g[2])
     )
     left_column = honest(x, z, 1)
@@ -290,7 +297,7 @@ def test_interchange_on_2x3_arrays(poset_nerve):
     # exhaustive 2x3 arrays of squares: row-first equals column-first
     squares = poset_nerve.cubes(2)
     count = 0
-    for x, y, z, w in interchange_grids(poset_nerve, squares, 2, 1):
+    for x, y, z, w in square_grids(poset_nerve):
         mates = [
             m for m in squares
             if poset_nerve.face(m, 2, MINUS) == poset_nerve.face(y, 2, PLUS)

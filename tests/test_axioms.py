@@ -20,7 +20,7 @@ from cubecat import (
 )
 from cubecat.core import REGISTRY, composable_pairs, incidences, run_law, slots
 from cubecat.errors import IndexOutOfRange, MalformedSample, NotComposable, UnknownLaw
-from conftest import nerve_of, tower_of
+from conftest import nerve_of, reference_bindings, tower_of
 
 
 def failing_ids(reports):
@@ -145,11 +145,10 @@ def test_transport_law_on_sampled_pairs(data):
 
 
 def test_check_axiom_interchange_on_grid(square_nerve):
-    from cubecat.core import interchange_grids
-
-    x, y, z, w = next(iter(interchange_grids(
-        square_nerve, square_nerve.cubes(2), 1, 2)))
-    report = check_axiom(square_nerve, "INTERCHANGE", [x, y, z, w])
+    view = square_nerve.id_view
+    *grid, i, j = next(core._exhaustive_bindings(view, "grid", 2))
+    assert (i, j) == (1, 2)
+    report = check_axiom(square_nerve, "INTERCHANGE", [view.elements[k] for k in grid])
     assert report.passed and report.instances >= 1
 
 
@@ -168,6 +167,19 @@ def test_law_instance_counts_are_pinned(law_id, make, name, max_dim, bindings):
     assert report.passed and report.instances == bindings
 
 
+@pytest.mark.parametrize("make, name, n, kinds", [
+    (nerve_of, "poset22", 2, ("pair", "triple", "grid")),
+    (tower_of, "poset22", 2, ("pair", "triple", "grid")),
+    (nerve_of, "poset22", 3, ("pair",)),
+    (tower_of, "poset22", 3, ("pair",)),
+], ids=["nerve-poset22-d2", "tower-poset22-d2", "nerve-poset22-d3", "tower-poset22-d3"])
+def test_exhaustive_bindings_come_in_the_reference_order(make, name, n, kinds):
+    view = make(name, 3).id_view
+    for kind in kinds:
+        expected = list(reference_bindings(view, kind, n))
+        assert expected and list(core._exhaustive_bindings(view, kind, n)) == expected
+
+
 @pytest.mark.parametrize("k", [1, 6, 7, 100])
 def test_an_error_names_the_grid_being_checked(monkeypatch, k):
     system = nerve(bundled_category("poset22"), 2)  # fresh: the patch sees every compose
@@ -183,8 +195,7 @@ def test_an_error_names_the_grid_being_checked(monkeypatch, k):
     monkeypatch.setattr(view, "compose", fails_on_kth)
     report = run_law(system, REGISTRY["INTERCHANGE"], max_dim=2, exhaustive_dim=2)
     # INTERCHANGE composes six times per grid, and grids come in enumeration order
-    grids = [grid + (i, j) for i in (1, 2) for j in (1, 2) if i != j
-             for grid in core.interchange_grids(view, view.pool(2), i, j)]
+    grids = list(reference_bindings(view, "grid", 2))
     x, y, z, w, i, j = grids[(k - 1) // 6]
     assert report.counterexample["error"] == "NotComposable"
     assert report.counterexample["binding"] == {

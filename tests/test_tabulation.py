@@ -22,7 +22,7 @@ from cubecat import (
     run_axiom_suite,
     shell_tower,
 )
-from cubecat.core import composable_pairs
+from cubecat.core import composable_pairs, slots
 from cubecat.shells import boundary, enumerate_shells, make_shell, shell_system
 from cubecat.errors import (
     DimensionTooLarge, IndexOutOfRange, NotComposable, PostconditionViolated,
@@ -190,6 +190,27 @@ def test_each_pool_is_stored_by_the_view_that_enumerates_it():
         assert tower.cubes(k) is owner.id_view.cubes(k)
     for system in (root, inner, tower):
         assert set(system.id_view.pools) == {k for k, o in owners.items() if o is system}
+    # so is each face index of a pool, and a system that enumerates nothing keeps none
+    override = ConnectionOverrideSystem(tower, 3, gamma=None)
+    for k, owner in owners.items():
+        index = owner.id_view.index(k, slots(k))
+        assert tower.id_view.index(k, slots(k)) is index
+        assert override.id_view.index(k, slots(k)) is index
+    for system in (root, inner, tower):
+        assert {n for n, _ in system.id_view.indexes} == {k for k, o in owners.items() if o is system}
+    assert not (override.id_view.indexes or override.id_view.pools)
+
+
+def test_an_object_that_is_not_an_element_is_not_interned():
+    system = nerve(bundled_category("poset22"), 2)
+    view = system.id_view
+    system.cubes(2)
+    with pytest.raises(AttributeError):
+        system.face(("bogus",), 1, MINUS)
+    assert ("bogus",) not in view.ids
+    assert len(view.ids) == len(view.elements) == len(view.dims) == len(view.hashes)
+    x = system.degeneracy(system.cubes(2)[-1], 1)  # interned after the refused object
+    assert view.dims[view.id(x)] == 3
 
 
 def test_enumerate_shells_lists_the_extension_pool_once(monkeypatch):
