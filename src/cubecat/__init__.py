@@ -44,11 +44,6 @@ from .shells import (
     enumerate_shells,
     is_commutative,
     make_shell,
-    shell_big_fold,
-    shell_compose,
-    shell_connection,
-    shell_degeneracy,
-    shell_fold,
     shell_system,
     shell_tower,
 )

@@ -13,7 +13,6 @@ and "+".
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
@@ -133,8 +132,8 @@ class CubeSystem:
         if not zs:
             return None
         z = rng.choice(zs)
-        fy = view.face(y, j, PLUS)
-        ws = [w for w in self._mates(n, i, z) if view.face(w, j, MINUS) == fy]
+        ws = view.index(n, ((i, MINUS), (j, MINUS))).get(
+            (view.face(z, i, PLUS), view.face(y, j, PLUS)), ())
         if not ws:
             return None
         return pair + tuple(view.elements[k] for k in (z, rng.choice(ws)))
@@ -751,7 +750,6 @@ class LawReport:
     instances: int = 0
     passed: bool = True
     counterexample: Optional[dict] = None
-    wall_ms: float = 0.0  # informational; excluded from canonical reports
 
     def as_dict(self) -> dict:
         return {
@@ -794,7 +792,7 @@ def _describe_binding(describe: Callable, kind: str, binding) -> dict:
 
 def _evaluate(law_id: str, view: IdView, groups: Callable, describe: Callable,
               per_statement: bool) -> LawReport:
-    """Check statements up to the first failing one, timed.
+    """Check statements up to the first failing one.
 
     ``groups(follow)`` yields (kind, statements) for each part and
     dimension, the statements being (binding, label, lhs, rhs).  A bound
@@ -808,7 +806,6 @@ def _evaluate(law_id: str, view: IdView, groups: Callable, describe: Callable,
     checked when it was raised, if any.
     """
     report = LawReport(law_id=law_id)
-    start = time.perf_counter()
     bound = checked = 0
     current = None  # the binding a bound part is checking
 
@@ -841,7 +838,6 @@ def _evaluate(law_id: str, view: IdView, groups: Callable, describe: Callable,
         if current is not None:
             report.counterexample["binding"] = _describe_binding(describe, kind, current)
     report.instances = checked if per_statement else bound
-    report.wall_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 

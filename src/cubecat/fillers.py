@@ -32,9 +32,7 @@ from .shells import (
     boundary,
     enumerate_shells,
     is_commutative,
-    shell_big_fold,
-    shell_connection,
-    shell_fold,
+    shell_system,
 )
 
 SIGN_CHARS = {MINUS: "−", PLUS: "+"}  # emitted sign strings
@@ -59,7 +57,7 @@ def unfold_step(system: CubeSystem, a, s: Shell, j: int):
     n = system.dim(a)
     if s.dim != n or not 1 <= j <= n - 1:
         raise PreconditionFailed(f"unfold_step needs dim(a) = dim(s) and 1 <= j < {n}")
-    folded_shell = shell_fold(system, s, j)
+    folded_shell = folding.psi(shell_system(system, n), s, j)
     mismatch = _first_mismatch(system, boundary(system, a), folded_shell)
     if mismatch is not None:
         raise PreconditionFailed(
@@ -80,10 +78,11 @@ def filler_from_fold(system: CubeSystem, a, s: Shell):
     if system.dim(a) != n:
         raise PreconditionFailed("filler_from_fold needs dim(a) = dim(s)")
     # sigma[j] is s folded through directions n-1 .. j+1
+    shells = shell_system(system, n)
     sigma = [None] * n
     sigma[n - 1] = s
     for j in range(n - 1, 0, -1):
-        sigma[j - 1] = shell_fold(system, sigma[j], j)
+        sigma[j - 1] = folding.psi(shells, sigma[j], j)
     mismatch = _first_mismatch(system, boundary(system, a), sigma[0])
     if mismatch is not None:
         raise PreconditionFailed(
@@ -103,7 +102,7 @@ def thin_filler(system: CubeSystem, s: Shell):
     """The unique thin element whose boundary is the commutative shell s."""
     if not is_commutative(system, s):
         raise NotCommutative(f"shell of dimension {s.dim} has distinct folded composites")
-    _, u, _ = shell_big_fold(system, s)
+    u = folding.big_psi(shell_system(system, s.dim), s).n_face
     x = filler_from_fold(system, system.degeneracy(u, 1), s)
     if not folding.is_thin(system, x):
         raise PostconditionViolated("thin_filler produced a non-thin element")
@@ -349,10 +348,11 @@ def connections_from_theta(theta: ThinStructure) -> ConnectionOverrideSystem:
     a morphism.
     """
     system, top = theta.system, theta.top
+    shells = shell_system(system, top)
 
     def gamma(a, i: int, sign: Sign):
         check_sign(sign)
-        return theta(shell_connection(system, a, i, sign))
+        return theta(shells.connection(a, i, sign))
 
     override = ConnectionOverrideSystem(system, top, gamma)
     for report in run_axiom_suite(

@@ -13,7 +13,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import core
 from .core import MINUS, PLUS, CubeSystem, Sign
@@ -155,28 +155,16 @@ def _free_category(graph: dict) -> FinCatPresentation:
         ident = f"id:{v}"
         morphisms[ident] = (v, v)
         identities[v] = ident
-    named: dict[tuple, str] = {}
     for p in paths:
-        name = path_name(p)
-        morphisms[name] = (p[0][1], p[-1][1])
-        named[tuple(step[0] for step in p[1:])] = name
-    named[()] = None
+        morphisms[path_name(p)] = (p[0][1], p[-1][1])
     table = {}
     all_paths = [((None, v),) for v in vertices] + paths
     for p in all_paths:
         for q in all_paths:
             if p[-1][1] != q[0][1]:
                 continue
-            combined = tuple(s[0] for s in p[1:]) + tuple(s[0] for s in q[1:])
-            f = path_name(p)
-            g = path_name(q)
-            if not combined:
-                gf = identities[p[0][1]]
-            else:
-                gf = named.get(combined)
-                if gf is None:
-                    gf = "∘".join(reversed(list(combined)))
-            table[(g, f)] = gf
+            # the composite is the concatenated path, itself listed under its name
+            table[(path_name(q), path_name(p))] = path_name(p + q[1:])
     return FinCatPresentation(vertices, morphisms, identities, table)
 
 
@@ -274,14 +262,21 @@ def _face_pickers(n: int, pos: int, bit: int) -> tuple:
     return _picker(vmap), _picker(emap)
 
 
-def _lift_pickers(n: int, vmap: list, sources: list) -> tuple:
-    """Pickers of an (n+1)-cube lifted from an n-cube x.
+def _collapse_pickers(n: int, collapse: Callable[[int], int]) -> tuple:
+    """Pickers of the (n+1)-cube lifted from an n-cube x along ``collapse``.
 
-    Its edge k copies edge m of x for the source ("e", m) and is the
-    identity on vertex m of x for ("v", m).  The pickers take x's vertices
-    to the lift's, x's vertices to those whose identities it uses, and x's
-    edges followed by those identities to the lift's edges.
+    ``collapse`` sends each vertex of the lift to the vertex of x it copies.
+    A lift edge whose endpoints collapse to one vertex is that vertex's
+    identity; any other copies the edge of x between the collapsed
+    endpoints.  The pickers take x's vertices to the lift's, x's vertices
+    to those whose identities it uses, and x's edges followed by those
+    identities to the lift's edges.
     """
+    vmap = [collapse(v) for v in range(1 << (n + 1))]
+    sources = []
+    for base, k in edge_bases(n + 1):
+        a, b = vmap[base], vmap[base | (1 << k)]
+        sources.append(("v", a) if a == b else ("e", edge_slot(n, a, (a ^ b).bit_length() - 1)))
     copied = n * (1 << n) // 2
     idents = sorted({m for tag, m in sources if tag == "v"})
     at = {m: copied + k for k, m in enumerate(idents)}
@@ -291,37 +286,18 @@ def _lift_pickers(n: int, vmap: list, sources: list) -> tuple:
 
 @lru_cache(maxsize=None)
 def _degeneracy_pickers(n: int, pos: int) -> tuple:
-    big = n + 1
-    vmap = [remove_bit(v, pos) for v in range(1 << big)]
-    sources = []
-    for base, k in edge_bases(big):
-        if k == pos:
-            sources.append(("v", remove_bit(base, pos)))
-        else:
-            old_k = k if k < pos else k - 1
-            sources.append(("e", edge_slot(n, remove_bit(base, pos), old_k)))
-    return _lift_pickers(n, vmap, sources)
+    return _collapse_pickers(n, lambda v: remove_bit(v, pos))
 
 
 @lru_cache(maxsize=None)
 def _connection_pickers(n: int, pos: int, sign: Sign) -> tuple:
-    big = n + 1
     pick = min if sign == PLUS else max
 
-    def collapse(v: int) -> int:
+    def collapse(v: int) -> int:  # bits pos and pos + 1 merge into bit pos
         merged = pick((v >> pos) & 1, (v >> (pos + 1)) & 1)
         return insert_bit(remove_bit(remove_bit(v, pos + 1), pos), pos, merged)
 
-    vmap = [collapse(v) for v in range(1 << big)]
-    sources = []
-    for base, k in edge_bases(big):
-        a, b = collapse(base), collapse(base | (1 << k))
-        if a == b:
-            sources.append(("v", a))
-        else:
-            d = (a ^ b).bit_length() - 1
-            sources.append(("e", edge_slot(n, a, d)))
-    return _lift_pickers(n, vmap, sources)
+    return _collapse_pickers(n, collapse)
 
 
 @lru_cache(maxsize=None)

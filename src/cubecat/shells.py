@@ -63,9 +63,6 @@ class Shell:
             raise IndexOutOfRange("shell face", i, self.dim)
         return self.space[self.ids[slot(i, sign)]]
 
-    def items(self):
-        return zip(face_keys(self.dim).values(), self.faces)
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -141,42 +138,6 @@ def boundary(system: CubeSystem, x) -> Shell:
 
 
 # ---------------------------------------------------------------------------
-# formal shell operations (each face is the core face law, on ids)
-
-
-def shell_compose(system: CubeSystem, s: Shell, t: Shell, i: int) -> Shell:
-    n = s.dim
-    if t.dim != n or not 1 <= i <= n:
-        raise IndexOutOfRange("shell_compose", i, n)
-    view = system.id_view
-    sf, tf = _face_ids(view, s), _face_ids(view, t)
-    upper, lower = sf[slot(i, PLUS)], tf[slot(i, MINUS)]
-    if upper != lower:
-        raise NotComposable(i, view.describe(upper), view.describe(lower), "shell_compose")
-    return Shell(view, n, tuple([
-        composite_face(view, x, y, i, j, sign) for x, y, (j, sign) in zip(sf, tf, slots(n))
-    ]))
-
-
-def shell_degeneracy(system: CubeSystem, a, j: int) -> Shell:
-    n = system.dim(a) + 1
-    if not 1 <= j <= n:
-        raise IndexOutOfRange("shell_degeneracy", j, n - 1)
-    view = system.id_view
-    k = view.id(a)
-    return Shell(view, n, tuple([degeneracy_face(view, k, j, i, s) for i, s in slots(n)]))
-
-
-def shell_connection(system: CubeSystem, a, j: int, sign: Sign) -> Shell:
-    n = system.dim(a) + 1
-    if system.dim(a) == 0 or not 1 <= j <= n - 1:
-        raise IndexOutOfRange("shell_connection", j, n - 1)
-    view = system.id_view
-    k = view.id(a)
-    return Shell(view, n, tuple([connection_face(view, k, j, sign, i, s) for i, s in slots(n)]))
-
-
-# ---------------------------------------------------------------------------
 # the extension system
 
 
@@ -209,24 +170,47 @@ class ShellExtension(CubeSystem):
             return x.face(i, sign)
         return self.base.face(x, i, sign)  # a base element of the top dimension
 
-    def _degeneracy(self, x, i: int):
-        return shell_degeneracy(self.base, self._below_top(x, "degeneracy"), i)
+    # The formal shell operations, whose results the id view stores: each
+    # face is a face law of ``core``, on ids.
 
-    def _connection(self, x, i: int, sign: Sign):
-        return shell_connection(self.base, self._below_top(x, "connection"), i, sign)
+    def _degeneracy(self, x, j: int) -> Shell:
+        n = self._below_top(x, "degeneracy") + 1
+        if not 1 <= j <= n:
+            raise IndexOutOfRange("shell_degeneracy", j, n - 1)
+        view = self.base.id_view
+        k = view.id(x)
+        return Shell(view, n, tuple([degeneracy_face(view, k, j, i, s) for i, s in slots(n)]))
 
-    def _below_top(self, x, op: str):
+    def _connection(self, x, j: int, sign: Sign) -> Shell:
+        n = self._below_top(x, "connection") + 1
+        if n == 1 or not 1 <= j <= n - 1:
+            raise IndexOutOfRange("shell_connection", j, n - 1)
+        view = self.base.id_view
+        k = view.id(x)
+        return Shell(view, n, tuple([connection_face(view, k, j, sign, i, s) for i, s in slots(n)]))
+
+    def _below_top(self, x, op: str) -> int:
         d = self.dim(x)
         if d >= self.top:
             raise DimensionTooLarge(f"{op} from dimension {d} exceeds the extension top {self.top}")
-        return x
+        return d
 
-    def _compose(self, x, y, i: int):
-        if not (isinstance(x, Shell) and isinstance(y, Shell) and x.dim == self.top):
+    def _compose(self, s, t, i: int) -> Shell:
+        if not (isinstance(s, Shell) and isinstance(t, Shell) and s.dim == self.top):
             raise DimensionTooLarge(
-                f"dimension-{self.dim(x)} base elements are not part of this extension"
+                f"dimension-{self.dim(s)} base elements are not part of this extension"
             )
-        return shell_compose(self.base, x, y, i)
+        n = s.dim
+        if t.dim != n or not 1 <= i <= n:
+            raise IndexOutOfRange("shell_compose", i, n)
+        view = self.base.id_view
+        sf, tf = _face_ids(view, s), _face_ids(view, t)
+        upper, lower = sf[slot(i, PLUS)], tf[slot(i, MINUS)]
+        if upper != lower:
+            raise NotComposable(i, view.describe(upper), view.describe(lower), "shell_compose")
+        return Shell(view, n, tuple([
+            composite_face(view, x, y, i, j, sign) for x, y, (j, sign) in zip(sf, tf, slots(n))
+        ]))
 
     def _cubes(self, n: int) -> Iterator[Shell]:
         return self._shells()  # n is the top; the base enumerates below it
@@ -423,20 +407,9 @@ def shell_tower(cat: FinCatPresentation, base_dim: int = 1, height: int = 1) -> 
 # folding shells, commutativity
 
 
-def shell_fold(system: CubeSystem, s: Shell, j: int) -> Shell:
-    """The elementary folding applied to a shell via the extension system."""
-    return folding.psi(shell_system(system, s.dim), s, j)
-
-
-def shell_big_fold(system: CubeSystem, s: Shell):
-    """Full folding of a shell; returns (folded shell, N, P)."""
-    result = folding.big_psi(shell_system(system, s.dim), s)
-    return result.folded, result.n_face, result.p_face
-
-
 def is_commutative(system: CubeSystem, s: Shell) -> bool:
     """A shell commutes when its two folded boundary composites agree."""
     if s.dim == 1:
         return s.face(1, MINUS) == s.face(1, PLUS)
-    _, n_face, p_face = shell_big_fold(system, s)
-    return n_face == p_face
+    folded = folding.big_psi(shell_system(system, s.dim), s)
+    return folded.n_face == folded.p_face

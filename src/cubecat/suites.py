@@ -35,11 +35,6 @@ from .shells import (
     Shell,
     boundary,
     is_commutative,
-    shell_big_fold,
-    shell_compose,
-    shell_connection,
-    shell_degeneracy,
-    shell_fold,
     shell_system,
 )
 
@@ -95,35 +90,37 @@ def _lemma_1_3(view, bindings):
         k, = b
         x, d = view.elements[k], view.dim(k)
         if sys.within_ceiling(d + 1):
+            lifts = shell_system(sys, d + 1)
             for j in range(1, d + 2):
                 yield (b, lambda: f"eps: boundary of e{j} x",
-                       shell_degeneracy(sys, x, j),
+                       lifts.degeneracy(x, j),
                        boundary(sys, view.elements[view.degeneracy(k, j)]))
             for i in range(1, d + 1):
                 for sign in SIGNS:
                     yield (b, lambda: f"gamma: boundary of G{sign}{i} x",
-                           shell_connection(sys, x, i, sign),
+                           lifts.connection(x, i, sign),
                            boundary(sys, view.elements[view.connection(k, i, sign)]))
         if d >= 2:
-            s = boundary(sys, x)
+            shells, s = shell_system(sys, d), boundary(sys, x)
             for j in range(1, d):
                 yield (b, lambda: f"psi: boundary of psi{j} x",
-                       shell_fold(sys, s, j), boundary(sys, view.elements[_psi(view, k, j)]))
-            folded_shell, n_face, p_face = shell_big_fold(sys, s)
+                       folding.psi(shells, s, j), boundary(sys, view.elements[_psi(view, k, j)]))
+            fold = folding.big_psi(shells, s)
             folded = _folded(view, k)
             yield (b, lambda: "Psi: boundary of the folded x",
-                   folded_shell, boundary(sys, view.elements[folded]))
-            yield (b, lambda: "N: N of the boundary", view.id(n_face), view.face(folded, 1, MINUS))
-            yield (b, lambda: "P: P of the boundary", view.id(p_face), view.face(folded, 1, PLUS))
+                   fold.folded, boundary(sys, view.elements[folded]))
+            yield (b, lambda: "N: N of the boundary", view.id(fold.n_face), view.face(folded, 1, MINUS))
+            yield (b, lambda: "P: P of the boundary", view.id(fold.p_face), view.face(folded, 1, PLUS))
 
 
 def _lemma_1_3_compose(view, n, stream):
     sys, elements = view.system, view.elements
+    shells = shell_system(sys, n)
     drawn = stream.elements(sys, n)
     for i in range(1, n + 1):
         for x, y in composable_pairs(view, drawn, i):
             yield ({"x": x, "y": y, "i": i}, lambda: f"compose: boundary of x o{i} y",
-                   shell_compose(sys, boundary(sys, elements[x]), boundary(sys, elements[y]), i),
+                   shells.compose(boundary(sys, elements[x]), boundary(sys, elements[y]), i),
                    boundary(sys, elements[view.compose(x, y, i)]))
 
 
@@ -140,14 +137,15 @@ def _thm_1_4(view, n, stream):
         yield ({"x": x, "y": other}, lambda: "uniqueness: y has the boundary and folding of x",
                other, x)
     by_boundary = view.index(n, slots(n))
-    for t in shell_system(sys, n).id_view.pool(n):
+    shells = shell_system(sys, n)
+    for t in shells.id_view.pool(n):
         shell = elements[t]
-        folded_shell = shell_big_fold(sys, shell)[0] if n >= 2 else shell
+        folded_shell = folding.big_psi(shells, shell).folded if n >= 2 else shell
         for a in by_boundary.get(folded_shell.ids, ()):
             yield ({"s": t, "x": a}, lambda: "existence: an element has boundary s and folding x",
                    (shell, a) in realized, True)
     for (shell, a) in realized:
-        folded_shell = shell_big_fold(sys, shell)[0] if n >= 2 else shell
+        folded_shell = folding.big_psi(shells, shell).folded if n >= 2 else shell
         yield ({"s": shell, "x": a}, lambda: "necessity: x fits the folded s",
                boundary(sys, elements[a]), folded_shell)
 
@@ -292,13 +290,14 @@ def _cor_2_7_lifts(view, bindings):
     for b in bindings:
         c, = b
         x, d = view.elements[c], view.dim(c)
+        lifts = shell_system(sys, d + 1)
         for i in range(1, d + 2):
             yield (b, lambda: f"i-eps: the e{i} shell of x commutes",
-                   is_commutative(sys, shell_degeneracy(sys, x, i)), True)
+                   is_commutative(sys, lifts.degeneracy(x, i)), True)
         for i in range(1, d + 1):
             for sign in SIGNS:
                 yield (b, lambda: f"i-gamma: the G{sign}{i} shell of x commutes",
-                       is_commutative(sys, shell_connection(sys, x, i, sign)), True)
+                       is_commutative(sys, lifts.connection(x, i, sign)), True)
 
 
 def _cor_2_7_composites(view, n, stream):
@@ -308,7 +307,7 @@ def _cor_2_7_composites(view, n, stream):
     for i in range(1, n + 1):
         for s, t in composable_pairs(shells, commutative, i):
             yield ({"s": s, "t": t, "i": i}, lambda: f"ii: s o{i} t commutes",
-                   is_commutative(sys, shell_compose(sys, elements[s], elements[t], i)), True)
+                   is_commutative(sys, elements[shells.compose(s, t, i)]), True)
 
 
 def _thm_2_8(view, bindings):
@@ -342,25 +341,25 @@ def _thm_3_1(view, n, stream):
     """
     sys, elements = view.system, view.elements
     theta = fillers.theta_from_connections(sys, n, spot_check=False)
+    shells = shell_system(sys, n).id_view
     for k in view.pool(n - 1):
         a = elements[k]
         for i in range(1, n + 1):
             yield ({"x": k}, lambda: f"eps: theta of the e{i} shell of x is e{i} x",
-                   theta(shell_degeneracy(sys, a, i)), sys.degeneracy(a, i))
+                   theta(elements[shells.degeneracy(k, i)]), sys.degeneracy(a, i))
         for i in range(1, n):
             for sign in SIGNS:
                 yield ({"x": k}, lambda: f"gamma: theta of the G{sign}{i} shell of x is G{sign}{i} x",
-                       theta(shell_connection(sys, a, i, sign)), sys.connection(a, i, sign))
+                       theta(elements[shells.connection(k, i, sign)]), sys.connection(a, i, sign))
     if n > stream.exhaustive_dim:
         return
-    shells = shell_system(sys, n).id_view
     domain = [shells.id(s) for s in theta.domain()]
     for s in domain:
         yield {"s": s}, lambda: "faces: theta(s) fills s", boundary(sys, theta(elements[s])), elements[s]
     for i in range(1, n + 1):
         for s, t in composable_pairs(shells, domain, i):
             yield ({"s": s, "t": t, "i": i}, lambda: f"compose: theta(s o{i} t)",
-                   theta(shell_compose(sys, elements[s], elements[t], i)),
+                   theta(elements[shells.compose(s, t, i)]),
                    sys.compose(theta(elements[s]), theta(elements[t]), i))
     # the connections read back off theta agree with the model's own,
     # and re-deriving theta from them closes the loop

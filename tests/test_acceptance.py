@@ -23,7 +23,7 @@ from cubecat import (
     filler_from_fold,
     make_shell,
     run_axiom_suite,
-    shell_big_fold,
+    shell_system,
     thin_decompose,
 )
 from cubecat.suites import run_suite
@@ -214,7 +214,8 @@ def test_criterion_8_negative_controls():
         (2, MINUS): edge_cube(system, "h"),
         (2, PLUS): edge_cube(system, "g"),
     })
-    _, n_face, p_face = shell_big_fold(system, bad)
+    folded = big_psi(shell_system(system, 2), bad)
+    n_face, p_face = folded.n_face, folded.p_face
     tower = tower_of("free_square", 2)
     if is_thin(tower, bad):
         problems.append("the non-commuting square counts as thin")

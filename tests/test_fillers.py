@@ -19,8 +19,7 @@ from cubecat import (
     is_base_free,
     is_thin,
     psi,
-    shell_big_fold,
-    shell_degeneracy,
+    shell_system,
     thin_decompose,
     thin_filler,
     unfold_step,
@@ -96,8 +95,9 @@ def test_uniqueness_by_enumeration(poset_nerve):
             key = (boundary(poset_nerve, x), big_psi(poset_nerve, x).folded)
             assert key not in realized, "two elements share boundary and fold"
             realized[key] = x
+        shells = shell_system(poset_nerve, n)
         for s in enumerate_shells(poset_nerve, n):
-            folded_shell = shell_big_fold(poset_nerve, s)[0] if n >= 2 else s
+            folded_shell = big_psi(shells, s).folded if n >= 2 else s
             for a in elements:
                 valid = boundary(poset_nerve, a) == folded_shell
                 solutions = [
@@ -116,8 +116,9 @@ def test_thin_filler_of_connection_boundary(square_nerve):
 
 
 def test_thin_filler_of_degenerate_shell(square_nerve):
+    ext = shell_system(square_nerve, 2)
     for u in square_nerve.cubes(1)[:6]:
-        s = shell_degeneracy(square_nerve, u, 1)
+        s = ext.degeneracy(u, 1)
         assert thin_filler(square_nerve, s) == square_nerve.degeneracy(u, 1)
 
 

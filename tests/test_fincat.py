@@ -54,6 +54,51 @@ def test_free_square_counts_match_path_enumeration():
     assert cat.morphisms[cat.compose("g", "f")] == ("A", "D")
 
 
+# five edges; f, g, h is a path of three
+DAG_GRAPH = {
+    "vertices": ["A", "B", "C", "D", "E"],
+    "edges": [
+        {"name": "f", "src": "A", "tgt": "B"},
+        {"name": "g", "src": "B", "tgt": "C"},
+        {"name": "h", "src": "C", "tgt": "D"},
+        {"name": "k", "src": "A", "tgt": "C"},
+        {"name": "m", "src": "B", "tgt": "E"},
+    ],
+}
+
+
+def test_free_category_composites_are_named_by_their_paths():
+    # oracle: every path as (source, edge names in order), composed by concatenation
+    out = {v: [] for v in DAG_GRAPH["vertices"]}
+    for e in DAG_GRAPH["edges"]:
+        out[e["src"]].append((e["name"], e["tgt"]))
+    paths = []  # (source, target, names)
+
+    def walk(source, v, names):
+        paths.append((source, v, names))
+        for name, w in out[v]:
+            walk(source, w, names + (name,))
+
+    for v in DAG_GRAPH["vertices"]:
+        walk(v, v, ())
+
+    def name(source, names):
+        return "∘".join(reversed(names)) if names else f"id:{source}"
+
+    expected = {
+        (name(mid, second), name(src, first)): name(src, first + second)
+        for src, mid, first in paths
+        for start, _, second in paths if start == mid
+    }
+    cat = load_fincat({"graph": DAG_GRAPH})
+    assert max(len(names) for _, _, names in paths) == 3
+    assert len(cat.morphisms) == len(paths) == count_paths(DAG_GRAPH)
+    assert set(cat.table) == set(expected)
+    for key, composite in expected.items():
+        assert cat.table[key] == composite, key
+    assert cat.compose("h", cat.compose("g", "f")) == "h∘g∘f"
+
+
 def test_parallel_pair_counts():
     cat = bundled_category("parallel_pair")
     assert len(cat.morphisms) == 4

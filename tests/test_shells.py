@@ -19,17 +19,12 @@ from cubecat import (
     nerve,
     psi,
     run_axiom_suite,
-    shell_big_fold,
-    shell_compose,
-    shell_connection,
-    shell_degeneracy,
-    shell_fold,
     shell_system,
     shell_tower,
 )
 from cubecat.core import composable_pairs
 from cubecat.shells import Shell, check_incidence
-from cubecat.errors import BoundaryMismatch, DimensionTooLarge, NotComposable
+from cubecat.errors import BoundaryMismatch, DimensionTooLarge, IndexOutOfRange, NotComposable
 from conftest import edge_cube, nerve_of, tower_of
 
 
@@ -43,29 +38,29 @@ def square_shell(system, bottom, top, left, right):
 
 
 def test_boundary_of_degeneracy_is_formal_degeneracy(poset_nerve):
+    ext = shell_system(poset_nerve, 2)
     for x in poset_nerve.cubes(1):
         for j in (1, 2):
-            assert boundary(poset_nerve, poset_nerve.degeneracy(x, j)) == \
-                shell_degeneracy(poset_nerve, x, j)
+            assert boundary(poset_nerve, poset_nerve.degeneracy(x, j)) == ext.degeneracy(x, j)
 
 
 def test_boundary_of_connection_is_formal_connection(poset_nerve):
+    ext = shell_system(poset_nerve, 2)
     for x in poset_nerve.cubes(1):
         for sign in (MINUS, PLUS):
             assert boundary(poset_nerve, poset_nerve.connection(x, 1, sign)) == \
-                shell_connection(poset_nerve, x, 1, sign)
+                ext.connection(x, 1, sign)
 
 
 def test_boundary_commutes_with_composition(poset_nerve):
+    ext = shell_system(poset_nerve, 2)
     squares = poset_nerve.cubes(2)
     found = 0
     for x, y in itertools.product(squares, repeat=2):
         for i in (1, 2):
             if poset_nerve.face(x, i, PLUS) != poset_nerve.face(y, i, MINUS):
                 continue
-            lhs = shell_compose(
-                poset_nerve, boundary(poset_nerve, x), boundary(poset_nerve, y), i
-            )
+            lhs = ext.compose(boundary(poset_nerve, x), boundary(poset_nerve, y), i)
             assert lhs == boundary(poset_nerve, poset_nerve.compose(x, y, i))
             found += 1
             if found > 200:
@@ -74,16 +69,17 @@ def test_boundary_commutes_with_composition(poset_nerve):
 
 
 def test_boundary_commutes_with_folding(square_nerve):
+    squares = shell_system(square_nerve, 2)
     for x in square_nerve.cubes(2):
-        assert shell_fold(square_nerve, boundary(square_nerve, x), 1) == \
+        assert psi(squares, boundary(square_nerve, x), 1) == \
             boundary(square_nerve, psi(square_nerve, x, 1))
+    cubes = shell_system(square_nerve, 3)
     for x in square_nerve.cubes(3)[:40]:
-        b = boundary(square_nerve, x)
-        folded_shell, n_face, p_face = shell_big_fold(square_nerve, b)
+        formal = big_psi(cubes, boundary(square_nerve, x))
         result = big_psi(square_nerve, x)
-        assert folded_shell == boundary(square_nerve, result.folded)
-        assert n_face == result.n_face
-        assert p_face == result.p_face
+        assert formal.folded == boundary(square_nerve, result.folded)
+        assert formal.n_face == result.n_face
+        assert formal.p_face == result.p_face
 
 
 def test_incidence_validation():
@@ -121,9 +117,9 @@ def test_free_square_shell_count_matches_quadruple_oracle(square_nerve):
 def test_noncommuting_square_detected(square_nerve):
     s = square_shell(square_nerve, "f", "k", "h", "g")
     assert not is_commutative(square_nerve, s)
-    _, n_face, p_face = shell_big_fold(square_nerve, s)
-    assert n_face.edges[0] == "g∘f"
-    assert p_face.edges[0] == "k∘h"
+    folded = big_psi(shell_system(square_nerve, 2), s)
+    assert folded.n_face.edges[0] == "g∘f"
+    assert folded.p_face.edges[0] == "k∘h"
 
 
 def test_parallel_pair_noncommuting_shell(parallel_nerve):
@@ -132,26 +128,43 @@ def test_parallel_pair_noncommuting_shell(parallel_nerve):
 
 
 def test_degenerate_and_connection_shells_commute(square_nerve):
+    ext = shell_system(square_nerve, 2)
     for c in square_nerve.cubes(1):
         for j in (1, 2):
-            assert is_commutative(square_nerve, shell_degeneracy(square_nerve, c, j))
+            assert is_commutative(square_nerve, ext.degeneracy(c, j))
         for sign in (MINUS, PLUS):
-            assert is_commutative(square_nerve, shell_connection(square_nerve, c, 1, sign))
+            assert is_commutative(square_nerve, ext.connection(c, 1, sign))
 
 
 def test_commutative_composed_with_noncommutative(square_nerve):
+    ext = shell_system(square_nerve, 2)
     bad = square_shell(square_nerve, "f", "k", "h", "g")
-    pad = shell_degeneracy(square_nerve, bad.face(1, MINUS), 1)
+    pad = ext.degeneracy(bad.face(1, MINUS), 1)
     assert is_commutative(square_nerve, pad)
-    combined = shell_compose(square_nerve, pad, bad, 1)
+    combined = ext.compose(pad, bad, 1)
     assert not is_commutative(square_nerve, combined)
 
 
 def test_shell_compose_requires_matching_faces(square_nerve):
-    s = shell_degeneracy(square_nerve, edge_cube(square_nerve, "f"), 1)
-    t = shell_degeneracy(square_nerve, edge_cube(square_nerve, "k"), 1)
-    with pytest.raises(NotComposable):
-        shell_compose(square_nerve, s, t, 1)
+    ext = shell_system(square_nerve, 2)
+    s = ext.degeneracy(edge_cube(square_nerve, "f"), 1)
+    t = ext.degeneracy(edge_cube(square_nerve, "k"), 1)
+    with pytest.raises(NotComposable, match="shell_compose"):
+        ext.compose(s, t, 1)
+
+
+def test_shell_operations_check_their_directions(square_nerve):
+    ext = shell_system(square_nerve, 2)
+    f = edge_cube(square_nerve, "f")
+    s = ext.degeneracy(f, 1)
+    with pytest.raises(IndexOutOfRange, match="shell_degeneracy: direction 3 invalid at dimension 1"):
+        ext.degeneracy(f, 3)
+    with pytest.raises(IndexOutOfRange, match="shell_connection: direction 2 invalid at dimension 1"):
+        ext.connection(f, 2, PLUS)
+    with pytest.raises(IndexOutOfRange, match="shell_compose: direction 3 invalid at dimension 2"):
+        ext.compose(s, s, 3)
+    with pytest.raises(IndexOutOfRange, match="shell_connection: direction 1 invalid at dimension 0"):
+        shell_system(square_nerve, 1).connection(square_nerve.cubes(0)[0], 1, PLUS)
 
 
 def test_commutative_iff_thin_in_extension(square_nerve):
@@ -201,8 +214,8 @@ def test_connection_shell_on_identity_loop_is_degenerate():
     system = nerve_of("terminal", 2)
     loop = system.cubes(1)[0]
     point = system.cubes(0)[0]
-    shell = shell_connection(system, loop, 1, MINUS)
-    assert all(f == system.degeneracy(point, 1) for _, f in shell.items())
+    shell = shell_system(system, 2).connection(loop, 1, MINUS)
+    assert all(f == system.degeneracy(point, 1) for f in shell.faces)
 
 
 def test_commutativity_matches_path_oracle(square_nerve, parallel_nerve):
@@ -232,11 +245,12 @@ def test_nerve_cubes_determined_by_boundary(square_nerve):
 
 
 def test_big_fold_of_degenerate_shell(poset_nerve):
+    ext = shell_system(poset_nerve, 2)
     for u in poset_nerve.cubes(1)[:6]:
-        s = shell_degeneracy(poset_nerve, u, 1)
-        folded, n_face, p_face = shell_big_fold(poset_nerve, s)
-        assert folded == s
-        assert n_face == u and p_face == u
+        s = ext.degeneracy(u, 1)
+        folded = big_psi(ext, s)
+        assert folded.folded == s
+        assert folded.n_face == u and folded.p_face == u
 
 
 def test_shell_tower_helper_matches_manual_build():
@@ -253,7 +267,7 @@ def test_shell_tower_helper_matches_manual_build():
 def test_shell_system_does_not_keep_its_base_alive():
     system = nerve(bundled_category("poset22"), 2)
     s = boundary(system, system.cubes(2)[0])
-    shell_fold(system, s, 1)
+    psi(shell_system(system, 2), s, 1)
     ref = weakref.ref(system)
     del system, s
     gc.collect()
@@ -285,14 +299,15 @@ def test_equal_shells_of_two_towers_are_equal_keys():
 def test_a_shell_of_another_tower_is_used_as_a_native_one():
     one, two = _two_towers()
     for n, system in ((2, one.base.base), (3, one.base)):
+        ext = shell_system(system, n)
         twin = {t: t for t in two.cubes(n)}  # this tower's shell -> the other's
         for i in range(1, n + 1):
             pairs = itertools.islice(composable_pairs(one, one.cubes(n), i), 40)
             for s, t in pairs:
-                native = shell_compose(system, s, t, i)
+                native = ext.compose(s, t, i)
                 assert native.space is s.space
                 for left, right in ((twin[s], twin[t]), (s, twin[t]), (twin[s], t)):
-                    assert shell_compose(system, left, right, i) == native
+                    assert ext.compose(left, right, i) is native
                 check_incidence(system, twin[s])
     # the other tower's shells that break incidence are refused as native ones are
     def swapped(tower, s):  # the shell with its two direction-1 faces exchanged

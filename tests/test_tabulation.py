@@ -28,6 +28,7 @@ from cubecat.errors import (
     DimensionTooLarge, IndexOutOfRange, NotComposable, PostconditionViolated,
 )
 from cubecat.fillers import ConnectionOverrideSystem
+from cubecat.suites import run_suite
 from conftest import nerve_of, tower_of
 
 
@@ -289,3 +290,25 @@ def test_a_failed_fold_is_not_stored_and_a_stored_one_is_reused(monkeypatch):
     assert again == answers
     assert again[3] is answers[3]
     assert not calls, "a stored fold or boundary was computed again"
+
+
+def test_a_formal_shell_is_stored_once_by_its_extension():
+    system = nerve(bundled_category("poset22"), 3)
+    options = dict(max_dim=2, exhaustive_dim=2, samples=0)
+    first = run_suite(system, "lemma-1.3", **options)
+    assert first.passed and first.instances > 0
+    lifts = shell_system(system, 2)
+    squares = lifts.id_view
+    degeneracies = squares.tables["degeneracy"]
+    for a in system.cubes(1):
+        for j in (1, 2):
+            k = degeneracies[j, None][squares.id(a)]
+            assert lifts.degeneracy(a, j) is squares.elements[k]
+    assert squares.tables["connection"] and squares.tables["compose"]
+    extensions = [shell_system(system, n) for n in (1, 2, 3)]
+    counts = [stored(ext) for ext in extensions]
+    elements = len(system.id_view.elements)
+    again = run_suite(system, "lemma-1.3", **options)
+    assert again.as_dict() == first.as_dict()
+    assert [stored(ext) for ext in extensions] == counts
+    assert len(system.id_view.elements) == elements

@@ -12,8 +12,6 @@ from cubecat import (
     connections_from_theta,
     is_commutative,
     is_thin,
-    shell_connection,
-    shell_degeneracy,
     shell_system,
     theta_from_connections,
 )
@@ -29,13 +27,12 @@ from conftest import tower_of
 
 def test_theta_sends_formal_generators_to_real_ones(square_nerve):
     theta = theta_from_connections(square_nerve, 2)
+    ext = shell_system(square_nerve, 2)
     for a in square_nerve.cubes(1):
         for i in (1, 2):
-            assert theta(shell_degeneracy(square_nerve, a, i)) == \
-                square_nerve.degeneracy(a, i)
+            assert theta(ext.degeneracy(a, i)) == square_nerve.degeneracy(a, i)
         for sign in (MINUS, PLUS):
-            assert theta(shell_connection(square_nerve, a, 1, sign)) == \
-                square_nerve.connection(a, 1, sign)
+            assert theta(ext.connection(a, 1, sign)) == square_nerve.connection(a, 1, sign)
 
 
 def test_theta_rejects_noncommutative_shells(square_nerve):
@@ -65,10 +62,7 @@ def test_theta_preserves_composition(poset_nerve):
     ext = shell_system(poset_nerve, 2)
     for i in (1, 2):
         for s, t in composable_pairs(ext, domain, i):
-            from cubecat import shell_compose
-
-            assert theta(shell_compose(poset_nerve, s, t, i)) == \
-                poset_nerve.compose(theta(s), theta(t), i)
+            assert theta(ext.compose(s, t, i)) == poset_nerve.compose(theta(s), theta(t), i)
 
 
 def test_connections_round_trip(poset_nerve, square_nerve):
