@@ -132,8 +132,8 @@ class CubeSystem:
         if not zs:
             return None
         z = rng.choice(zs)
-        ws = view.index(n, ((i, MINUS), (j, MINUS))).get(
-            (view.face(z, i, PLUS), view.face(y, j, PLUS)), ())
+        fy = view.face(y, j, PLUS)
+        ws = [w for w in self._mates(n, i, z) if view.face(w, j, MINUS) == fy]
         if not ws:
             return None
         return pair + tuple(view.elements[k] for k in (z, rng.choice(ws)))
