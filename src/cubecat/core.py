@@ -82,6 +82,10 @@ class CubeSystem:
     def parse(self, doc: dict):
         return self.base.parse(doc)
 
+    def _native(self, x):
+        """x as this system's id space stores it; a root system's elements are values."""
+        return x
+
     def owns_from(self, op: str) -> float:
         """Lowest first-argument dimension it answers ``op`` on, or for ``"cubes"``
         the lowest dimension it enumerates; the base answers below."""
@@ -280,13 +284,14 @@ class IdView:
     def _build(self) -> None:
         # closures rather than methods: the law loops call them millions of times
         system, base = self.system, self.base
-        ids, elements, dims, hashes, dim = (
-            self.ids, self.elements, self.dims, self.hashes, system.dim)
+        ids, elements, dims, hashes, dim, native = (
+            self.ids, self.elements, self.dims, self.hashes, system.dim, system._native)
 
         def intern(x) -> int:
             k = ids.get(x)
             if k is None:
                 d = dim(x)  # may raise on a non-element: nothing is stored before it returns
+                x = native(x)  # a shell of another id space gets this space's face ids
                 k = ids[x] = len(elements)
                 elements.append(x)
                 dims.append(d)

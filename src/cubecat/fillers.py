@@ -28,7 +28,6 @@ from .errors import (
 )
 from .shells import (
     Shell,
-    _face_ids,
     boundary,
     enumerate_shells,
     is_commutative,
@@ -39,13 +38,12 @@ SIGN_CHARS = {MINUS: "−", PLUS: "+"}  # emitted sign strings
 SIGN_PARSE = {"-": MINUS, "−": MINUS, "minus": MINUS, "+": PLUS, "plus": PLUS}
 
 
-def _first_mismatch(system: CubeSystem, s: Shell, t: Shell):
+def _first_mismatch(s: Shell, t: Shell):
     """The first (direction, sign), in slot order, at which the faces of s and t differ."""
-    view = system.id_view
-    for key, f, g in zip(slots(s.dim), _face_ids(view, s), _face_ids(view, t)):
-        if f != g:
-            return key
-    return None
+    sf, tf = s.faces, t.faces
+    if sf == tf:  # tuples compare by identity first: equal canonical faces call no __eq__
+        return None
+    return next(key for key, f, g in zip(slots(s.dim), sf, tf) if f != g)
 
 
 def unfold_step(system: CubeSystem, a, s: Shell, j: int):
@@ -58,7 +56,7 @@ def unfold_step(system: CubeSystem, a, s: Shell, j: int):
     if s.dim != n or not 1 <= j <= n - 1:
         raise PreconditionFailed(f"unfold_step needs dim(a) = dim(s) and 1 <= j < {n}")
     folded_shell = folding.psi(shell_system(system, n), s, j)
-    mismatch = _first_mismatch(system, boundary(system, a), folded_shell)
+    mismatch = _first_mismatch(boundary(system, a), folded_shell)
     if mismatch is not None:
         raise PreconditionFailed(
             f"boundary of a differs from the folded shell at face {mismatch}"
@@ -83,7 +81,7 @@ def filler_from_fold(system: CubeSystem, a, s: Shell):
     sigma[n - 1] = s
     for j in range(n - 1, 0, -1):
         sigma[j - 1] = folding.psi(shells, sigma[j], j)
-    mismatch = _first_mismatch(system, boundary(system, a), sigma[0])
+    mismatch = _first_mismatch(boundary(system, a), sigma[0])
     if mismatch is not None:
         raise PreconditionFailed(
             f"boundary of a differs from the fully folded shell at face {mismatch}"
@@ -167,15 +165,19 @@ def unfold_expression(s: Shell, j: int, core: GeneratorExpression) -> Compose:
 
 
 def evaluate(system: CubeSystem, expr: GeneratorExpression):
-    if isinstance(expr, Eps):
-        return system.degeneracy(expr.cube, expr.dir)
-    if isinstance(expr, Gamma):
-        return system.connection(expr.cube, expr.dir, expr.sign)
-    if isinstance(expr, Base):
-        return expr.cube
-    return system.compose(
-        evaluate(system, expr.left), evaluate(system, expr.right), expr.dir
-    )
+    """The element the term denotes, computed on ids in the system's id view."""
+    view = system.id_view
+
+    def value(expr: GeneratorExpression) -> int:
+        if isinstance(expr, Compose):
+            return view.compose(value(expr.left), value(expr.right), expr.dir)
+        if isinstance(expr, Eps):
+            return view.degeneracy(view.id(expr.cube), expr.dir)
+        if isinstance(expr, Gamma):
+            return view.connection(view.id(expr.cube), expr.dir, expr.sign)
+        return view.id(expr.cube)
+
+    return view.elements[value(expr)]
 
 
 def leaves(expr: GeneratorExpression):

@@ -321,6 +321,30 @@ def _compose_pickers(n: int, pos: int) -> tuple:
     return _picker(vmap), _picker(joined), _picker(emap)
 
 
+@lru_cache(maxsize=None)
+def _stack_plan(n: int) -> tuple:
+    """How an n-cube stacks on its direction-n lower and upper faces.
+
+    For each vertex v of an (n-1)-cube, the naturality checks of the
+    component at v: an (edge slot, vertex u) pair for each edge from an
+    earlier vertex u to v.  And the picker taking the bottom's edges, the
+    top's and the component to the stacked cube's edges.  Its vertices are
+    the bottom's followed by the top's, direction n being the highest bit.
+    """
+    m = n - 1
+    half = m * (1 << m) // 2
+    checks = tuple(
+        tuple((edge_slot(m, v ^ (1 << k), k), v ^ (1 << k)) for k in range(m) if v >> k & 1)
+        for v in range(1 << m)
+    )
+    emap = [
+        2 * half + remove_bit(base, m) if k == m
+        else half * (base >> m) + edge_slot(m, remove_bit(base, m), k)
+        for base, k in edge_bases(n)
+    ]
+    return checks, _picker(emap)
+
+
 def mask_to_bits(mask: int, n: int) -> str:
     return "".join("1" if mask & (1 << k) else "0" for k in range(n))
 
@@ -484,49 +508,30 @@ class NerveSystem(CubeSystem):
             for top in lower:
                 yield from self._stacks(bottom, top, n)
 
-    def _stacks(self, bottom: NerveCube, top: NerveCube, n: int) -> Iterator[NerveCube]:
-        """All cubes whose direction-n lower/upper faces are bottom/top."""
-        cat = self.cat
-        m = n - 1
-        size = 1 << m
-        component: list = [None] * size
+    def _stacks(self, bottom: NerveCube, top: NerveCube, n: int) -> list:
+        """All cubes whose direction-n lower/upper faces are bottom/top.
 
-        def extend(v: int) -> Iterator[NerveCube]:
-            if v == size:
-                yield self._assemble(bottom, top, tuple(component), n)
-                return
-            for cand in cat.hom(bottom.vertex(v), top.vertex(v)):
-                ok = True
-                for k in range(m):
-                    if not v & (1 << k):
-                        continue
-                    u = v & ~(1 << k)
-                    if cat.compose(cand, bottom.edge(u, k)) != cat.compose(
-                        top.edge(u, k), component[u]
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    component[v] = cand
-                    yield from extend(v + 1)
-            component[v] = None
-
-        yield from extend(0)
-
-    @staticmethod
-    def _assemble(bottom: NerveCube, top: NerveCube, component: tuple, n: int) -> NerveCube:
-        pos = n - 1
-
-        def edge(v, k):
-            if k == pos:
-                return component[remove_bit(v, pos)]
-            half = top if v & (1 << pos) else bottom
-            return half.edge(remove_bit(v, pos), k)
-
-        vertices = (
-            (top if v & (1 << pos) else bottom).vertex(remove_bit(v, pos)) for v in range(1 << n)
-        )
-        return NerveCube(n, tuple(vertices), tuple(edge(v, k) for v, k in edge_bases(n)))
+        The components run through each vertex's hom-set in ``cat.hom``
+        order, the earlier vertices varying slowest.
+        """
+        homs = tuple(map(self.cat._hom.get, zip(bottom.vertices, top.vertices)))
+        if not all(homs):  # some vertex has no component
+            return []
+        checks, edges = _stack_plan(n)
+        table, below, above = self.cat.table, bottom.edges, top.edges
+        components: list = [()]
+        for cands, check in zip(homs, checks):
+            grown = []
+            for component in components:
+                for cand in cands:
+                    for slot, u in check:
+                        if table[cand, below[slot]] != table[above[slot], component[u]]:
+                            break
+                    else:
+                        grown.append(component + (cand,))
+            components = grown
+        vertices, edge_run = bottom.vertices + top.vertices, below + above
+        return [NerveCube(n, vertices, edges(edge_run + c)) for c in components]
 
     # -- serialization ----------------------------------------------------
 

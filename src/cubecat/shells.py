@@ -85,15 +85,10 @@ def face_keys(n: int) -> MappingProxyType:
     return MappingProxyType({f"{i}{sign}": (i, sign) for i, sign in slots(n)})
 
 
-def _face_ids(view, s: Shell) -> tuple:
-    """The face ids of s in the view's id space; a shell of another space is re-interned."""
-    return s.ids if s.space is view.elements else tuple(map(view.id, s.faces))
-
-
 def check_incidence(system: CubeSystem, shell: Shell) -> None:
     """Faces of faces must agree across the shell."""
     view = system.id_view
-    faces, face = _face_ids(view, shell), view.face
+    faces, face = tuple(map(view.id, shell.faces)), view.face
     for (i, a), (j, b), (k, c) in incidences(shell.dim):
         if face(faces[slot(i, a)], j, b) != face(faces[slot(j, b)], k, c):
             raise BoundaryMismatch(
@@ -165,6 +160,13 @@ class ShellExtension(CubeSystem):
     def dim(self, x) -> int:
         return x.dim if isinstance(x, Shell) else self.base.dim(x)
 
+    def _native(self, x):
+        # a shell of another id space (another tower) is stored with this space's face ids
+        if not isinstance(x, Shell) or x.space is self.id_view.elements:
+            return x
+        view = self.base.id_view
+        return Shell(view, x.dim, tuple(map(view.id, x.faces)))
+
     def _face(self, x, i: int, sign: Sign):
         if isinstance(x, Shell):
             return x.face(i, sign)
@@ -204,7 +206,7 @@ class ShellExtension(CubeSystem):
         if t.dim != n or not 1 <= i <= n:
             raise IndexOutOfRange("shell_compose", i, n)
         view = self.base.id_view
-        sf, tf = _face_ids(view, s), _face_ids(view, t)
+        sf, tf = s.ids, t.ids
         upper, lower = sf[slot(i, PLUS)], tf[slot(i, MINUS)]
         if upper != lower:
             raise NotComposable(i, view.describe(upper), view.describe(lower), "shell_compose")

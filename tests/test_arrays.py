@@ -10,6 +10,7 @@ from cubecat import (
     Base,
     Compose,
     ComposablePartition,
+    NerveSystem,
     PartitionCell,
     SymbolicCell,
     boundary,
@@ -187,27 +188,28 @@ def test_pinwheel_partition_has_no_rows_first_term(poset_nerve):
 
 
 def test_interchange_violation_is_raised():
-    # a fresh nerve whose compose lies about the last step of the
+    # a nerve whose plain compose lies about the last step of the
     # columns-first evaluation: left column composed with right column
-    system = nerve(bundled_category("poset22"), 2)
-    honest = system.compose
+    honest = nerve(bundled_category("poset22"), 2)
+    compose = honest.compose
     x, y, z, w = next(
-        g for g in square_grids(system)
-        if honest(g[0], g[2], 1) not in (g[0], g[2])
+        g for g in square_grids(honest)
+        if compose(g[0], g[2], 1) not in (g[0], g[2])
     )
-    left_column = honest(x, z, 1)
+    columns = compose(x, z, 1), compose(y, w, 1)
 
-    def compose(a, b, i):
-        out = honest(a, b, i)
-        if i == 2 and a == left_column:
-            return next(c for c in system.cubes(2) if c != out)
-        return out
+    class LyingNerve(NerveSystem):
+        def _compose(self, a, b, i):
+            out = super()._compose(a, b, i)
+            if i == 2 and (a, b) == columns:
+                return next(c for c in self.cubes(2) if c != out)
+            return out
 
-    grid = tile_grid(system, [[x, y], [z, w]], dir_v=1, dir_h=2)
-    assert compose_partition(grid) == honest(honest(x, y, 2), honest(z, w, 2), 1)
-    system.compose = compose
+    grid = tile_grid(honest, [[x, y], [z, w]], dir_v=1, dir_h=2)
+    assert compose_partition(grid) == compose(compose(x, y, 2), compose(z, w, 2), 1)
+    lying = LyingNerve(bundled_category("poset22"), 2)
     with pytest.raises(InterchangeViolation):
-        compose_partition(grid)
+        compose_partition(tile_grid(lying, [[x, y], [z, w]], dir_v=1, dir_h=2))
 
 
 def test_resolve_symbols_identity_grid(poset_nerve):

@@ -1,5 +1,6 @@
 """Nerve construction, enumeration counts, and lattice-level operations."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -276,3 +277,60 @@ def test_pickers_agree_with_per_entry_reindexing(name):
                 assert system._compose(x, y, i) == reference_compose(cat, x, y, i)
                 checked += 1
     assert checked > len(system.cubes(3))
+
+
+# Nerve enumeration by brute force, the way it stacked cubes before it was
+# compiled into per-dimension plans: the plans must list the same cubes in
+# the same order.
+
+
+def reference_assemble(bottom, top, component, n):
+    pos = n - 1
+
+    def half(v):
+        return top if v & (1 << pos) else bottom
+
+    vertices = tuple(half(v).vertex(remove_bit(v, pos)) for v in range(1 << n))
+    edges = tuple(
+        component[remove_bit(v, pos)] if k == pos else half(v).edge(remove_bit(v, pos), k)
+        for v, k in edge_bases(n)
+    )
+    return NerveCube(n, vertices, edges)
+
+
+def reference_cubes(cat, lower, n):
+    """Every n-cube with (n-1)-cubes of ``lower`` as direction-n faces, in pool order."""
+    m = n - 1
+    squares = [(v, v ^ (1 << k), k) for v in range(1 << m) for k in range(m) if v >> k & 1]
+    for bottom in lower:
+        for top in lower:
+            homs = [cat.hom(b, t) for b, t in zip(bottom.vertices, top.vertices)]
+            for component in itertools.product(*homs):
+                if all(
+                    cat.compose(component[v], bottom.edge(u, k))
+                    == cat.compose(top.edge(u, k), component[u])
+                    for v, u, k in squares
+                ):
+                    yield reference_assemble(bottom, top, component, n)
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in ("terminal", "poset22", "free_square", "parallel_pair")
+      for n in (1, 2, 3)),
+    ("parallel_pair", 4),
+])
+def test_stacking_plans_enumerate_the_reference_pool(name, n):
+    system = nerve_of(name, max(n, 3))
+    assert list(system.cubes(n)) == list(reference_cubes(system.cat, system.cubes(n - 1), n))
+
+
+@pytest.mark.parametrize("name, count, digest", [
+    ("poset22", 28224, "325a455d6b0644819f676da9cf83e3ac47ebbf5abb54302b62b8f2d919fe2532"),
+    ("free_square", 15160, "107899bad5a12f2b87d76c187240fc262dd8dd5503d232893c792a01ce30b79c"),
+])
+def test_dimension_four_pools_are_pinned(name, count, digest):
+    # the digests were taken from the per-entry enumeration above
+    pool = nerve_of(name, 4).cubes(4)
+    assert len(pool) == count
+    text = repr([(c.vertices, c.edges) for c in pool])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

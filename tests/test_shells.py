@@ -19,6 +19,7 @@ from cubecat import (
     nerve,
     psi,
     run_axiom_suite,
+    run_suite,
     shell_system,
     shell_tower,
 )
@@ -294,6 +295,18 @@ def test_equal_shells_of_two_towers_are_equal_keys():
         assert [hash(s) for s in ours] == [hash(t) for t in theirs]
         position = {s: k for k, s in enumerate(ours)}
         assert [position[t] for t in theirs] == list(range(len(ours)))
+
+
+def test_a_shell_of_another_id_space_is_stored_as_a_native_one():
+    cat = bundled_category("free_square")
+    tower, other = shell_tower(cat, 1, 1), nerve(cat, 2)
+    other.degeneracy(other.cubes(0)[0], 1)  # other numbers its elements differently
+    foreign = boundary(other, other.cubes(2)[-1])
+    is_thin(tower, foreign)  # interns the foreign shell before any native twin
+    stored = tower.id_view.canonical(foreign)
+    assert stored == foreign and stored.space is tower.id_view.elements
+    assert stored.faces == foreign.faces
+    assert run_suite(tower, "prop-2.1", max_dim=2, exhaustive_dim=2).passed
 
 
 def test_a_shell_of_another_tower_is_used_as_a_native_one():
