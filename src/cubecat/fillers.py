@@ -263,18 +263,31 @@ def thin_decompose(system: CubeSystem, x) -> GeneratorExpression:
 # thin structures
 
 
-class ThinStructure:
-    """Extensional filler assignment for commutative shells at one dimension.
-
-    theta is materialized on demand and memoized, so concurrent queries for
-    the same shell always produce the identical element.
+@tabulated
+class ThinStructure(CubeSystem):
+    """Filler assignment on the commutative shells of one dimension, and
+    the cube system of the connections it induces (Theorem 3.1): the
+    connection of an a one below the top is theta of the formal connection
+    shell of a, nothing is built above the top, and every other operation
+    is the base's.  theta is materialized on demand and memoized, so
+    concurrent queries for the same shell always produce the identical
+    element.
     """
 
     def __init__(self, system: CubeSystem, top: int, fill: Callable[[Shell], object]):
-        self.system = system
         self.top = top
+        self.max_dim = top
+        self.op_ceiling = top
         self._fill = fill
         self._memo: dict = {}
+        super().__init__(system)
+
+    def owns_from(self, op: str) -> float:
+        return self.top - 1 if op == "connection" else ALL
+
+    def _connection(self, a, i, sign):
+        check_sign(sign)
+        return self(shell_system(self.base, self.top).connection(a, i, sign))
 
     def __call__(self, s: Shell):
         filler = self._memo.get(s)
@@ -283,7 +296,7 @@ class ThinStructure:
                 raise PreconditionFailed(
                     f"thin structure is defined at dimension {self.top}, got {s.dim}"
                 )
-            if not is_commutative(self.system, s):
+            if not is_commutative(self.base, s):
                 raise NotCommutative("thin structures are defined on commutative shells only")
             filler = self._memo[s] = self._fill(s)
         return filler
@@ -292,8 +305,8 @@ class ThinStructure:
         """All commutative shells at the structure's dimension (enumerable models)."""
         return tuple(
             s
-            for s in enumerate_shells(self.system, self.top)
-            if is_commutative(self.system, s)
+            for s in enumerate_shells(self.base, self.top)
+            if is_commutative(self.base, s)
         )
 
 
@@ -316,55 +329,22 @@ def theta_from_connections(
     return ThinStructure(system, top, lambda s: thin_filler(system, s))
 
 
-@tabulated
-class ConnectionOverrideSystem(CubeSystem):
-    """A base system with its top-dimension connections replaced.
-
-    Used to close the loop between thin structures and connections: the
-    override supplies ``gamma`` only for elements one below the top; all
-    other operations delegate.
-    """
-
-    def __init__(self, base: CubeSystem, top: int, gamma: Callable):
-        self.top = top
-        self.gamma = gamma
-        self.max_dim = top
-        self.op_ceiling = top
-        super().__init__(base)
-
-    def owns_from(self, op: str) -> float:
-        return self.top - 1 if op == "connection" else ALL
-
-    def _connection(self, x, i, sign):
-        if self.dim(x) != self.top - 1:
-            return self.base.connection(x, i, sign)
-        return self.gamma(x, i, sign)
-
-
-def connections_from_theta(theta: ThinStructure) -> ConnectionOverrideSystem:
+def connections_from_theta(theta: ThinStructure) -> ThinStructure:
     """Read connections off a thin structure and re-validate their laws.
 
     The induced map sends a to the filler of the formal connection shell on
-    a.  The registry's face, transport and cancellation laws are checked
-    exhaustively over the enumerable model; a violation means theta was not
-    a morphism.
+    a, which is theta's own connection.  The registry's face, transport and
+    cancellation laws are checked exhaustively over the enumerable model; a
+    violation means theta was not a morphism.
     """
-    system, top = theta.system, theta.top
-    shells = shell_system(system, top)
-
-    def gamma(a, i: int, sign: Sign):
-        check_sign(sign)
-        return theta(shells.connection(a, i, sign))
-
-    override = ConnectionOverrideSystem(system, top, gamma)
     for report in run_axiom_suite(
-        override,
-        max_dim=top,
-        exhaustive_dim=top,
+        theta,
+        max_dim=theta.top,
+        exhaustive_dim=theta.top,
         law_ids=("GAMMA-FACE", "TRANSPORT", "GAMMA-CANCEL"),
     ):
         if not report.passed:
             raise MorphismViolation(
                 f"induced connections break {report.law_id}: {report.counterexample}"
             )
-    return override
+    return theta

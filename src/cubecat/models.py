@@ -13,7 +13,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from . import core
 from .core import MINUS, PLUS, CubeSystem, Sign
@@ -117,11 +117,28 @@ class FinCatPresentation:
                         )
 
 
+def _listed(value, kind: type, error: str, length: Optional[int] = None) -> list:
+    """value, if it is a list of ``kind`` items (``length`` of them, if given)."""
+    if (isinstance(value, list) and all(isinstance(v, kind) for v in value)
+            and length in (None, len(value))):
+        return value
+    raise ParseError(error)
+
+
+def _arrows(records, what: str) -> list:
+    """(name, src, tgt) of each {"name", "src", "tgt"} record, all three string names."""
+    error = f"{what} name, src and tgt must be strings"
+    return [
+        tuple(_listed([r["name"], r["src"], r["tgt"]], str, error))
+        for r in _listed(records, dict, f"{what}s must be a list of objects")
+    ]
+
+
 def _free_category(graph: dict) -> FinCatPresentation:
     """Close a finite acyclic graph under path composition."""
     try:
-        vertices = list(graph["vertices"])
-        edges = [(e["name"], e["src"], e["tgt"]) for e in graph["edges"]]
+        vertices = _listed(graph["vertices"], str, "vertices must be a list of string names")
+        edges = _arrows(graph["edges"], "edge")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     outgoing: dict = {v: [] for v in vertices}
@@ -180,10 +197,16 @@ def load_fincat(document: dict) -> FinCatPresentation:
     if "graph" in document:
         return _free_category(document["graph"])
     try:
-        objects = list(document["objects"])
-        morphisms = {m["name"]: (m["src"], m["tgt"]) for m in document["morphisms"]}
-        identities = dict(document["identities"])
-        table = {(g, f): gf for g, f, gf in document.get("compose", [])}
+        objects = _listed(document["objects"], str, "objects must be a list of string names")
+        morphisms = {name: (s, t) for name, s, t in _arrows(document["morphisms"], "morphism")}
+        identities = document["identities"]
+        if not isinstance(identities, dict):
+            raise ParseError("identities must be an object from object names to morphism names")
+        _listed(list(identities.values()), str, "identities must name morphisms")
+        entries = _listed(document.get("compose", []), list, "compose must be a list of entries")
+        table = {(g, f): gf for g, f, gf in (
+            _listed(e, str, "a compose entry must be [g, f, g o f], three morphism names", 3)
+            for e in entries)}
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed category document: {exc}") from exc
     return FinCatPresentation(objects, morphisms, identities, table)
@@ -405,8 +428,11 @@ class NerveCube:
         return f"NerveCube(dim={self.n}, vertices={self.vertices})"
 
     def validate(self, cat: FinCatPresentation) -> None:
-        """Endpoint agreement plus commutativity of every square face."""
+        """Known vertex objects, endpoint agreement and commutativity of every square face."""
         n = self.n
+        for v in self.vertices:
+            if v not in cat.objects:
+                raise ParseError(f"unknown object {v!r}")
         for base in range(1 << n):
             for k in range(n):
                 if base & (1 << k):
@@ -569,6 +595,8 @@ class NerveSystem(CubeSystem):
             edges = tuple(map(edoc.__getitem__, edge_labels(n)))
         except KeyError as exc:
             raise ParseError(f"missing edge entry {exc}") from exc
+        if not all(isinstance(name, str) for name in vertices + edges):
+            raise ParseError("vertex and edge entries must be string names")
         cube = NerveCube(n, vertices, edges)
         cube.validate(self.cat)
         return cube

@@ -287,7 +287,7 @@ class ShellExtension(CubeSystem):
                 if pins:
                     for j, b, f in pin_checks[at]:
                         cands = [c for c in cands if face(c, j, b) == f]
-                if rng is not None:
+                if rng is not None and len(cands) > 1:  # a shorter list draws no number
                     cands = list(cands)
                     rng.shuffle(cands)
             for c in cands:

@@ -363,14 +363,14 @@ def _thm_3_1(view, n, stream):
                    sys.compose(theta(elements[s]), theta(elements[t]), i))
     # the connections read back off theta agree with the model's own,
     # and re-deriving theta from them closes the loop
-    override = fillers.connections_from_theta(theta)
+    fillers.connections_from_theta(theta)
     for k in view.pool(n - 1):
         a = elements[k]
         for i in range(1, n):
             for sign in SIGNS:
                 yield ({"x": k}, lambda: f"roundtrip-gamma: G{sign}{i} x read off theta",
-                       override.connection(a, i, sign), sys.connection(a, i, sign))
-    theta2 = fillers.theta_from_connections(override, n, spot_check=False)
+                       theta.connection(a, i, sign), sys.connection(a, i, sign))
+    theta2 = fillers.theta_from_connections(theta, n, spot_check=False)
     for s in domain:
         yield ({"s": s}, lambda: "roundtrip-theta: theta re-derived from its connections",
                theta2(elements[s]), theta(elements[s]))
@@ -380,7 +380,7 @@ def _thm_3_1(view, n, stream):
         native = folding.is_thin(sys, elements[x])
         yield {"x": x}, lambda: "thin-class: x is thin iff x is a theta image", native, x in images
         yield ({"x": x}, lambda: "thin-class-override: x is thin under theta's connections",
-               native, folding.is_thin(override, elements[x]))
+               native, folding.is_thin(theta, elements[x]))
 
 
 @dataclass(frozen=True)

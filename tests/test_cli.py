@@ -205,18 +205,46 @@ def test_missing_category_is_config_error(tmp_path):
         assert "Traceback" not in result.stderr
 
 
+ONE_OBJECT = {
+    "objects": ["A"],
+    "morphisms": [{"name": "1", "src": "A", "tgt": "A"}],
+    "identities": {"A": "1"},
+    "compose": [["1", "1", "1"]],
+}
+ONE_EDGE = {"vertices": ["a", "b"], "edges": [{"name": "f", "src": "a", "tgt": "b"}]}
+
+
 def test_category_document_from_path(tmp_path):
-    doc = {
-        "objects": ["A"],
-        "morphisms": [{"name": "1", "src": "A", "tgt": "A"}],
-        "identities": {"A": "1"},
-        "compose": [["1", "1", "1"]],
-    }
     path = tmp_path / "one.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(ONE_OBJECT), encoding="utf-8")
     result = run_cli("axioms", "--cat", str(path), "--dim", "2",
                      "--exhaustive-dim", "2")
     assert result.returncode == 0
+
+
+BAD_CATEGORIES = {
+    "compose-entry-of-two": {**ONE_OBJECT, "compose": [["1", "1"]]},
+    "compose-string": {**ONE_OBJECT, "compose": "111"},
+    "object-list": {**ONE_OBJECT, "objects": [["A"]]},
+    "objects-string": {**ONE_OBJECT, "objects": "A"},
+    "identity-list": {**ONE_OBJECT, "identities": {"A": ["1"]}},
+    "morphism-src-list": {
+        **ONE_OBJECT, "morphisms": [{"name": "1", "src": ["A"], "tgt": "A"}]},
+    "graph-vertex-list": {"graph": {**ONE_EDGE, "vertices": [["a"], "b"]}},
+    "graph-vertices-string": {"graph": {**ONE_EDGE, "vertices": "ab"}},
+    "graph-edge-name-list": {"graph": {
+        **ONE_EDGE, "edges": [{"name": ["f"], "src": "a", "tgt": "b"}]}},
+}
+
+
+@pytest.mark.parametrize("doc", list(BAD_CATEGORIES.values()), ids=list(BAD_CATEGORIES))
+def test_invalid_category_document_is_config_error(tmp_path, doc):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("axioms", "--cat", str(path), "--dim", "2")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_fold_square(square_file):
@@ -387,6 +415,8 @@ BAD_DOCUMENTS = {
     "shell-face-out-of-range": _two_shell_with_face_seven(),
     # too many digits for int(): a ValueError, not a bad key, at the parent
     "shell-face-huge-index": b'{"dim": 3, "faces": {"' + b"9" * 5000 + b'-": 5}}',
+    "unknown-object": b'{"dim": 0, "vertices": {"": "NOPE"}}',
+    "list-edge-entry": b'{"dim": 1, "vertices": {"0": "00", "1": "10"}, "edges": {"*": ["x"]}}',
     "extra-vertex": json.dumps(
         {**SQUARE_DOC, "vertices": {**SQUARE_DOC["vertices"], "111": "11"}}).encode(),
 }

@@ -159,6 +159,15 @@ def test_parse_rejects_mismatched_endpoints(poset_nerve):
         poset_nerve.parse(doc)
 
 
+def test_parse_rejects_unknown_and_non_string_entries(poset_nerve):
+    with pytest.raises(ParseError, match="unknown object 'NOPE'"):
+        poset_nerve.parse({"dim": 0, "vertices": {"": "NOPE"}})
+    with pytest.raises(ParseError, match="string names"):
+        poset_nerve.parse({"dim": 0, "vertices": {"": ["00"]}})
+    with pytest.raises(ParseError, match="string names"):
+        poset_nerve.parse({"dim": 1, "vertices": {"0": "00", "1": "10"}, "edges": {"*": ["x"]}})
+
+
 def test_edge_cube_helper(square_nerve):
     f = edge_cube(square_nerve, "f")
     assert f.vertices == ("A", "B")

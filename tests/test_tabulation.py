@@ -27,7 +27,7 @@ from cubecat.shells import boundary, enumerate_shells, make_shell, shell_system
 from cubecat.errors import (
     DimensionTooLarge, IndexOutOfRange, NotComposable, PostconditionViolated,
 )
-from cubecat.fillers import ConnectionOverrideSystem
+from cubecat.fillers import ThinStructure
 from cubecat.suites import run_suite
 from conftest import nerve_of, tower_of
 
@@ -110,11 +110,11 @@ def test_extension_refuses_top_dimension_base_cubes_on_warm_tables():
 def test_connection_override_sees_its_gamma_not_the_cached_connection():
     base = warmed(nerve(bundled_category("poset22"), 2))
     flipped = {PLUS: MINUS, MINUS: PLUS}
+    shells = shell_system(base, 2)
+    fill = {shells.connection(a, 1, sign): base.connection(a, 1, flipped[sign])
+            for a in base.cubes(1) for sign in (MINUS, PLUS)}
 
-    def gamma(a, i, sign):
-        return base.connection(a, i, flipped[sign])
-
-    override = ConnectionOverrideSystem(base, 2, gamma)
+    override = ThinStructure(base, 2, fill.__getitem__)
     view = override.id_view
     differ = 0
     for a in base.cubes(1):
@@ -192,7 +192,7 @@ def test_each_pool_is_stored_by_the_view_that_enumerates_it():
     for system in (root, inner, tower):
         assert set(system.id_view.pools) == {k for k, o in owners.items() if o is system}
     # so is each face index of a pool, and a system that enumerates nothing keeps none
-    override = ConnectionOverrideSystem(tower, 3, gamma=None)
+    override = ThinStructure(tower, 3, fill=None)
     for k, owner in owners.items():
         index = owner.id_view.index(k, slots(k))
         assert tower.id_view.index(k, slots(k)) is index
@@ -236,11 +236,11 @@ def test_a_fold_belongs_to_the_view_that_made_it():
     # the override shares the base's ids and faces but not its connections,
     # so a fold the base stored must not answer for the override
     base = nerve(bundled_category("poset22"), 3)
+    shells = shell_system(base, 3)
+    fill = {shells.connection(a, i, sign): base.degeneracy(a, i)
+            for a in base.cubes(2) for i in (1, 2) for sign in (MINUS, PLUS)}
 
-    def gamma(a, i, sign):
-        return base.degeneracy(a, i)
-
-    override = ConnectionOverrideSystem(base, 3, gamma)
+    override = ThinStructure(base, 3, fill.__getitem__)
 
     def own_psi(system, x, i):
         left = system.connection(system.face(x, i + 1, MINUS), i, PLUS)

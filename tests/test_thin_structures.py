@@ -22,7 +22,8 @@ from cubecat.errors import (
     NotCommutative,
     PreconditionFailed,
 )
-from conftest import tower_of
+from cubecat.suites import run_suite
+from conftest import nerve_of, tower_of
 
 
 def test_theta_sends_formal_generators_to_real_ones(square_nerve):
@@ -90,6 +91,31 @@ def test_towers_support_thin_structures():
     override = connections_from_theta(theta)
     for a in system.cubes(1):
         assert override.connection(a, 1, PLUS) == system.connection(a, 1, PLUS)
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(nerve_of("poset22", 3), id="nerve-poset22"),
+    pytest.param(tower_of("free_square", 3), id="tower-free_square"),
+])
+def test_theta_is_the_connection_set_it_induces(system):
+    top = 3
+    theta = theta_from_connections(system, top)
+    assert connections_from_theta(theta) is theta
+    for a in system.cubes(top - 1):
+        for i in range(1, top):
+            for sign in (MINUS, PLUS):
+                assert theta.connection(a, i, sign) == system.connection(a, i, sign)
+
+
+@pytest.mark.parametrize("system, instances", [
+    pytest.param(nerve_of("parallel_pair", 3), 556, id="nerve-parallel_pair"),
+    pytest.param(nerve_of("poset22", 3), 9_496, id="nerve-poset22"),
+    pytest.param(tower_of("free_square", 3), 70_792, id="tower-free_square"),
+])
+def test_exhaustive_thm_3_1_instance_counts_are_pinned(system, instances):
+    report = run_suite(system, "thm-3.1", max_dim=3, exhaustive_dim=3)
+    assert report.passed
+    assert report.instances == instances
 
 
 def test_badly_wired_theta_is_rejected(poset_nerve):
