@@ -94,53 +94,47 @@ class CubeSystem:
     def within_ceiling(self, n: int) -> bool:
         return self.op_ceiling is None or n <= self.op_ceiling
 
-    # -- seeded sampling hooks (defaults draw from the enumerated pool) ----
+    # -- seeded sampling hooks, written once over one draw ---------------
 
-    def _mates(self, n: int, i: int, k: int) -> list:
-        """Ids of the dimension-n elements whose lower i-face is the upper i-face of id k."""
+    def _draw(self, n: int, rng, pins: tuple = ()):
+        """A seeded dimension-n element whose (i, sign) face is id f for each
+        (i, sign, f) of ``pins``, or None if there is none; the default draws
+        from the pool, through the face index of the first pin."""
+        if not pins:
+            elements = self.cubes(n)
+            return rng.choice(elements) if elements else None
         view = self.id_view
-        return view.index(n, ((i, MINUS),)).get((view.face(k, i, PLUS),), ())
+        (i, sign, f), *rest = pins
+        found = view.index(n, ((i, sign),)).get((f,), ())
+        for j, b, g in rest:
+            found = [k for k in found if view.face(k, j, b) == g]
+        return view.elements[rng.choice(found)] if found else None
+
+    def _after(self, x, i: int) -> tuple:
+        """The pin of an element that composes after x in direction i."""
+        view = self.id_view
+        return i, MINUS, view.face(view.id(x), i, PLUS)
 
     def sample_element(self, n: int, rng):
-        elements = self.cubes(n)
-        return rng.choice(elements) if elements else None
+        return self._draw(n, rng)
 
     def sample_pair(self, n: int, i: int, rng):
-        x = self.sample_element(n, rng)
-        if x is None:
-            return None
-        view = self.id_view
-        ys = self._mates(n, i, view.id(x))
-        if not ys:
-            return None
-        return x, view.elements[rng.choice(ys)]
+        x = self._draw(n, rng)
+        y = None if x is None else self._draw(n, rng, (self._after(x, i),))
+        return None if y is None else (x, y)
 
     def sample_triple(self, n: int, i: int, rng):
         pair = self.sample_pair(n, i, rng)
-        if pair is None:
-            return None
-        x, y = pair
-        view = self.id_view
-        zs = self._mates(n, i, view.id(y))
-        if not zs:
-            return None
-        return x, y, view.elements[rng.choice(zs)]
+        z = None if pair is None else self._draw(n, rng, (self._after(pair[1], i),))
+        return None if z is None else pair + (z,)
 
     def sample_grid(self, n: int, i: int, j: int, rng):
         pair = self.sample_pair(n, i, rng)
-        if pair is None:
+        z = None if pair is None else self._draw(n, rng, (self._after(pair[0], j),))
+        if z is None:
             return None
-        view = self.id_view
-        x, y = map(view.id, pair)
-        zs = self._mates(n, j, x)
-        if not zs:
-            return None
-        z = rng.choice(zs)
-        fy = view.face(y, j, PLUS)
-        ws = [w for w in self._mates(n, i, z) if view.face(w, j, MINUS) == fy]
-        if not ws:
-            return None
-        return pair + tuple(view.elements[k] for k in (z, rng.choice(ws)))
+        w = self._draw(n, rng, (self._after(z, i), self._after(pair[1], j)))
+        return None if w is None else pair + (z, w)
 
 
 def degenerate_at(view: "IdView", k: int, i: int) -> bool:
@@ -994,14 +988,15 @@ def run_law(
     return _run(system, law.law_id, (law,), system.id_view.describe, False, **options)
 
 
-def select(registry: dict, ids: Optional[Iterable[str]]) -> list[str]:
-    """The requested ids (all if None) in registry order; unknown ones are refused."""
+def select(registry: dict, ids: Optional[Iterable[str]], what: str = "law") -> list[str]:
+    """The requested ids (all if None) in registry order; unknown ones are refused by name."""
     if ids is None:
         return list(registry)
     wanted = set(ids)
     unknown = wanted - set(registry)
     if unknown:
-        raise UnknownLaw(", ".join(sorted(unknown)))
+        raise UnknownLaw(f"unknown {what} {', '.join(sorted(unknown))}; "
+                         f"known: {', '.join(registry)}")
     return [k for k in registry if k in wanted]
 
 
@@ -1054,9 +1049,8 @@ def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[tuple]:
 
 def check_axiom(system: CubeSystem, law_id: str, sample: list) -> LawReport:
     """Check one named law against user-supplied bound elements."""
-    law = REGISTRY.get(law_id)
-    if law is None:
-        raise UnknownLaw(law_id)
+    select(REGISTRY, [law_id])  # refuses an unknown id by name
+    law = REGISTRY[law_id]
     bindings = _bind_sample(system, law, list(sample))
     if not system.within_ceiling(system.dim(sample[0]) + law.lift):
         raise MalformedSample(

@@ -81,6 +81,9 @@ class FinCatPresentation:
     def _validate(self) -> None:
         if len(set(self.objects)) != len(self.objects):
             raise ParseError("duplicate object names")
+        for obj in self.identities:
+            if obj not in self.objects:
+                raise ParseError(f"identity given for unknown object {obj!r}")
         for obj in self.objects:
             ident = self.identities.get(obj)
             if ident is None or ident not in self.morphisms:
@@ -125,13 +128,16 @@ def _listed(value, kind: type, error: str, length: Optional[int] = None) -> list
     raise ParseError(error)
 
 
-def _arrows(records, what: str) -> list:
-    """(name, src, tgt) of each {"name", "src", "tgt"} record, all three string names."""
+def _arrows(records, what: str) -> dict:
+    """name -> (src, tgt) of {"name", "src", "tgt"} records of string names, each name once."""
     error = f"{what} name, src and tgt must be strings"
-    return [
-        tuple(_listed([r["name"], r["src"], r["tgt"]], str, error))
-        for r in _listed(records, dict, f"{what}s must be a list of objects")
-    ]
+    arrows: dict = {}
+    for r in _listed(records, dict, f"{what}s must be a list of objects"):
+        name, s, t = _listed([r["name"], r["src"], r["tgt"]], str, error)
+        if name in arrows:
+            raise ParseError(f"two {what}s are named {name!r}")
+        arrows[name] = (s, t)
+    return arrows
 
 
 def _free_category(graph: dict) -> FinCatPresentation:
@@ -142,7 +148,7 @@ def _free_category(graph: dict) -> FinCatPresentation:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     outgoing: dict = {v: [] for v in vertices}
-    for name, s, t in edges:
+    for name, (s, t) in edges.items():
         if s not in outgoing or t not in outgoing:
             raise ParseError(f"edge {name!r} has unknown endpoint")
         outgoing[s].append((name, t))
@@ -173,7 +179,10 @@ def _free_category(graph: dict) -> FinCatPresentation:
         morphisms[ident] = (v, v)
         identities[v] = ident
     for p in paths:
-        morphisms[path_name(p)] = (p[0][1], p[-1][1])
+        name = path_name(p)
+        if name in morphisms:  # an edge named like an identity or a composite path
+            raise ParseError(f"the free category would name two morphisms {name!r}")
+        morphisms[name] = (p[0][1], p[-1][1])
     table = {}
     all_paths = [((None, v),) for v in vertices] + paths
     for p in all_paths:
@@ -198,15 +207,18 @@ def load_fincat(document: dict) -> FinCatPresentation:
         return _free_category(document["graph"])
     try:
         objects = _listed(document["objects"], str, "objects must be a list of string names")
-        morphisms = {name: (s, t) for name, s, t in _arrows(document["morphisms"], "morphism")}
+        morphisms = _arrows(document["morphisms"], "morphism")
         identities = document["identities"]
         if not isinstance(identities, dict):
             raise ParseError("identities must be an object from object names to morphism names")
         _listed(list(identities.values()), str, "identities must name morphisms")
         entries = _listed(document.get("compose", []), list, "compose must be a list of entries")
-        table = {(g, f): gf for g, f, gf in (
-            _listed(e, str, "a compose entry must be [g, f, g o f], three morphism names", 3)
-            for e in entries)}
+        table: dict = {}
+        error = "a compose entry must be [g, f, g o f], three morphism names"
+        for e in entries:
+            g, f, gf = _listed(e, str, error, 3)
+            if table.setdefault((g, f), gf) != gf:
+                raise ParseError(f"two compose entries for ({g}, {f}) disagree")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed category document: {exc}") from exc
     return FinCatPresentation(objects, morphisms, identities, table)

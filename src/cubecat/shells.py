@@ -298,57 +298,21 @@ class ShellExtension(CubeSystem):
         return place(0)
 
     def random_top_shell(self, rng, pinned: Optional[dict] = None) -> Optional[Shell]:
-        """A seeded random top shell with the ``pinned`` faces, or None past the node budget."""
-        view = self.base.id_view
-        pins = {key: view.id(face) for key, face in (pinned or {}).items()}
-        shell = next(self._shells(rng, pins), None)
+        """A seeded random top shell, or None past the node budget; ``pinned``
+        maps some (i, sign) to the base id that face must be."""
+        shell = next(self._shells(rng, pinned), None)
         return None if shell is None else self.id_view.canonical(shell)
 
-    def sample_element(self, n, rng):
+    def _draw(self, n, rng, pins=()):
         if n == self.top:
-            return self.random_top_shell(rng)
-        return super().sample_element(n, rng)
+            return self.random_top_shell(rng, {(i, sign): f for i, sign, f in pins})
+        return super()._draw(n, rng, pins)
 
-    def sample_pair(self, n, i, rng):
-        if n != self.top:
-            return super().sample_pair(n, i, rng)
-        x = self.random_top_shell(rng)
-        if x is None:
-            return None
-        y = self.random_top_shell(rng, pinned={(i, MINUS): x.face(i, PLUS)})
-        if y is None:
-            return None
-        return x, y
-
-    def sample_triple(self, n, i, rng):
-        if n != self.top:
-            return super().sample_triple(n, i, rng)
-        y = self.random_top_shell(rng)
-        if y is None:
-            return None
-        x = self.random_top_shell(rng, pinned={(i, PLUS): y.face(i, MINUS)})
-        z = self.random_top_shell(rng, pinned={(i, MINUS): y.face(i, PLUS)})
-        if x is None or z is None:
-            return None
-        return x, y, z
-
-    def sample_grid(self, n, i, j, rng):
-        if n != self.top:
-            return super().sample_grid(n, i, j, rng)
-        x = self.random_top_shell(rng)
-        if x is None:
-            return None
-        y = self.random_top_shell(rng, pinned={(i, MINUS): x.face(i, PLUS)})
-        z = self.random_top_shell(rng, pinned={(j, MINUS): x.face(j, PLUS)})
-        if y is None or z is None:
-            return None
-        w = self.random_top_shell(
-            rng,
-            pinned={(i, MINUS): z.face(i, PLUS), (j, MINUS): y.face(j, PLUS)},
-        )
-        if w is None:
-            return None
-        return x, y, z, w
+    # CubeSystem's samplers over ``_draw``, named here too: perfbench/tracing.py
+    # wraps ShellExtension.__dict__[hook] and raises KeyError without them
+    sample_element, sample_pair, sample_triple, sample_grid = (
+        CubeSystem.sample_element, CubeSystem.sample_pair,
+        CubeSystem.sample_triple, CubeSystem.sample_grid)
 
     def parse(self, doc: dict):
         if not isinstance(doc, dict):

@@ -29,7 +29,6 @@ from .core import (
     select,
     slots,
 )
-from .errors import UnknownLaw
 from .folding import _fold_through, _psi
 from .shells import (
     Shell,
@@ -460,11 +459,10 @@ def run_suite(
     seed: int = 0,
 ) -> LawReport:
     """Check every part of one suite: exhaustive up to ``exhaustive_dim``, seeded above."""
-    if suite_id not in SUITE_INDEX:
-        raise UnknownLaw(suite_id)
+    select(SUITE_INDEX, [suite_id], "suite")  # refuses an unknown id by name
     options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
     return _run(system, suite_id, SUITE_INDEX[suite_id].parts, _describer(system), True, **options)
 
 
 def run_suites(system: CubeSystem, suite_ids=None, **options) -> list[LawReport]:
-    return [run_suite(system, k, **options) for k in select(SUITE_INDEX, suite_ids)]
+    return [run_suite(system, k, **options) for k in select(SUITE_INDEX, suite_ids, "suite")]

@@ -183,6 +183,12 @@ def test_unknown_suite_is_config_error():
     result = run_cli("theorems", "--model", "nerve", "--cat", "terminal",
                      "--dim", "2", "--name", "thm-9.9")
     assert result.returncode == 2
+    # the message names the unknown id and lists the known ones
+    assert "unknown suite thm-9.9" in result.stderr and "thm-3.1" in result.stderr
+    result = run_cli("axioms", "--model", "nerve", "--cat", "terminal",
+                     "--dim", "2", "--law", "NOPE")
+    assert result.returncode == 2
+    assert "unknown law NOPE" in result.stderr and "INTERCHANGE" in result.stderr
 
 
 def test_missing_category_is_config_error(tmp_path):
@@ -234,16 +240,49 @@ BAD_CATEGORIES = {
     "graph-vertices-string": {"graph": {**ONE_EDGE, "vertices": "ab"}},
     "graph-edge-name-list": {"graph": {
         **ONE_EDGE, "edges": [{"name": ["f"], "src": "a", "tgt": "b"}]}},
+    "morphism-named-twice": {
+        "objects": ["A", "B"],
+        "morphisms": [{"name": "1A", "src": "A", "tgt": "A"},
+                      {"name": "1B", "src": "B", "tgt": "B"},
+                      {"name": "f", "src": "A", "tgt": "B"},
+                      {"name": "f", "src": "B", "tgt": "A"}],
+        "identities": {"A": "1A", "B": "1B"},
+    },
+    "edge-named-twice": {"graph": {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"name": "f", "src": "a", "tgt": "b"}, {"name": "f", "src": "c", "tgt": "b"}]}},
+    "edge-named-like-a-path": {"graph": {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"name": "f", "src": "a", "tgt": "b"}, {"name": "g", "src": "b", "tgt": "c"},
+                  {"name": "g∘f", "src": "a", "tgt": "c"}]}},
+    "identity-of-unknown-object": {**ONE_OBJECT, "identities": {"A": "1", "Z": "1A"}},
+    "compose-entries-disagree": {
+        "objects": ["A", "B", "C"],
+        "morphisms": [{"name": f"1{o}", "src": o, "tgt": o} for o in "ABC"] + [
+            {"name": "f", "src": "A", "tgt": "B"}, {"name": "g", "src": "B", "tgt": "C"},
+            {"name": "h", "src": "A", "tgt": "C"}, {"name": "k", "src": "A", "tgt": "C"}],
+        "identities": {o: f"1{o}" for o in "ABC"},
+        "compose": [["g", "f", "h"], ["g", "f", "k"]],
+    },
+}
+# what the message of a refused name must quote
+CULPRITS = {
+    "morphism-named-twice": "'f'",
+    "edge-named-twice": "'f'",
+    "edge-named-like-a-path": "'g∘f'",
+    "identity-of-unknown-object": "'Z'",
+    "compose-entries-disagree": "(g, f)",
 }
 
 
-@pytest.mark.parametrize("doc", list(BAD_CATEGORIES.values()), ids=list(BAD_CATEGORIES))
-def test_invalid_category_document_is_config_error(tmp_path, doc):
+@pytest.mark.parametrize("name", list(BAD_CATEGORIES))
+def test_invalid_category_document_is_config_error(tmp_path, name):
     path = tmp_path / "cat.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(BAD_CATEGORIES[name]), encoding="utf-8")
     result = run_cli("axioms", "--cat", str(path), "--dim", "2")
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: ")
+    assert CULPRITS.get(name, "") in result.stderr
     assert "Traceback" not in result.stderr
 
 

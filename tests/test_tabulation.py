@@ -6,6 +6,8 @@ let the invalid calls below through.  Each pool is stored once too, by the
 view of the system that enumerates it.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -180,6 +182,54 @@ def test_a_tower_samples_its_top_the_same_whether_or_not_it_was_listed():
     got = draws(fresh)
     assert sum(d is not None for d in got) > 30
     assert got == draws(listed)
+
+
+def described_draws(system, hook: str, n: int, count: int = 40) -> str:
+    """sha256 of ``count`` seeded draws of one sampling hook, each draw described."""
+    rng, draw = random.Random(repr((hook, n))), getattr(system, hook)
+    out = []
+    for _ in range(count):
+        i = rng.randint(1, n)
+        j = rng.choice([d for d in range(1, n + 1) if d != i])
+        got = draw(n, *{"sample_element": (), "sample_grid": (i, j)}.get(hook, (i,)), rng)
+        if hook == "sample_element":
+            got = (got,)
+        out.append(None if got is None else [system.describe(x) for x in got])
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+# taken before the pair, triple and grid samplers were written once over
+# ``_draw``; each of the 40 draws of every hook here succeeds
+DRAW_DIGESTS = {
+    ("nerve", "sample_element", 3):
+        "1c5bf325db6aab96a90cf3074d948f16b09638f05a15f3633000d9ec32762c42",
+    ("nerve", "sample_pair", 3):
+        "8eb16146043a022c25248344401c17f71d544d08cd92b9fe1e6d72012ace9f27",
+    ("nerve", "sample_triple", 3):
+        "ef758c5b61815c701bb3569328b3badac67e91c9caff4e9f3723e3c4eaa177a8",
+    ("nerve", "sample_grid", 3):
+        "1325337f14d2fe0eb2fd4b52a57dd4e359bca182ccfee1175d17f6b14e53ed1e",
+    ("nerve", "sample_element", 4):
+        "25550fc3423f81b95ac8b61104b0061b914bc628114d2ca0795208b7a462fd3e",
+    ("nerve", "sample_pair", 4):
+        "17c40711f6c5da3ff90205b2a016d5499b25ff455390f7b541800b3cc4203f25",
+    ("nerve", "sample_triple", 4):
+        "55304c8e49ab356f7a9a5c355036eae3beb220c5948b7d429ec92922bea16058",
+    ("nerve", "sample_grid", 4):
+        "eac14a8d9131e1dc55ad547510b74030834515e31c690a8af5e6172bfe68f7fe",
+    ("tower", "sample_element", 3):
+        "4e4f2e01740e893e3764a999de2b66e2cae5fd7c97e7e10ad09ce09cdfadd020",
+    ("tower", "sample_pair", 3):
+        "e0b60daae22f9762409fe9e9de2bee09cc90e6307219d4eee154be39b56720ab",
+}
+
+
+@pytest.mark.parametrize("model, hook, n", list(DRAW_DIGESTS),
+                         ids=[f"{m}-{h}-{n}" for m, h, n in DRAW_DIGESTS])
+def test_seeded_draws_are_pinned(model, hook, n):
+    # nerve(parallel_pair) below and at its top, and the top of tower(poset22)
+    system = nerve_of("parallel_pair", 4) if model == "nerve" else tower_of("poset22", 3)
+    assert described_draws(system, hook, n) == DRAW_DIGESTS[model, hook, n]
 
 
 def test_each_pool_is_stored_by_the_view_that_enumerates_it():
