@@ -541,20 +541,20 @@ class NerveSystem(CubeSystem):
             for obj in self.cat.objects:
                 yield NerveCube(0, (obj,), ())
             return
-        lower = self.cubes(n - 1)
+        lower, hom = self.cubes(n - 1), self.cat._hom
         for bottom in lower:
             for top in lower:
-                yield from self._stacks(bottom, top, n)
+                if all(map(hom.__contains__, zip(bottom.vertices, top.vertices))):
+                    yield from self._stacks(bottom, top, n)
 
     def _stacks(self, bottom: NerveCube, top: NerveCube, n: int) -> list:
-        """All cubes whose direction-n lower/upper faces are bottom/top.
+        """All cubes whose direction-n lower/upper faces are bottom/top;
+        bottom and top must have a hom-set at each pair of vertices.
 
         The components run through each vertex's hom-set in ``cat.hom``
         order, the earlier vertices varying slowest.
         """
-        homs = tuple(map(self.cat._hom.get, zip(bottom.vertices, top.vertices)))
-        if not all(homs):  # some vertex has no component
-            return []
+        homs = tuple(map(self.cat._hom.__getitem__, zip(bottom.vertices, top.vertices)))
         checks, edges = _stack_plan(n)
         table, below, above = self.cat.table, bottom.edges, top.edges
         components: list = [()]

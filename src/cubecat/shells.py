@@ -132,6 +132,24 @@ def boundary(system: CubeSystem, x) -> Shell:
     return out
 
 
+def shuffle(x: list, getrandbits) -> None:
+    """Shuffle x in place exactly as ``random.Random.shuffle`` does.
+
+    It is that Fisher-Yates written out over the generator's ``getrandbits``,
+    with ``_randbelow_with_getrandbits`` inline: the swap partner of x[i] is
+    the first draw of ``(i + 1).bit_length()`` bits below i + 1.  So it reads
+    the same 32-bit words in the same order and gives the same list, without
+    a Python-level call per element.
+    """
+    for i in range(len(x) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 # ---------------------------------------------------------------------------
 # the extension system
 
@@ -251,15 +269,23 @@ class ShellExtension(CubeSystem):
         When face (i, sign) is placed, its first i-1 face pairs are pinned by
         incidence with the faces already chosen, so its candidates are one
         list of the base's ``index(top - 1, slots(i - 1))``, in pool order.
-        With an ``rng`` the candidates of each face are shuffled and the
-        search gives up after ``NODE_BUDGET`` nodes; ``pins`` maps some
-        (i, sign) to the base element id that face must be.
+        ``pins`` maps some (i, sign) to the base element id that face must be.
+
+        The search is one flat loop over the slots: ``tried[at]`` is an
+        iterator over the candidates of slot ``at`` and ``chosen[at]`` the
+        one placed, and an exhausted slot steps back to the one before.
+        Each node entered, a full shell included, costs one unit of budget,
+        checked before the node's candidates are listed.  With an ``rng`` the
+        search gives up after ``NODE_BUDGET`` nodes, and a list of two or
+        more candidates is put in ``shuffle``'s order, which is the order
+        ``rng.shuffle`` gives from the same words of the generator.
         """
         view, n = self.base.id_view, self.top
         face, keys = view.face, slots(n)
         by_profile = [view.index(n - 1, slots(d)) for d in range(n)]
         needs, meet = self._incidence_plan
-        chosen: list = []  # ids of the faces placed so far, in slot order
+        size = len(keys)
+        chosen, tried = [0] * size, [None] * size
         budget = NODE_BUDGET if rng is not None else math.inf
 
         # per slot, what the pinned faces ask of its candidate: face (j, b) is f
@@ -269,36 +295,40 @@ class ShellExtension(CubeSystem):
             for key in keys
         ] if pins else None
 
-        def place(at: int) -> Iterator[Shell]:
-            nonlocal budget
-            if budget <= 0:
-                return
+        at = 0
+        while budget > 0:  # enter the node that places slot ``at``
             budget -= 1
-            if at == len(keys):
+            if at == size:
                 yield Shell(view, n, tuple(chosen))
-                return
-            key = keys[at]
-            req = tuple([face(chosen[q], j, b) for q, j, b in needs[at]])
-            if pins and key in pins:
-                pv = pins[key]
-                cands = [pv] if req == tuple([face(pv, j, b) for j, b in slots(key[0] - 1)]) else []
+                at -= 1
             else:
-                cands = by_profile[key[0] - 1].get(req, ())
-                if pins:
-                    for j, b, f in pin_checks[at]:
-                        cands = [c for c in cands if face(c, j, b) == f]
-                if rng is not None and len(cands) > 1:  # a shorter list draws no number
-                    cands = list(cands)
-                    rng.shuffle(cands)
-            for c in cands:
-                chosen.append(c)
-                yield from place(at + 1)
-                chosen.pop()
-
-        return place(0)
+                key = keys[at]
+                req = tuple([face(chosen[q], j, b) for q, j, b in needs[at]])
+                if pins and key in pins:
+                    pv = pins[key]
+                    ok = req == tuple([face(pv, j, b) for j, b in slots(key[0] - 1)])
+                    cands = [pv] if ok else ()
+                else:
+                    cands = by_profile[key[0] - 1].get(req, ())
+                    if pins:
+                        for j, b, f in pin_checks[at]:
+                            cands = [c for c in cands if face(c, j, b) == f]
+                    if rng is not None and len(cands) > 1:  # a shorter list draws no number
+                        cands = list(cands)
+                        shuffle(cands, rng.getrandbits)
+                tried[at] = iter(cands)
+            c = next(tried[at], None)
+            while c is None:  # slot ``at`` is exhausted: step back
+                at -= 1
+                if at < 0:
+                    return
+                c = next(tried[at], None)
+            chosen[at] = c
+            at += 1
 
     def random_top_shell(self, rng, pinned: Optional[dict] = None) -> Optional[Shell]:
-        """A seeded random top shell, or None past the node budget; ``pinned``
+        """A seeded random top shell: the first shell of the shuffled search,
+        or None if it has none or runs out of ``NODE_BUDGET``; ``pinned``
         maps some (i, sign) to the base id that face must be."""
         shell = next(self._shells(rng, pinned), None)
         return None if shell is None else self.id_view.canonical(shell)

@@ -27,9 +27,9 @@ SQUARE_DOC = {
 }
 
 
-def run_cli(*args, stdin=None, timeout=300, preexec_fn=None, env=None):
+def run_cli(*args, stdin=None, timeout=300, preexec_fn=None, env=None, module="cubecat.cli"):
     return subprocess.run(
-        [sys.executable, "-m", "cubecat.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -37,6 +37,13 @@ def run_cli(*args, stdin=None, timeout=300, preexec_fn=None, env=None):
         preexec_fn=preexec_fn,
         env=env,
     )
+
+
+def test_package_runs_as_the_cli():
+    args = ("axioms", "--model", "broken", "--cat", "poset22", "--dim", "2", "--format", "json")
+    package, module = run_cli(*args, module="cubecat"), run_cli(*args)
+    assert package.returncode == module.returncode == 1
+    assert package.stdout == module.stdout and "EPS-FACE" in package.stdout
 
 
 def _limit_memory():

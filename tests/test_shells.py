@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import math
+import random
 import weakref
 
 import pytest
@@ -23,7 +25,8 @@ from cubecat import (
     shell_system,
     shell_tower,
 )
-from cubecat.core import composable_pairs
+from cubecat import shells
+from cubecat.core import composable_pairs, slot, slots
 from cubecat.shells import Shell, check_incidence
 from cubecat.errors import BoundaryMismatch, DimensionTooLarge, IndexOutOfRange, NotComposable
 from conftest import edge_cube, nerve_of, tower_of
@@ -349,3 +352,139 @@ def test_recorded_hashes_are_the_elements_hashes():
     assert 3 in view.dims
     assert len(view.hashes) == len(view.elements)
     assert all(h == hash(x) for h, x in zip(view.hashes, view.elements))
+
+
+# ---------------------------------------------------------------------------
+# the seeded top-shell search against the recursive search it replaced
+
+
+def reference_shells(ext, rng=None, pins=None):
+    """The recursive top-shell search with ``rng.shuffle``, as it was before
+    the flat loop: the stream the flat loop must reproduce draw for draw."""
+    view, n = ext.base.id_view, ext.top
+    face, keys = view.face, slots(n)
+    by_profile = [view.index(n - 1, slots(d)) for d in range(n)]
+    needs, meet = ext._incidence_plan
+    chosen = []
+    budget = shells.NODE_BUDGET if rng is not None else math.inf
+    pin_checks = [
+        [(*meet[pinned, key], face(pv, *key)) for pinned, pv in pins.items()
+         if (pinned, key) in meet]
+        for key in keys
+    ] if pins else None
+
+    def place(at):
+        nonlocal budget
+        if budget <= 0:
+            return
+        budget -= 1
+        if at == len(keys):
+            yield Shell(view, n, tuple(chosen))
+            return
+        key = keys[at]
+        req = tuple([face(chosen[q], j, b) for q, j, b in needs[at]])
+        if pins and key in pins:
+            pv = pins[key]
+            cands = [pv] if req == tuple([face(pv, j, b) for j, b in slots(key[0] - 1)]) else []
+        else:
+            cands = by_profile[key[0] - 1].get(req, ())
+            if pins:
+                for j, b, f in pin_checks[at]:
+                    cands = [c for c in cands if face(c, j, b) == f]
+            if rng is not None and len(cands) > 1:
+                cands = list(cands)
+                rng.shuffle(cands)
+        for c in cands:
+            chosen.append(c)
+            yield from place(at + 1)
+            chosen.pop()
+
+    return place(0)
+
+
+def draw_both(ext, rngs, pins=None):
+    """One draw by the flat loop and by the reference, from twin generators;
+    asserts that they agree on the shell and on the generator's state."""
+    new_rng, old_rng = rngs
+    new = next(ext._shells(new_rng, pins), None)
+    old = next(reference_shells(ext, old_rng, pins), None)
+    assert (new and new.ids) == (old and old.ids)
+    assert new_rng.getstate() == old_rng.getstate()
+    return new
+
+
+def draw_round(ext, rngs, i, j) -> list:
+    """A pair drawn the way ``sample_pair`` draws it, then the rest of a grid
+    the way ``sample_grid`` does, up to the first failed draw: the draws made."""
+    def upper(s, d):
+        return s.ids[slot(d, PLUS)]
+
+    x = draw_both(ext, rngs)
+    if x is None:
+        return [x]
+    y = draw_both(ext, rngs, {(i, MINUS): upper(x, i)})
+    if y is None:
+        return [x, y]
+    z = draw_both(ext, rngs, {(j, MINUS): upper(x, j)})
+    if z is None:
+        return [x, y, z]
+    return [x, y, z, draw_both(ext, rngs, {(i, MINUS): upper(z, i), (j, MINUS): upper(y, j)})]
+
+
+def twin_rngs(seed):
+    return random.Random(repr(seed)), random.Random(repr(seed))
+
+
+@pytest.mark.parametrize("name, top", [("parallel_pair", 3), ("poset22", 3), ("parallel_pair", 4)])
+def test_top_shell_draws_match_the_recursive_search(name, top):
+    ext = tower_of(name, top)
+    rngs, picks = twin_rngs(("draws", name, top)), random.Random(top)
+    draws = grids = 0
+    while draws < 300:
+        drawn = draw_round(ext, rngs, *picks.sample(range(1, top + 1), 2))
+        draws += len(drawn)
+        grids += len(drawn) == 4 and drawn[-1] is not None
+    assert grids
+    # two pins that mostly disagree with each other: no shell has both
+    pool = ext.base.id_view.pool(top - 1)
+    drawn = [draw_both(ext, rngs, {(1, MINUS): picks.choice(pool), (2, MINUS): picks.choice(pool)})
+             for _ in range(50)]
+    assert 0 < drawn.count(None) < len(drawn)
+
+
+def test_enumerated_shells_keep_the_recursive_order():
+    ext = tower_of("free_square", 3)
+    listed = [s.ids for s in enumerate_shells(ext.base, 3)]
+    assert listed == [s.ids for s in reference_shells(ext)]
+    assert listed == [s.ids for s in ext._shells()]
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7])
+def test_node_budget_ends_draws_as_the_recursive_search_does(monkeypatch, budget):
+    monkeypatch.setattr(shells, "NODE_BUDGET", budget)
+    ext = tower_of("parallel_pair", 3)
+    rngs, picks = twin_rngs(("budget", budget)), random.Random(budget)
+    drawn = [s for _ in range(100) for s in draw_round(ext, rngs, *picks.sample((1, 2, 3), 2))]
+    misses = drawn.count(None)
+    # a shell takes one node per face and one for itself
+    assert misses == len(drawn) if budget <= len(slots(3)) else 0 < misses < len(drawn)
+
+
+def test_no_budget_draws_no_number(monkeypatch):
+    monkeypatch.setattr(shells, "NODE_BUDGET", 0)
+    ext = tower_of("parallel_pair", 3)
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert ext.random_top_shell(rng) is None
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, "shells", 2**70])
+def test_written_out_shuffle_is_random_shuffle(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for length in range(81):
+        mine, expected = list(range(length)), list(range(length))
+        shells.shuffle(mine, ours.getrandbits)
+        theirs.shuffle(expected)
+        assert mine == expected
+        assert ours.getstate() == theirs.getstate()
