@@ -49,10 +49,10 @@ class CubeSystem:
     All elements are immutable values with structural (decidable) equality,
     and every operation is a pure function of its inputs.
 
-    A model writes each operation once, as a plain definition that
-    validates its arguments and builds the result: ``_face(x, i, sign)``,
-    ``_degeneracy(x, i)``, ``_connection(x, i, sign)`` and
-    ``_compose(x, y, i)``.  The class decorator :func:`tabulated` gives it
+    A model writes each operation once, as a plain definition that only
+    builds the result (its id view checks directions, signs and ceiling):
+    ``_face(x, i, sign)``, ``_degeneracy(x, i)``, ``_connection(x, i, sign)``
+    and ``_compose(x, y, i)``.  The class decorator :func:`tabulated` gives it
     each of the public ``face``, ``degeneracy``, ``connection`` and
     ``compose`` it lacks, answered from ``id_view``, and the public
     ``cubes(n)``, whose elements the id view of the enumerating system
@@ -70,6 +70,7 @@ class CubeSystem:
 
     def __init__(self, base: Optional["CubeSystem"] = None):
         self.base = base
+        self.shell_systems: dict = {}  # top -> extension, filled by ``shells.shell_system``
         self.id_view = IdView(self, None if base is None else base.id_view)
 
     def dim(self, x) -> int:
@@ -221,17 +222,18 @@ class IdView:
     object of id k, ``dims[k]`` its dimension and ``hashes[k]`` its hash,
     taken once when it is interned (a shell hashes the hashes of its face
     ids, so no face is hashed again).  ``id`` interns an element; ``face``,
-    ``degeneracy``, ``connection`` and ``compose`` take and return ids.  Each answers a call whose first argument lies below the
+    ``degeneracy``, ``connection`` and ``compose``, built with the view, take
+    and return ids.  Each answers a call whose first argument lies below the
     system's ``owns_from(op)`` dimension with the base's operation, so a
     result is stored once, by its owner, however many systems are stacked on
     it.  The owner keeps it in ``tables[op]``: faces, degeneracies and
     connections under (i, sign) and then the element's id (the sign of a
     degeneracy is None), composites under the (x, y, i) tuple.  A lookup
-    that hits returns the stored id.  A miss runs the owner's plain
-    definition, which validates its arguments and may raise; only what it
-    returns is interned and stored.  Nothing is tabulated before it is asked
-    for, and the operation closures are built on the first call, so a
-    model that is never asked pays nothing for them.
+    that hits returns the stored id.  A miss checks the direction, the sign
+    and, for a degeneracy or connection, the ceiling, which a view enforces
+    on what it hands down too, and then runs the owner's plain definition,
+    which may raise as well; only what it returns is interned and stored.
+    Nothing is tabulated before it is asked for.
 
     Three operations derived from these four are stored the same way, on
     first use, by the view whose operations computed them, never by the id
@@ -267,19 +269,14 @@ class IdView:
         self.pools: dict = {}
         self.indexes: dict = {}
         self.dim = self.dims.__getitem__
-
-    def __getattr__(self, name: str):
-        # only reached before the operations are built
-        if name != "id" and name not in OPS:
-            raise AttributeError(name)
         self._build()
-        return self.__dict__[name]
 
     def _build(self) -> None:
         # closures rather than methods: the law loops call them millions of times
         system, base = self.system, self.base
         ids, elements, dims, hashes, dim, native = (
             self.ids, self.elements, self.dims, self.hashes, system.dim, system._native)
+        ceiling = system.op_ceiling
 
         def intern(x) -> int:
             k = ids.get(x)
@@ -292,12 +289,23 @@ class IdView:
                 hashes.append(hash(x))
             return k
 
+        def check(op: str, d: int, i: int, sign: Optional[Sign]) -> None:
+            # the signature's rules, the same in every model
+            if not 1 <= i <= (d + 1 if op == "degeneracy" else d):
+                raise IndexOutOfRange(op, i, d)
+            if op != "face" and not system.within_ceiling(d + 1):
+                raise DimensionTooLarge(f"{op} from dimension {d} exceeds the ceiling {ceiling}")
+            if op != "degeneracy":
+                check_sign(sign)
+
         def operation(op: str):
             below = system.owns_from(op)
+            if op in ("degeneracy", "connection") and ceiling is not None:
+                below = min(below, ceiling)  # from the ceiling up, this view refuses the call
             if below == ALL:
                 return getattr(base, op)
             lower = getattr(base, op, None)
-            tables, plain = self.tables[op], getattr(system, "_" + op)
+            tables, plain = self.tables[op], getattr(system, "_" + op, None)
 
             if op == "compose":
 
@@ -308,7 +316,7 @@ class IdView:
                     key = (x, y, i)
                     out = tables.get(key)
                     if out is None:
-                        if dims[y] != d:
+                        if dims[y] != d or not 1 <= i <= d:
                             raise IndexOutOfRange("compose", i, d)
                         out = tables[key] = intern(plain(elements[x], elements[y], i))
                     return out
@@ -326,6 +334,7 @@ class IdView:
                 table = tables.get((i, sign))
                 out = None if table is None else table.get(x)
                 if out is None:
+                    check(op, dims[x], i, sign)
                     out = intern(plain(elements[x], i, sign))
                     if table is None:
                         table = tables[i, sign] = {}

@@ -15,7 +15,7 @@ from typing import Callable, Union
 
 from . import folding
 from .core import (
-    ALL, MINUS, PLUS, CubeSystem, Sign, check_sign, run_axiom_suite, slots, tabulated,
+    ALL, MINUS, PLUS, CubeSystem, Sign, run_axiom_suite, slots, tabulated,
 )
 from .errors import (
     AxiomFailure,
@@ -270,8 +270,7 @@ class ThinStructure(CubeSystem):
     connection of an a one below the top is theta of the formal connection
     shell of a, nothing is built above the top, and every other operation
     is the base's.  theta is materialized on demand and memoized, so
-    concurrent queries for the same shell always produce the identical
-    element.
+    repeated queries for the same shell return the identical element.
     """
 
     def __init__(self, system: CubeSystem, top: int, fill: Callable[[Shell], object]):
@@ -286,7 +285,6 @@ class ThinStructure(CubeSystem):
         return self.top - 1 if op == "connection" else ALL
 
     def _connection(self, a, i, sign):
-        check_sign(sign)
         return self(shell_system(self.base, self.top).connection(a, i, sign))
 
     def __call__(self, s: Shell):

@@ -19,7 +19,6 @@ from . import core
 from .core import MINUS, PLUS, CubeSystem, Sign
 from .errors import (
     CategoryLawViolation,
-    IndexOutOfRange,
     NotComposable,
     ParseError,
 )
@@ -498,19 +497,13 @@ class NerveSystem(CubeSystem):
 
     def _face(self, x: NerveCube, i: int, sign: Sign) -> NerveCube:
         n = x.n
-        if not 1 <= i <= n:
-            raise IndexOutOfRange("face", i, n)
         vertices, edges = _face_pickers(n, i - 1, 0 if sign == MINUS else 1)
         return NerveCube(n - 1, vertices(x.vertices), edges(x.edges))
 
     def _degeneracy(self, x: NerveCube, i: int) -> NerveCube:
-        if not 1 <= i <= x.n + 1:
-            raise IndexOutOfRange("degeneracy", i, x.n)
         return self._lift(x, *_degeneracy_pickers(x.n, i - 1))
 
     def _connection(self, x: NerveCube, i: int, sign: Sign) -> NerveCube:
-        if x.n == 0 or not 1 <= i <= x.n:
-            raise IndexOutOfRange("connection", i, x.n)
         return self._lift(x, *_connection_pickers(x.n, i - 1, sign))
 
     def _lift(self, x: NerveCube, vertices, idents, edges) -> NerveCube:
@@ -521,8 +514,6 @@ class NerveSystem(CubeSystem):
 
     def _compose(self, x: NerveCube, y: NerveCube, i: int) -> NerveCube:
         n = x.n
-        if n == 0 or not 1 <= i <= n or y.n != n:
-            raise IndexOutOfRange("compose", i, n)
         # x's upper i-face against y's lower one, compared as picked entries
         (upper_v, upper_e), (lower_v, lower_e) = (
             _face_pickers(n, i - 1, 1), _face_pickers(n, i - 1, 0))

@@ -103,6 +103,9 @@ def make_shell(system: CubeSystem, dim: int, faces: dict) -> Shell:
     missing = [key for key in slots(dim) if key not in faces]
     if missing:
         raise BoundaryMismatch(f"shell misses faces {missing}")
+    extra = [key for key in faces if key not in slots(dim)]
+    if extra:
+        raise BoundaryMismatch(f"faces {extra} lie outside a {dim}-shell")
     for (i, s), f in faces.items():
         if system.dim(f) != dim - 1:
             raise BoundaryMismatch(f"face ({i},{s}) has dimension {system.dim(f)}")
@@ -194,36 +197,21 @@ class ShellExtension(CubeSystem):
     # face is a face law of ``core``, on ids.
 
     def _degeneracy(self, x, j: int) -> Shell:
-        n = self._below_top(x, "degeneracy") + 1
-        if not 1 <= j <= n:
-            raise IndexOutOfRange("shell_degeneracy", j, n - 1)
-        view = self.base.id_view
+        view, n = self.base.id_view, self.dim(x) + 1
         k = view.id(x)
         return Shell(view, n, tuple([degeneracy_face(view, k, j, i, s) for i, s in slots(n)]))
 
     def _connection(self, x, j: int, sign: Sign) -> Shell:
-        n = self._below_top(x, "connection") + 1
-        if n == 1 or not 1 <= j <= n - 1:
-            raise IndexOutOfRange("shell_connection", j, n - 1)
-        view = self.base.id_view
+        view, n = self.base.id_view, self.dim(x) + 1
         k = view.id(x)
         return Shell(view, n, tuple([connection_face(view, k, j, sign, i, s) for i, s in slots(n)]))
-
-    def _below_top(self, x, op: str) -> int:
-        d = self.dim(x)
-        if d >= self.top:
-            raise DimensionTooLarge(f"{op} from dimension {d} exceeds the extension top {self.top}")
-        return d
 
     def _compose(self, s, t, i: int) -> Shell:
         if not (isinstance(s, Shell) and isinstance(t, Shell) and s.dim == self.top):
             raise DimensionTooLarge(
                 f"dimension-{self.dim(s)} base elements are not part of this extension"
             )
-        n = s.dim
-        if t.dim != n or not 1 <= i <= n:
-            raise IndexOutOfRange("shell_compose", i, n)
-        view = self.base.id_view
+        view, n = self.base.id_view, s.dim
         sf, tf = s.ids, t.ids
         upper, lower = sf[slot(i, PLUS)], tf[slot(i, MINUS)]
         if upper != lower:
@@ -376,17 +364,21 @@ def shell_system(base: CubeSystem, n: int) -> ShellExtension:
     """Memoized extension of ``base`` by its n-shells (base used below n only).
 
     An extension whose top already is n is its own shell system: its
-    dimension-n elements are exactly the n-shells over its lower part.  The
-    memo lives on the base, so it is freed together with the base.
+    dimension-n elements are exactly the n-shells over its lower part.  A
+    system that answers nothing an n-shell reads (faces, composites and
+    pools below n, degeneracies and connections below n - 1) has the shell
+    system of its base, so each id space holds one extension per top.  The
+    memo lives on the system where the walk stops, so it is freed with it.
     """
-    if isinstance(base, ShellExtension) and base.top == n:
-        return base
-    cache = getattr(base, "_shell_system_cache", None)
-    if cache is None:
-        cache = base._shell_system_cache = {}
-    if n not in cache:
-        cache[n] = ShellExtension(base, n)
-    return cache[n]
+    reads = {"face": n, "compose": n, "cubes": n, "degeneracy": n - 1, "connection": n - 1}
+    while not (isinstance(base, ShellExtension) and base.top == n):
+        if base.base is None or any(base.owns_from(op) < d for op, d in reads.items()):
+            memo = base.shell_systems
+            if n not in memo:
+                memo[n] = ShellExtension(base, n)
+            return memo[n]
+        base = base.base
+    return base
 
 
 def shell_tower(cat: FinCatPresentation, base_dim: int = 1, height: int = 1) -> CubeSystem:
@@ -395,7 +387,7 @@ def shell_tower(cat: FinCatPresentation, base_dim: int = 1, height: int = 1) -> 
         raise ValueError("height must be at least 1")
     system: CubeSystem = nerve(cat, base_dim)
     for top in range(base_dim + 1, base_dim + height + 1):
-        system = ShellExtension(system, top)
+        system = shell_system(system, top)
     return system
 
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import weakref
 
 import pytest
@@ -24,6 +25,7 @@ from cubecat import (
     run_suite,
     shell_system,
     shell_tower,
+    theta_from_connections,
 )
 from cubecat import shells
 from cubecat.core import composable_pairs, slot, slots
@@ -97,6 +99,13 @@ def test_incidence_validation():
         })
     with pytest.raises(BoundaryMismatch):
         make_shell(system, 2, {(1, MINUS): edge_cube(system, "f")})
+    # faces outside the shell are refused, not dropped
+    square = system.cubes(2)[0]
+    faces = {(i, sign): system.face(square, i, sign) for i in (1, 2) for sign in (MINUS, PLUS)}
+    assert make_shell(system, 2, faces) == boundary(system, square)
+    for extra in ((3, MINUS), (1, "x")):
+        with pytest.raises(BoundaryMismatch, match=re.escape(repr([extra]))):
+            make_shell(system, 2, {**faces, extra: system.face(square, 1, MINUS)})
 
 
 def test_poset_shells_all_commutative(poset_nerve):
@@ -161,13 +170,13 @@ def test_shell_operations_check_their_directions(square_nerve):
     ext = shell_system(square_nerve, 2)
     f = edge_cube(square_nerve, "f")
     s = ext.degeneracy(f, 1)
-    with pytest.raises(IndexOutOfRange, match="shell_degeneracy: direction 3 invalid at dimension 1"):
+    with pytest.raises(IndexOutOfRange, match="^degeneracy: direction 3 invalid at dimension 1"):
         ext.degeneracy(f, 3)
-    with pytest.raises(IndexOutOfRange, match="shell_connection: direction 2 invalid at dimension 1"):
+    with pytest.raises(IndexOutOfRange, match="^connection: direction 2 invalid at dimension 1"):
         ext.connection(f, 2, PLUS)
-    with pytest.raises(IndexOutOfRange, match="shell_compose: direction 3 invalid at dimension 2"):
+    with pytest.raises(IndexOutOfRange, match="^compose: direction 3 invalid at dimension 2"):
         ext.compose(s, s, 3)
-    with pytest.raises(IndexOutOfRange, match="shell_connection: direction 1 invalid at dimension 0"):
+    with pytest.raises(IndexOutOfRange, match="^connection: direction 1 invalid at dimension 0"):
         shell_system(square_nerve, 1).connection(square_nerve.cubes(0)[0], 1, PLUS)
 
 
@@ -195,6 +204,17 @@ def test_extension_rejects_operations_above_top():
 def test_extension_of_extension_is_itself():
     ext = tower_of("poset22", 3)
     assert shell_system(ext, 3) is ext
+
+
+def test_a_system_that_reads_nothing_of_a_shell_shares_its_base_extension():
+    tower = tower_of("poset22", 3)
+    assert shell_system(tower, 2) is tower.base
+    assert shell_system(tower, 1) is shell_system(tower.base.base, 1)
+    base = nerve_of("poset22", 3)
+    theta = theta_from_connections(base, 3)
+    assert shell_system(theta, 3) is shell_system(base, 3)
+    # a thin structure owns its connections one below its top, which a 4-shell reads
+    assert shell_system(theta, 4).base is theta
 
 
 def test_shell_serialization_round_trip():

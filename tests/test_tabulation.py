@@ -23,6 +23,7 @@ from cubecat import (
     psi,
     run_axiom_suite,
     shell_tower,
+    theta_from_connections,
 )
 from cubecat.core import composable_pairs, slots
 from cubecat.shells import boundary, enumerate_shells, make_shell, shell_system
@@ -60,37 +61,64 @@ def uncomposable_pair(system, n: int):
     raise AssertionError("every pair composes")
 
 
-@pytest.mark.parametrize("system", [
-    pytest.param(nerve_of("poset22", 3), id="nerve"),
-    pytest.param(tower_of("poset22", 3), id="tower"),
+def footprint(system) -> tuple:
+    """The size of the shared id space and of every table of the system and its bases."""
+    sizes = [len(system.id_view.ids)]
+    while system is not None:
+        sizes.append(stored(system))
+        system = system.base
+    return tuple(sizes)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: nerve(bundled_category("poset22"), 3), id="nerve"),
+    pytest.param(lambda: shell_tower(bundled_category("poset22"), 1, 2), id="tower"),
+    pytest.param(lambda: theta_from_connections(nerve(bundled_category("poset22"), 3), 3),
+                 id="theta"),
 ])
-def test_invalid_calls_raise_on_warm_tables(system):
-    warmed(system)
-    view = system.id_view
-    for n in (1, 2, 3):
-        x, y = uncomposable_pair(system, n)
-        system.compose(*composable_pairs_first(system, n))  # a valid call is stored
-        before = stored(system)
-        with pytest.raises(NotComposable):
-            system.compose(x, y, 1)
-        with pytest.raises(NotComposable):
-            view.compose(view.id(x), view.id(y), 1)
-        with pytest.raises(IndexOutOfRange):
-            system.face(x, n + 1, MINUS)
-        with pytest.raises(IndexOutOfRange):
-            system.face(x, 0, PLUS)
-        with pytest.raises(IndexOutOfRange):
-            view.face(view.id(x), n + 1, PLUS)
-        if n < 3:  # the tower builds nothing above its top dimension 3
+def test_invalid_calls_raise_on_warm_tables(make):
+    system = make()
+    view, top = system.id_view, system.op_ceiling  # the tower and theta build nothing above 3
+    for warm in (False, True):
+        if warm:
+            warmed(system)
+        for n in (1, 2, 3):
+            x, y = uncomposable_pair(system, n)
+            system.compose(*composable_pairs_first(system, n))  # a valid call is stored
+            k, before = view.id(x), footprint(system)
+            with pytest.raises(NotComposable):
+                system.compose(x, y, 1)
+            with pytest.raises(NotComposable):
+                view.compose(k, view.id(y), 1)
             with pytest.raises(IndexOutOfRange):
-                system.connection(x, n + 1, PLUS)
+                system.face(x, n + 1, MINUS)
             with pytest.raises(IndexOutOfRange):
-                view.connection(view.id(x), 0, MINUS)
+                system.face(x, 0, PLUS)
             with pytest.raises(IndexOutOfRange):
-                system.degeneracy(x, n + 2)
-            with pytest.raises(IndexOutOfRange):
-                view.degeneracy(view.id(x), 0)
-        assert stored(system) == before, "a refused call left an entry behind"
+                view.face(k, n + 1, PLUS)
+            with pytest.raises(ValueError):
+                system.face(x, 1, "bogus")
+            with pytest.raises(ValueError):
+                view.face(k, n, "bogus")
+            if n == top:
+                for lift in (lambda: system.degeneracy(x, 1), lambda: view.degeneracy(k, n + 1),
+                             lambda: system.connection(x, 1, PLUS), lambda: view.connection(k, n, MINUS)):
+                    with pytest.raises(DimensionTooLarge):
+                        lift()
+            else:
+                with pytest.raises(IndexOutOfRange):
+                    system.connection(x, n + 1, PLUS)
+                with pytest.raises(IndexOutOfRange):
+                    view.connection(k, 0, MINUS)
+                with pytest.raises(IndexOutOfRange):
+                    system.degeneracy(x, n + 2)
+                with pytest.raises(IndexOutOfRange):
+                    view.degeneracy(k, 0)
+                with pytest.raises(ValueError):
+                    system.connection(x, 1, "bogus")
+                with pytest.raises(ValueError):
+                    view.connection(k, n, None)
+            assert footprint(system) == before, "a refused call left an entry behind"
 
 
 def test_extension_refuses_top_dimension_base_cubes_on_warm_tables():
@@ -125,10 +153,13 @@ def test_connection_override_sees_its_gamma_not_the_cached_connection():
         got = view.connection(view.id(a), 1, MINUS)
         assert view.elements[got] == base.connection(a, 1, PLUS)
     assert differ, "the flipped gamma must be told apart from the base's connection"
-    # the other operations are the base's, answered from its tables
+    # the other operations are the base's, answered from its tables, below the ceiling
+    for a in base.cubes(1):
+        assert override.degeneracy(a, 2) is base.degeneracy(a, 2)
     for x in base.cubes(2):
         assert override.face(x, 1, MINUS) is base.face(x, 1, MINUS)
-        assert override.degeneracy(x, 3) is base.degeneracy(x, 3)
+        with pytest.raises(DimensionTooLarge):
+            override.degeneracy(x, 3)
     assert stored(override) == len(base.cubes(1)) * 2
 
 
@@ -150,10 +181,6 @@ def test_nothing_is_tabulated_at_set_up():
         assert stored(s) == 0
         assert not s.id_view.elements
         assert not (s.id_view.psis or s.id_view.folds or s.id_view.boundaries)
-        # the operations themselves are built on first use
-        assert not {"id", "face", "compose"} & set(vars(s.id_view))
-    tower.face(tower.cubes(3)[0], 1, MINUS)
-    assert {"id", "face", "compose"} <= set(vars(tower.id_view))
 
 
 def test_a_shell_is_its_own_boundary():
