@@ -19,8 +19,8 @@ from typing import Iterator, Optional
 
 from . import folding
 from .core import (
-    MINUS, PLUS, CubeSystem, Sign, composite_face, connection_face, degeneracy_face, incidences,
-    slot, slots, tabulated,
+    MINUS, PLUS, CubeSystem, Sign, check_sign, composite_face, connection_face, degeneracy_face,
+    incidences, slot, slots, tabulated,
 )
 from .errors import (
     BoundaryMismatch,
@@ -61,6 +61,7 @@ class Shell:
     def face(self, i: int, sign: Sign):
         if not 1 <= i <= self.dim:
             raise IndexOutOfRange("shell face", i, self.dim)
+        check_sign(sign)
         return self.space[self.ids[slot(i, sign)]]
 
     def __eq__(self, other):
@@ -135,6 +136,12 @@ def boundary(system: CubeSystem, x) -> Shell:
     return out
 
 
+@lru_cache(maxsize=None)
+def _shuffle_plan(size: int) -> tuple:
+    """(i, i + 1, (i + 1).bit_length()) for i from size - 1 down to 1."""
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
+
+
 def shuffle(x: list, getrandbits) -> None:
     """Shuffle x in place exactly as ``random.Random.shuffle`` does.
 
@@ -142,11 +149,10 @@ def shuffle(x: list, getrandbits) -> None:
     with ``_randbelow_with_getrandbits`` inline: the swap partner of x[i] is
     the first draw of ``(i + 1).bit_length()`` bits below i + 1.  So it reads
     the same 32-bit words in the same order and gives the same list, without
-    a Python-level call per element.
+    a Python-level call per element.  The steps of each list length are
+    worked out once (``_shuffle_plan``).
     """
-    for i in range(len(x) - 1, 0, -1):
-        m = i + 1
-        k = m.bit_length()
+    for i, m, k in _shuffle_plan(len(x)):
         j = getrandbits(k)
         while j >= m:
             j = getrandbits(k)
@@ -240,16 +246,36 @@ class ShellExtension(CubeSystem):
 
     @cached_property
     def _incidence_plan(self) -> tuple:
-        """FACE-FACE read for the search: face q of the face placed at slot p
-        is face r of the face placed earlier at slot q.  ``needs[p]`` lists
-        (slot of q, *r) in the order of the index key, and ``meet[p, q]`` is r.
+        """FACE-FACE read for the search, in slot positions: face q of the face
+        placed at slot p is face r of the face placed earlier at slot q, where
+        q and r are positions in ``slots``.  ``needs[p]`` lists (q, r) in the
+        order of the index key, and ``meet[p, q]`` is r.
         """
         needs: list = [[] for _ in slots(self.top)]
         meet: dict = {}
         for p, q, r in incidences(self.top):
-            needs[slot(*p)].append((slot(*q), *r))
+            p, q, r = slot(*p), slot(*q), slot(*r)
+            needs[p].append((q, r))
             meet[p, q] = r
         return needs, meet
+
+    @cached_property
+    def _search_plan(self) -> tuple:
+        """What the search reads, built once per extension.
+
+        ``rows[c]`` is the row of a candidate c, the tuple of its face ids in
+        slot order: the key c is listed under in the base's full-profile index
+        ``index(top - 1, slots(top - 1))``, inverted, so no face is computed.
+        ``reads[p]`` is what slot p reads: the index of its profile (the face
+        pairs 1 .. i-1 of a face (i, sign)), its ``needs`` and its row width.
+        """
+        view, n = self.base.id_view, self.top
+        needs, _ = self._incidence_plan
+        reads = [(view.index(n - 1, slots(i - 1)), tuple(needs[p]), 2 * (i - 1))
+                 for p, (i, _) in enumerate(slots(n))]
+        full = view.index(n - 1, slots(n - 1))
+        rows = {c: row for row, cs in full.items() for c in cs}
+        return rows, reads
 
     def _shells(self, rng=None, pins: Optional[dict] = None) -> Iterator[Shell]:
         """Top shells, assembled face pair by face pair with backtracking.
@@ -257,31 +283,40 @@ class ShellExtension(CubeSystem):
         When face (i, sign) is placed, its first i-1 face pairs are pinned by
         incidence with the faces already chosen, so its candidates are one
         list of the base's ``index(top - 1, slots(i - 1))``, in pool order.
-        ``pins`` maps some (i, sign) to the base element id that face must be.
+        ``pins`` maps some (i, sign) to the base element id that face must be;
+        a pin outside the base's top - 1 pool allows no shell.  Every face a
+        node compares is read from the rows of ``_search_plan``.
 
         The search is one flat loop over the slots: ``tried[at]`` is an
-        iterator over the candidates of slot ``at`` and ``chosen[at]`` the
-        one placed, and an exhausted slot steps back to the one before.
-        Each node entered, a full shell included, costs one unit of budget,
-        checked before the node's candidates are listed.  With an ``rng`` the
-        search gives up after ``NODE_BUDGET`` nodes, and a list of two or
-        more candidates is put in ``shuffle``'s order, which is the order
-        ``rng.shuffle`` gives from the same words of the generator.
+        iterator over the candidates of slot ``at``, ``chosen[at]`` the one
+        placed and ``placed[at]`` its row, and an exhausted slot steps back to
+        the one before.  Each node entered, a full shell included, costs one
+        unit of budget, checked before the node's candidates are listed.
+        With an ``rng`` the search gives up after ``NODE_BUDGET`` nodes, and
+        a list of two or more candidates is put in ``shuffle``'s order, which
+        is the order ``rng.shuffle`` gives from the same words of the
+        generator.
         """
         view, n = self.base.id_view, self.top
-        face, keys = view.face, slots(n)
-        by_profile = [view.index(n - 1, slots(d)) for d in range(n)]
-        needs, meet = self._incidence_plan
+        keys = slots(n)
+        rows, reads = self._search_plan
         size = len(keys)
-        chosen, tried = [0] * size, [None] * size
+        chosen, placed, tried = [0] * size, [None] * size, [None] * size
         budget = NODE_BUDGET if rng is not None else math.inf
+        getrandbits = None if rng is None else rng.getrandbits
 
-        # per slot, what the pinned faces ask of its candidate: face (j, b) is f
-        pin_checks = [
-            [(*meet[pinned, key], face(pv, *key)) for pinned, pv in pins.items()
-             if (pinned, key) in meet]
-            for key in keys
-        ] if pins else None
+        pinned = pin_checks = None
+        if pins:
+            pinned = [pins.get(key) for key in keys]
+            if any(pv is not None and pv not in rows for pv in pinned):
+                return
+            # per slot, what the pinned faces ask of its candidate: face r is f
+            _, meet = self._incidence_plan
+            pin_checks = [
+                [(meet[p, q], rows[pv][q]) for p, pv in enumerate(pinned)
+                 if pv is not None and (p, q) in meet]
+                for q in range(size)
+            ]
 
         at = 0
         while budget > 0:  # enter the node that places slot ``at``
@@ -290,20 +325,19 @@ class ShellExtension(CubeSystem):
                 yield Shell(view, n, tuple(chosen))
                 at -= 1
             else:
-                key = keys[at]
-                req = tuple([face(chosen[q], j, b) for q, j, b in needs[at]])
-                if pins and key in pins:
-                    pv = pins[key]
-                    ok = req == tuple([face(pv, j, b) for j, b in slots(key[0] - 1)])
-                    cands = [pv] if ok else ()
+                index, need, width = reads[at]
+                req = tuple([placed[q][r] for q, r in need])
+                if pinned and pinned[at] is not None:
+                    pv = pinned[at]
+                    cands = (pv,) if req == rows[pv][:width] else ()
                 else:
-                    cands = by_profile[key[0] - 1].get(req, ())
-                    if pins:
-                        for j, b, f in pin_checks[at]:
-                            cands = [c for c in cands if face(c, j, b) == f]
-                    if rng is not None and len(cands) > 1:  # a shorter list draws no number
+                    cands = index.get(req, ())
+                    if pinned:
+                        for r, f in pin_checks[at]:
+                            cands = [c for c in cands if rows[c][r] == f]
+                    if getrandbits is not None and len(cands) > 1:  # a shorter list draws no number
                         cands = list(cands)
-                        shuffle(cands, rng.getrandbits)
+                        shuffle(cands, getrandbits)
                 tried[at] = iter(cands)
             c = next(tried[at], None)
             while c is None:  # slot ``at`` is exhausted: step back
@@ -312,6 +346,7 @@ class ShellExtension(CubeSystem):
                     return
                 c = next(tried[at], None)
             chosen[at] = c
+            placed[at] = rows[c]
             at += 1
 
     def random_top_shell(self, rng, pinned: Optional[dict] = None) -> Optional[Shell]:

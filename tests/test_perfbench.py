@@ -1,10 +1,16 @@
-"""The benchmark harness still finds every name it traces in the package."""
+"""The benchmark harness still finds every name it traces in the package, and
+the benchmark's seed-0 theorems-dim3 reports are still the package's."""
 
+import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
 
+import cubecat.cli
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_benchmark_selftest_metrics_and_coverage():
@@ -15,3 +21,20 @@ def test_benchmark_selftest_metrics_and_coverage():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_theorems_dim3_reports_at_seed_0_are_the_references(monkeypatch):
+    # the benchmark's sampled jobs pin the seeded draw stream: at seed 0 each
+    # report's digest must be the one in references.json
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    refs = json.loads((PERFBENCH / "references.json").read_text("utf-8"))
+    checker = workloads.Checker(cubecat, refs, 0)
+    problems = {}
+    for op in workloads.make_ops("theorems-dim3", 0, refs):
+        found = checker.check(op, workloads.call_cli(cubecat.cli.main, op.argv, op.stdin))
+        if found:
+            problems[op.label] = found
+    assert problems == {}

@@ -28,7 +28,7 @@ from cubecat import (
     theta_from_connections,
 )
 from cubecat import shells
-from cubecat.core import composable_pairs, slot, slots
+from cubecat.core import composable_pairs, incidences, slot, slots
 from cubecat.shells import Shell, check_incidence
 from cubecat.errors import BoundaryMismatch, DimensionTooLarge, IndexOutOfRange, NotComposable
 from conftest import edge_cube, nerve_of, tower_of
@@ -178,6 +178,16 @@ def test_shell_operations_check_their_directions(square_nerve):
         ext.compose(s, s, 3)
     with pytest.raises(IndexOutOfRange, match="^connection: direction 1 invalid at dimension 0"):
         shell_system(square_nerve, 1).connection(square_nerve.cubes(0)[0], 1, PLUS)
+
+
+def test_shell_faces_refuse_a_bad_sign():
+    tower = shell_tower(bundled_category("poset22"), 1, 1)
+    s = tower.cubes(2)[0]
+    assert s.face(1, PLUS) == tower.face(s, 1, PLUS)
+    with pytest.raises(ValueError, match="sign must be"):
+        s.face(1, "bogus")
+    with pytest.raises(ValueError, match="sign must be"):
+        boundary(tower, s).face(2, None)
 
 
 def test_commutative_iff_thin_in_extension(square_nerve):
@@ -384,7 +394,11 @@ def reference_shells(ext, rng=None, pins=None):
     view, n = ext.base.id_view, ext.top
     face, keys = view.face, slots(n)
     by_profile = [view.index(n - 1, slots(d)) for d in range(n)]
-    needs, meet = ext._incidence_plan
+    # face q of the face placed at slot p is face r of the face placed at slot q
+    needs, meet = [[] for _ in keys], {}
+    for p, q, r in incidences(n):
+        needs[slot(*p)].append((slot(*q), *r))
+        meet[p, q] = r
     chosen = []
     budget = shells.NODE_BUDGET if rng is not None else math.inf
     pin_checks = [
@@ -455,9 +469,22 @@ def twin_rngs(seed):
     return random.Random(repr(seed)), random.Random(repr(seed))
 
 
-@pytest.mark.parametrize("name, top", [("parallel_pair", 3), ("poset22", 3), ("parallel_pair", 4)])
-def test_top_shell_draws_match_the_recursive_search(name, top):
-    ext = tower_of(name, top)
+def searched(model: str, name: str, top: int):
+    """The extension whose top shells are drawn: a tower's top, or the
+    top-``top`` shells over a nerve, whose rows are nerve cubes' faces."""
+    if model == "tower":
+        return tower_of(name, top)
+    return shell_system(nerve_of(name, top), top)
+
+
+SEARCHED = [("tower", "parallel_pair", 3), ("tower", "poset22", 3), ("tower", "parallel_pair", 4),
+            ("nerve", "poset22", 3), ("nerve", "parallel_pair", 4)]
+
+
+@pytest.mark.parametrize("model, name, top", SEARCHED, ids=[
+    f"{name}-{top}" if model == "tower" else f"{model}-{name}-{top}" for model, name, top in SEARCHED])
+def test_top_shell_draws_match_the_recursive_search(model, name, top):
+    ext = searched(model, name, top)
     rngs, picks = twin_rngs(("draws", name, top)), random.Random(top)
     draws = grids = 0
     while draws < 300:
@@ -477,6 +504,41 @@ def test_enumerated_shells_keep_the_recursive_order():
     listed = [s.ids for s in enumerate_shells(ext.base, 3)]
     assert listed == [s.ids for s in reference_shells(ext)]
     assert listed == [s.ids for s in ext._shells()]
+    for name, top in (("poset22", 3), ("parallel_pair", 4)):
+        ext = searched("nerve", name, top)
+        listed = [s.ids for s in ext.cubes(top)]
+        assert listed == [s.ids for s in reference_shells(ext)]
+
+
+@pytest.mark.parametrize("model", ["tower", "nerve"])
+def test_draws_read_rows_not_faces(monkeypatch, model):
+    ext, top = searched(model, "poset22", 3), 3
+    view, rng, picks = ext.base.id_view, random.Random(repr(("rows", model))), random.Random(top)
+    assert ext.random_top_shell(rng) is not None  # builds the indexes the search reads
+    face, calls = view.face, []
+
+    def counted(*args):
+        calls.append(args)
+        return face(*args)
+
+    monkeypatch.setattr(view, "face", counted)
+    pinned = 0
+    for _ in range(100):
+        x = ext.random_top_shell(rng)
+        i, j = picks.sample(range(1, top + 1), 2)
+        pins = {(i, MINUS): x.ids[slot(i, PLUS)], (j, PLUS): x.ids[slot(j, MINUS)]}
+        pinned += ext.random_top_shell(rng, pins) is not None
+    assert calls == []
+    assert pinned
+
+
+def test_a_pin_outside_the_base_pool_allows_no_shell():
+    ext = tower_of("poset22", 3)
+    view, rng = ext.base.id_view, random.Random(0)
+    vertex, unknown = view.pool(0)[0], len(view.elements)
+    for key in ((1, MINUS), (2, PLUS), (3, MINUS)):
+        for pv in (vertex, unknown):
+            assert ext.random_top_shell(rng, {key: pv}) is None
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
@@ -502,7 +564,7 @@ def test_no_budget_draws_no_number(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 17, "shells", 2**70])
 def test_written_out_shuffle_is_random_shuffle(seed):
     ours, theirs = random.Random(seed), random.Random(seed)
-    for length in range(81):
+    for length in [*range(81), 400, 1000]:
         mine, expected = list(range(length)), list(range(length))
         shells.shuffle(mine, ours.getrandbits)
         theirs.shuffle(expected)
