@@ -32,6 +32,7 @@ from .arrays import (
 from .folding import (
     FoldResult,
     big_psi,
+    fold_chain,
     is_j_thin,
     is_thin,
     psi,
@@ -74,7 +75,6 @@ from .models import (
     NerveSystem,
     bundled_category,
     load_fincat,
-    load_fincat_path,
     nerve,
 )
 from .suites import SUITES, run_suite, run_suites

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import arrays, fillers, folding, models, shells, suites
 from .core import LawReport, MINUS, PLUS, run_axiom_suite, LAWS
@@ -38,10 +39,9 @@ UNFOLD_TILES = (
 def build_system(family: str, cat_spec: str, max_dim: int, base_dim: int = 1):
     if max_dim < 1:
         raise ParseError("--dim must be at least 1")
-    if os.path.exists(cat_spec):
-        cat = models.load_fincat_path(cat_spec)
-    else:
-        cat = models.bundled_category(cat_spec)
+    # a Path, which ``_read_json`` never takes for stdin, so a file named "-" is read
+    cat = (models.load_fincat(_read_json(Path(cat_spec))) if os.path.exists(cat_spec)
+           else models.bundled_category(cat_spec))
     if family == "nerve":
         return models.nerve(cat, max_dim)
     if family == "broken":
@@ -222,11 +222,8 @@ def cmd_fold(args) -> int:
     system = build_system(args.model, args.cat, args.dim, args.base_dim)
     x = system.parse(_read_json(args.cube))
     n = system.dim(x)
-    steps = []
-    current = x
-    for j in range(n - 1, 0, -1):
-        current = folding.psi(system, current, j)
-        steps.append({"direction": j, "result": system.describe(current)})
+    steps = [{"direction": n - k, "result": system.describe(y)}
+             for k, y in enumerate(folding.fold_chain(system, x)[1:], 1)]
     result = folding.big_psi(system, x)
     doc = {
         "input": system.describe(x),

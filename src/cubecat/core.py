@@ -1009,19 +1009,9 @@ def select(registry: dict, ids: Optional[Iterable[str]], what: str = "law") -> l
     return [k for k in registry if k in wanted]
 
 
-def run_axiom_suite(
-    system: CubeSystem,
-    *,
-    max_dim: Optional[int] = None,
-    exhaustive_dim: int = 3,
-    samples: int = 500,
-    seed: int = 0,
-    law_ids: Optional[Iterable[str]] = None,
-) -> list[LawReport]:
-    """Check registry laws over the system; results ordered by law id position."""
-    if max_dim is None:
-        max_dim = system.max_dim
-    options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
+def run_axiom_suite(system: CubeSystem, law_ids=None, **options) -> list[LawReport]:
+    """Registry laws over the system, in registry order; ``max_dim`` defaults to the system's."""
+    options.setdefault("max_dim", system.max_dim)
     return [run_law(system, REGISTRY[k], **options) for k in select(REGISTRY, law_ids)]
 
 

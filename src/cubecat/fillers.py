@@ -76,11 +76,7 @@ def filler_from_fold(system: CubeSystem, a, s: Shell):
     if system.dim(a) != n:
         raise PreconditionFailed("filler_from_fold needs dim(a) = dim(s)")
     # sigma[j] is s folded through directions n-1 .. j+1
-    shells = shell_system(system, n)
-    sigma = [None] * n
-    sigma[n - 1] = s
-    for j in range(n - 1, 0, -1):
-        sigma[j - 1] = folding.psi(shells, sigma[j], j)
+    sigma = folding.fold_chain(shell_system(system, n), s)[::-1]
     mismatch = _first_mismatch(boundary(system, a), sigma[0])
     if mismatch is not None:
         raise PreconditionFailed(
@@ -91,7 +87,7 @@ def filler_from_fold(system: CubeSystem, a, s: Shell):
         x = unfold_step(system, x, sigma[j], j)
     if boundary(system, x) != s:
         raise PostconditionViolated("filler_from_fold: result has the wrong boundary")
-    if n > 1 and folding.big_psi(system, x).folded != a:
+    if folding.big_psi(system, x).folded != a:
         raise PostconditionViolated("filler_from_fold: result folds to the wrong cube")
     return x
 
@@ -245,14 +241,10 @@ def thin_decompose(system: CubeSystem, x) -> GeneratorExpression:
     """
     if not folding.is_thin(system, x):
         raise NotThin("only thin elements decompose into generators")
-    n = system.dim(x)
-    chain = [x]
-    for k in range(n - 1, 0, -1):
-        chain.append(folding.psi(system, chain[-1], k))
-    chain.reverse()  # chain[k] is x folded through directions n-1 .. k+1
-    core = chain[0]
-    expr: GeneratorExpression = Eps(1, system.face(core, 1, MINUS))
-    for k in range(1, n):
+    # chain[k] is x folded through directions n-1 .. k+1
+    chain = folding.fold_chain(system, x)[::-1]
+    expr: GeneratorExpression = Eps(1, system.face(chain[0], 1, MINUS))
+    for k in range(1, len(chain)):
         expr = unfold_expression(boundary(system, chain[k]), k, expr)
     if evaluate(system, expr) != x:
         raise PostconditionViolated("thin decomposition does not evaluate back")

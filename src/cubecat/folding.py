@@ -50,6 +50,15 @@ def _fold_through(view, x: int, j: int) -> int:
     return x
 
 
+def fold_chain(system: CubeSystem, x) -> list:
+    """[x, psi_{n-1} x, psi_{n-2} psi_{n-1} x, ..., the full folding of x]: n entries."""
+    view = system.id_view
+    chain = [view.id(x)]
+    for i in range(system.dim(x) - 1, 0, -1):
+        chain.append(_psi(view, chain[-1], i))
+    return [view.elements[k] for k in chain]
+
+
 @dataclass(frozen=True)
 class FoldResult:
     """Fully folded cube with its two embodied boundary composites."""
@@ -60,7 +69,7 @@ class FoldResult:
 
 
 def big_psi(system: CubeSystem, x) -> FoldResult:
-    """Apply the full chain psi_1 ... psi_{n-1}; empty at dimension 1.
+    """Apply the full chain psi_1 ... psi_{n-1}; the identity at dimension 1.
 
     Postconditions are checked on the first call: every face of the folded
     cube beyond direction 1 must be degenerate in direction 1, and the two
@@ -120,8 +129,7 @@ def is_thin(system: CubeSystem, x) -> bool:
     n = system.dim(x)
     if n < 1:
         raise IndexOutOfRange("is_thin", 1, n)
-    view = system.id_view
-    return degenerate_at(view, _fold_through(view, view.id(x), n - 1), 1)
+    return is_j_thin(system, x, n - 1)
 
 
 def is_j_thin(system: CubeSystem, x, j: int) -> bool:

@@ -223,15 +223,6 @@ def load_fincat(document: dict) -> FinCatPresentation:
     return FinCatPresentation(objects, morphisms, identities, table)
 
 
-def load_fincat_path(path: str) -> FinCatPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return load_fincat(doc)
-
-
 BUNDLED = ("terminal", "poset22", "free_square", "parallel_pair")
 
 

@@ -245,21 +245,6 @@ class ShellExtension(CubeSystem):
     # mates.
 
     @cached_property
-    def _incidence_plan(self) -> tuple:
-        """FACE-FACE read for the search, in slot positions: face q of the face
-        placed at slot p is face r of the face placed earlier at slot q, where
-        q and r are positions in ``slots``.  ``needs[p]`` lists (q, r) in the
-        order of the index key, and ``meet[p, q]`` is r.
-        """
-        needs: list = [[] for _ in slots(self.top)]
-        meet: dict = {}
-        for p, q, r in incidences(self.top):
-            p, q, r = slot(*p), slot(*q), slot(*r)
-            needs[p].append((q, r))
-            meet[p, q] = r
-        return needs, meet
-
-    @cached_property
     def _search_plan(self) -> tuple:
         """What the search reads, built once per extension.
 
@@ -267,10 +252,15 @@ class ShellExtension(CubeSystem):
         slot order: the key c is listed under in the base's full-profile index
         ``index(top - 1, slots(top - 1))``, inverted, so no face is computed.
         ``reads[p]`` is what slot p reads: the index of its profile (the face
-        pairs 1 .. i-1 of a face (i, sign)), its ``needs`` and its row width.
+        pairs 1 .. i-1 of a face (i, sign)), its needs and its row width.  The
+        needs are FACE-FACE in slot positions, in the order of the index key:
+        (q, r) says that face q of the face placed at slot p is face r of the
+        face placed earlier at slot q.
         """
         view, n = self.base.id_view, self.top
-        needs, _ = self._incidence_plan
+        needs: list = [[] for _ in slots(n)]
+        for p, q, r in incidences(n):
+            needs[slot(*p)].append((slot(*q), slot(*r)))
         reads = [(view.index(n - 1, slots(i - 1)), tuple(needs[p]), 2 * (i - 1))
                  for p, (i, _) in enumerate(slots(n))]
         full = view.index(n - 1, slots(n - 1))
@@ -310,13 +300,12 @@ class ShellExtension(CubeSystem):
             pinned = [pins.get(key) for key in keys]
             if any(pv is not None and pv not in rows for pv in pinned):
                 return
-            # per slot, what the pinned faces ask of its candidate: face r is f
-            _, meet = self._incidence_plan
-            pin_checks = [
-                [(meet[p, q], rows[pv][q]) for p, pv in enumerate(pinned)
-                 if pv is not None and (p, q) in meet]
-                for q in range(size)
-            ]
+            # per slot q, what the pinned faces ask of its candidate: face r is f
+            pin_checks = [[] for _ in keys]
+            for p, pv in enumerate(pinned):
+                if pv is not None:
+                    for q, r in reads[p][1]:
+                        pin_checks[q].append((r, rows[pv][q]))
 
         at = 0
         while budget > 0:  # enter the node that places slot ``at``
@@ -432,7 +421,5 @@ def shell_tower(cat: FinCatPresentation, base_dim: int = 1, height: int = 1) -> 
 
 def is_commutative(system: CubeSystem, s: Shell) -> bool:
     """A shell commutes when its two folded boundary composites agree."""
-    if s.dim == 1:
-        return s.face(1, MINUS) == s.face(1, PLUS)
     folded = folding.big_psi(shell_system(system, s.dim), s)
     return folded.n_face == folded.p_face

@@ -139,12 +139,12 @@ def _thm_1_4(view, n, stream):
     shells = shell_system(sys, n)
     for t in shells.id_view.pool(n):
         shell = elements[t]
-        folded_shell = folding.big_psi(shells, shell).folded if n >= 2 else shell
+        folded_shell = folding.big_psi(shells, shell).folded
         for a in by_boundary.get(folded_shell.ids, ()):
             yield ({"s": t, "x": a}, lambda: "existence: an element has boundary s and folding x",
                    (shell, a) in realized, True)
     for (shell, a) in realized:
-        folded_shell = folding.big_psi(shells, shell).folded if n >= 2 else shell
+        folded_shell = folding.big_psi(shells, shell).folded
         yield ({"s": shell, "x": a}, lambda: "necessity: x fits the folded s",
                boundary(sys, elements[a]), folded_shell)
 

@@ -235,6 +235,13 @@ def test_category_document_from_path(tmp_path):
     assert result.returncode == 0
 
 
+def test_category_file_named_dash_is_a_file_not_stdin(tmp_path, monkeypatch):
+    (tmp_path / "-").write_text(json.dumps(ONE_OBJECT), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
+    assert main(["axioms", "--cat", "-", "--dim", "1"]) == 0
+
+
 BAD_CATEGORIES = {
     "compose-entry-of-two": {**ONE_OBJECT, "compose": [["1", "1"]]},
     "compose-string": {**ONE_OBJECT, "compose": "111"},
@@ -271,6 +278,9 @@ BAD_CATEGORIES = {
         "identities": {o: f"1{o}" for o in "ABC"},
         "compose": [["g", "f", "h"], ["g", "f", "k"]],
     },
+    # files the JSON reader refuses, written as they are
+    "not-utf-8": b"\xff\xfe{}",
+    "nested-past-the-recursion-limit": b"[" * 100_000,
 }
 # what the message of a refused name must quote
 CULPRITS = {
@@ -284,11 +294,14 @@ CULPRITS = {
 
 @pytest.mark.parametrize("name", list(BAD_CATEGORIES))
 def test_invalid_category_document_is_config_error(tmp_path, name):
+    doc = BAD_CATEGORIES[name]
     path = tmp_path / "cat.json"
-    path.write_text(json.dumps(BAD_CATEGORIES[name]), encoding="utf-8")
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     result = run_cli("axioms", "--cat", str(path), "--dim", "2")
     assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
     assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 2  # the message, then the elapsed time
     assert CULPRITS.get(name, "") in result.stderr
     assert "Traceback" not in result.stderr
 

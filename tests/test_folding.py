@@ -8,6 +8,9 @@ from cubecat import (
     PLUS,
     big_psi,
     boundary,
+    enumerate_shells,
+    fold_chain,
+    is_commutative,
     is_j_thin,
     is_thin,
     psi,
@@ -172,3 +175,41 @@ def test_psi_makes_transverse_faces_degenerate(poset_nerve):
             assert face == poset_nerve.degeneracy(
                 poset_nerve.face(face, 1, MINUS), 1
             )
+
+
+# ---------------------------------------------------------------------------
+# the fold chain, and what reads it
+
+
+@pytest.mark.parametrize("model", ["poset_nerve", "square_tower"])
+def test_fold_chain_is_the_successive_foldings(request, model):
+    system = request.getfixturevalue(model)
+    for n in (1, 2, 3):
+        for x in system.cubes(n):
+            steps = [x]
+            for i in range(n - 1, 0, -1):
+                steps.append(psi(system, steps[-1], i))
+            chain = fold_chain(system, x)
+            assert chain == steps
+            assert chain[-1] == big_psi(system, x).folded
+
+
+@pytest.mark.parametrize("model", ["poset_nerve", "square_tower"])
+def test_thin_is_the_last_partial_thinness(request, model):
+    system = request.getfixturevalue(model)
+    for n in (1, 2, 3):
+        for x in system.cubes(n):
+            assert is_thin(system, x) == is_j_thin(system, x, n - 1)
+
+
+def test_one_shell_commutes_when_its_faces_agree(poset_nerve):
+    shells = list(enumerate_shells(poset_nerve, 1))
+    assert {is_commutative(poset_nerve, s) for s in shells} == {True, False}
+    for s in shells:
+        assert is_commutative(poset_nerve, s) == (s.face(1, MINUS) == s.face(1, PLUS))
+
+
+def test_is_thin_refuses_a_zero_cube(poset_nerve):
+    with pytest.raises(IndexOutOfRange) as err:
+        is_thin(poset_nerve, poset_nerve.cubes(0)[0])
+    assert err.value.op == "is_thin"
