@@ -183,37 +183,25 @@ def _config_dict(args, extra=None) -> dict:
 # subcommands
 
 
-def _report_system(args):
-    """The model of an axioms or theorems run, after the sampling flags are checked."""
+def _report_system(args) -> tuple:
+    """The model and run options of an axioms or theorems run, once the sampling flags pass."""
     if args.samples < 0 or args.exhaustive_dim < 0:
         raise ParseError("--samples and --exhaustive-dim must not be negative")
-    return build_system(args.model, args.cat, args.dim, args.base_dim)
+    options = dict(max_dim=args.dim, exhaustive_dim=args.exhaustive_dim,
+                   samples=args.samples, seed=args.seed)
+    return build_system(args.model, args.cat, args.dim, args.base_dim), options
 
 
 def cmd_axioms(args) -> int:
-    system = _report_system(args)
-    reports = run_axiom_suite(
-        system,
-        max_dim=args.dim,
-        exhaustive_dim=args.exhaustive_dim,
-        samples=args.samples,
-        seed=args.seed,
-        law_ids=args.law or None,
-    )
+    system, options = _report_system(args)
+    reports = run_axiom_suite(system, args.law or None, **options)
     return _emit_reports("axioms", _config_dict(args, {"laws": args.law or "all"}),
                          reports, args.format)
 
 
 def cmd_theorems(args) -> int:
-    system = _report_system(args)
-    reports = suites.run_suites(
-        system,
-        args.name or None,
-        max_dim=args.dim,
-        exhaustive_dim=args.exhaustive_dim,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    system, options = _report_system(args)
+    reports = suites.run_suites(system, args.name or None, **options)
     return _emit_reports("theorems", _config_dict(args, {"names": args.name or "all"}),
                          reports, args.format)
 

@@ -37,6 +37,17 @@ def check_sign(sign: Sign) -> None:
         raise ValueError(f"sign must be '-' or '+', got {sign!r}")
 
 
+def integer_entry(doc: dict, key: str) -> int:
+    """``doc[key]`` if it is a JSON integer; a float, a string or a bool raises ValueError.
+
+    Nothing is converted: the document parsers report the error as a ParseError.
+    """
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 class CubeSystem:
     """Signature every model provides.
 
@@ -465,22 +476,23 @@ class Law:
     """One checked statement: a registry law, or one part of a theorem suite.
 
     A suite is one or more parts under its id; :func:`run_law` and
-    ``suites.run_suite`` hand their parts to one runner.  Every part yields
-    one statement shape, (binding, label, lhs, rhs), on the id view.
-    ``kind`` fixes how a part is bound.  An "element", "pair", "triple" or
-    "grid" part is bound: ``equations(view, bindings)`` consumes the
-    runner's stream of binding tuples of element ids, laid out per kind as
-    in :data:`LAYOUTS`: (x,), (x, y, i) for a composable pair in direction
-    i, (x, y, z, i) for a composable triple, and (x, y, z, w, i, j) for a
-    2x2 grid composable in directions i and j.  It yields each binding's
-    statements lazily, with the binding first, and asks for the next
-    binding when they are done.  A "pool" part is handed a whole
-    dimension: ``equations(view, n, stream)`` draws what it needs from the
-    check's :class:`Stream` and names its own bindings as dicts; a "top"
-    part is a pool part run only at the highest dimension the run reaches.
-    A statement holds when lhs == rhs (a predicate is yielded as (binding,
-    label, value, True)); a label is a function naming it, called only for
-    a counterexample.
+    ``suites.run_suite`` hand their parts to one runner.  ``kind`` fixes how
+    a part is bound, and with it the shape of its statements, on the id
+    view.  An "element", "pair", "triple" or "grid" part is bound:
+    ``equations(view, bindings)`` consumes the runner's stream of binding
+    tuples of element ids, laid out per kind as in :data:`LAYOUTS`: (x,),
+    (x, y, i) for a composable pair in direction i, (x, y, z, i) for a
+    composable triple, and (x, y, z, w, i, j) for a 2x2 grid composable in
+    directions i and j.  It yields each binding's statements lazily as
+    (label, lhs, rhs); the runner knows which binding they belong to, so
+    a bound part yields all of a binding's statements before it asks for
+    the next binding.  A "pool" part is handed a whole dimension:
+    ``equations(view, n, stream)`` draws what it needs from the check's
+    :class:`Stream` and yields (binding, label, lhs, rhs), naming its own
+    bindings as dicts; a "top" part is a pool part run only at the highest
+    dimension the run reaches.  A statement holds when lhs == rhs (a
+    predicate is yielded with rhs True); a label is a function naming it,
+    called only for a counterexample.
 
     ``min_dim`` is the lowest dimension the part is checked at, ``lift``
     how far above it its terms climb (used to skip instantiations a bounded
@@ -500,111 +512,84 @@ class Law:
 
 def _eq_face_face(sys: IdView, bindings) -> Iterator:
     face = sys.face
-    for b in bindings:
-        x, = b
-        for (i, a), (j, bt), (k, c) in incidences(sys.dim(x)):
-            yield (b, lambda: f"d{bt}{j} d{a}{i}",
-                   face(face(x, i, a), j, bt), face(face(x, j, bt), k, c))
+    for x, in bindings:
+        for (i, a), (j, b), (k, c) in incidences(sys.dim(x)):
+            yield lambda: f"d{b}{j} d{a}{i}", face(face(x, i, a), j, b), face(face(x, j, b), k, c)
 
 
 def _eq_eps_face(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         n = sys.dim(x)
         for j in range(1, n + 2):
             ex = sys.degeneracy(x, j)
             for i, a in slots(n + 1):
-                yield (b, lambda: f"d{a}{i} e{j}",
-                       sys.face(ex, i, a), degeneracy_face(sys, x, j, i, a))
+                yield lambda: f"d{a}{i} e{j}", sys.face(ex, i, a), degeneracy_face(sys, x, j, i, a)
 
 
 def _eq_eps_eps(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         for j in range(1, sys.dim(x) + 2):
             for i in range(1, j + 1):
-                yield (
-                    b,
-                    lambda: f"e{i} e{j}",
-                    sys.degeneracy(sys.degeneracy(x, j), i),
-                    sys.degeneracy(sys.degeneracy(x, i), j + 1),
-                )
+                yield (lambda: f"e{i} e{j}", sys.degeneracy(sys.degeneracy(x, j), i),
+                       sys.degeneracy(sys.degeneracy(x, i), j + 1))
 
 
 def _eq_eps_unit(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         for i in range(1, sys.dim(x) + 1):
             left = sys.degeneracy(sys.face(x, i, MINUS), i)
             right = sys.degeneracy(sys.face(x, i, PLUS), i)
-            yield (b, lambda: f"left unit o{i}", sys.compose(left, x, i), x)
-            yield (b, lambda: f"right unit o{i}", sys.compose(x, right, i), x)
+            yield lambda: f"left unit o{i}", sys.compose(left, x, i), x
+            yield lambda: f"right unit o{i}", sys.compose(x, right, i), x
 
 
 def _eq_comp_face(sys: IdView, bindings) -> Iterator:
     face, compose = sys.face, sys.compose
-    for b in bindings:
-        x, y, i = b
+    for x, y, i in bindings:
         z = compose(x, y, i)
         # the two i-faces first, then the others in slot order
         for j, a in ((i, MINUS), (i, PLUS), *(key for key in slots(sys.dim(x)) if key[0] != i)):
-            yield (
-                b,
-                lambda: f"d{a}{j} (x o{i} y)",
-                face(z, j, a),
-                composite_face(sys, face(x, j, a), face(y, j, a), i, j, a),
-            )
+            yield (lambda: f"d{a}{j} (x o{i} y)", face(z, j, a),
+                   composite_face(sys, face(x, j, a), face(y, j, a), i, j, a))
 
 
 def _eq_assoc(sys: IdView, bindings) -> Iterator:
     compose = sys.compose
-    for b in bindings:
-        x, y, z, i = b
-        yield (b, lambda: f"assoc o{i}",
+    for x, y, z, i in bindings:
+        yield (lambda: f"assoc o{i}",
                compose(compose(x, y, i), z, i), compose(x, compose(y, z, i), i))
 
 
 def _eq_interchange(sys: IdView, bindings) -> Iterator:
     compose = sys.compose
-    for b in bindings:
-        x, y, z, w, i, j = b
-        yield (
-            b,
-            lambda: f"interchange o{i}/o{j}",
-            compose(compose(x, y, i), compose(z, w, i), j),
-            compose(compose(x, z, j), compose(y, w, j), i),
-        )
+    for x, y, z, w, i, j in bindings:
+        yield (lambda: f"interchange o{i}/o{j}",
+               compose(compose(x, y, i), compose(z, w, i), j),
+               compose(compose(x, z, j), compose(y, w, j), i))
 
 
 def _eq_eps_comp(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, y, i = b
+    for x, y, i in bindings:
         z = sys.compose(x, y, i)
         for j in range(1, sys.dim(x) + 2):
             i2 = i + 1 if j <= i else i
-            yield (
-                b,
-                lambda: f"e{j} (x o{i} y)",
-                sys.degeneracy(z, j),
-                sys.compose(sys.degeneracy(x, j), sys.degeneracy(y, j), i2),
-            )
+            yield (lambda: f"e{j} (x o{i} y)", sys.degeneracy(z, j),
+                   sys.compose(sys.degeneracy(x, j), sys.degeneracy(y, j), i2))
 
 
 def _eq_gamma_face(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         n = sys.dim(x)
         for i in range(1, n + 1):
             for g in SIGNS:
                 cx = sys.connection(x, i, g)
                 for m, a in slots(n + 1):
-                    yield (b, lambda: f"d{a}{m} G{g}{i}", sys.face(cx, m, a),
+                    yield (lambda: f"d{a}{m} G{g}{i}", sys.face(cx, m, a),
                            connection_face(sys, x, i, g, m, a))
 
 
 def _eq_gamma_eps(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         n = sys.dim(x)
         for j in range(1, n + 2):
             ex = sys.degeneracy(x, j)
@@ -617,85 +602,68 @@ def _eq_gamma_eps(sys: IdView, bindings) -> Iterator:
                         rhs = sys.degeneracy(sys.connection(x, i - 1, g), j)
                     else:
                         rhs = sys.degeneracy(sys.connection(x, i, g), j + 1)
-                    yield (b, lambda: f"G{g}{i} e{j}", lhs, rhs)
+                    yield lambda: f"G{g}{i} e{j}", lhs, rhs
 
 
 def _eq_gamma_gamma(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         n = sys.dim(x)
         for j in range(1, n + 1):
-            for bt in SIGNS:
-                cx = sys.connection(x, j, bt)
+            for b in SIGNS:
+                cx = sys.connection(x, j, b)
                 for i in range(1, n + 2):
                     for a in SIGNS:
                         # mixed signs at equal or upper-adjacent index have no plain law
-                        if i in (j, j + 1) and a != bt:
+                        if i in (j, j + 1) and a != b:
                             continue
                         lhs = sys.connection(cx, i, a)
                         if i == j:
                             rhs = sys.connection(cx, i + 1, a)
                         elif i == j + 1:
-                            rhs = sys.connection(cx, j, bt)
+                            rhs = sys.connection(cx, j, b)
                         elif i < j:
-                            rhs = sys.connection(sys.connection(x, i, a), j + 1, bt)
+                            rhs = sys.connection(sys.connection(x, i, a), j + 1, b)
                         else:
-                            rhs = sys.connection(sys.connection(x, i - 1, a), j, bt)
-                        yield (b, lambda: f"G{a}{i} G{bt}{j}", lhs, rhs)
+                            rhs = sys.connection(sys.connection(x, i - 1, a), j, b)
+                        yield lambda: f"G{a}{i} G{b}{j}", lhs, rhs
 
 
 def _eq_gamma_comp(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, y, i = b
+    for x, y, i in bindings:
         z = sys.compose(x, y, i)
         for j in range(1, sys.dim(x) + 1):
             if j == i:
                 continue
             i2 = i + 1 if j < i else i
             for g in SIGNS:
-                yield (
-                    b,
-                    lambda: f"G{g}{j} (x o{i} y)",
-                    sys.connection(z, j, g),
-                    sys.compose(sys.connection(x, j, g), sys.connection(y, j, g), i2),
-                )
+                yield (lambda: f"G{g}{j} (x o{i} y)", sys.connection(z, j, g),
+                       sys.compose(sys.connection(x, j, g), sys.connection(y, j, g), i2))
 
 
 def _eq_transport(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        a, bb, i = b
+    for a, b, i in bindings:
         top = sys.compose(sys.connection(a, i, PLUS), sys.degeneracy(a, i + 1), i + 1)
-        bottom = sys.compose(sys.degeneracy(a, i), sys.connection(bb, i, PLUS), i + 1)
-        yield (
-            b,
-            lambda: f"G+{i} of o{i}-composite",
-            sys.connection(sys.compose(a, bb, i), i, PLUS),
-            sys.compose(top, bottom, i),
-        )
+        bottom = sys.compose(sys.degeneracy(a, i), sys.connection(b, i, PLUS), i + 1)
+        yield (lambda: f"G+{i} of o{i}-composite",
+               sys.connection(sys.compose(a, b, i), i, PLUS), sys.compose(top, bottom, i))
 
 
 def _eq_transport_minus(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        a, bb, i = b
-        top = sys.compose(sys.connection(a, i, MINUS), sys.degeneracy(bb, i), i + 1)
-        bottom = sys.compose(sys.degeneracy(bb, i + 1), sys.connection(bb, i, MINUS), i + 1)
-        yield (
-            b,
-            lambda: f"G-{i} of o{i}-composite",
-            sys.connection(sys.compose(a, bb, i), i, MINUS),
-            sys.compose(top, bottom, i),
-        )
+    for a, b, i in bindings:
+        top = sys.compose(sys.connection(a, i, MINUS), sys.degeneracy(b, i), i + 1)
+        bottom = sys.compose(sys.degeneracy(b, i + 1), sys.connection(b, i, MINUS), i + 1)
+        yield (lambda: f"G-{i} of o{i}-composite",
+               sys.connection(sys.compose(a, b, i), i, MINUS), sys.compose(top, bottom, i))
 
 
 def _eq_gamma_cancel(sys: IdView, bindings) -> Iterator:
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         for i in range(1, sys.dim(x) + 1):
             plus = sys.connection(x, i, PLUS)
             minus = sys.connection(x, i, MINUS)
-            yield (b, lambda: f"G+{i} o{i+1} G-{i}",
+            yield (lambda: f"G+{i} o{i+1} G-{i}",
                    sys.compose(plus, minus, i + 1), sys.degeneracy(x, i))
-            yield (b, lambda: f"G+{i} o{i} G-{i}",
+            yield (lambda: f"G+{i} o{i} G-{i}",
                    sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
 
 
@@ -798,20 +766,23 @@ def _describe_binding(describe: Callable, kind: str, binding) -> dict:
     return {k: v if k in ("i", "j") else describe(v) for k, v in binding.items()}
 
 
-def _evaluate(law_id: str, view: IdView, groups: Callable, describe: Callable,
-              per_statement: bool) -> LawReport:
+def _evaluate(law_id: str, groups: Callable, describe: Callable, per_statement: bool) -> LawReport:
     """Check statements up to the first failing one.
 
     ``groups(follow)`` yields (kind, statements) for each part and
-    dimension, the statements being (binding, label, lhs, rhs).  A bound
-    part draws its bindings through ``follow``, which counts each one, so
-    a binding that yields no statement counts too, and holds it until the
-    part asks for the next.  An instance is one binding of a bound part,
-    or with ``per_statement`` one statement.  A failure reports the
-    statement's binding described, its label, and lhs and rhs unless they
-    are truth values; a :class:`CubicalError`, which a law-abiding model
-    never raises, reports its type and message, and the binding being
-    checked when it was raised, if any.
+    dimension.  A bound part, whose kind is in :data:`LAYOUTS`, draws its
+    bindings through ``follow``, which counts each one, so a binding that
+    yields no statement counts too, and holds it until the part asks for
+    the next.  Its statements are (label, lhs, rhs), each of the binding
+    ``follow`` holds, so the part yields all of a binding's statements
+    before it asks for the next binding.  A pool or top part's statements
+    are (binding, label, lhs, rhs), with a binding dict of its own.  An
+    instance is one binding of a bound part, or with ``per_statement`` one
+    statement.  A failure reports the statement's binding described, its
+    label, and lhs and rhs unless they are truth values; a
+    :class:`CubicalError`, which a law-abiding model never raises, reports
+    its type and message, and the binding being checked when it was
+    raised, if any.
     """
     report = LawReport(law_id=law_id)
     bound = checked = 0
@@ -826,12 +797,21 @@ def _evaluate(law_id: str, view: IdView, groups: Callable, describe: Callable,
 
     try:
         for kind, statements in groups(follow):
-            for binding, label, lhs, rhs in statements:
-                checked += 1
-                if lhs != rhs:
-                    break
+            if kind in LAYOUTS:
+                for label, lhs, rhs in statements:
+                    checked += 1
+                    if lhs != rhs:
+                        binding = current
+                        break
+                else:
+                    continue
             else:
-                continue
+                for binding, label, lhs, rhs in statements:
+                    checked += 1
+                    if lhs != rhs:
+                        break
+                else:
+                    continue
             report.passed = False
             report.counterexample = {
                 "binding": _describe_binding(describe, kind, binding),
@@ -950,24 +930,25 @@ def _run(
     describe: Callable,
     per_statement: bool,
     *,
-    max_dim: int,
+    max_dim: Optional[int] = None,
     exhaustive_dim: int = 3,
     samples: int = 500,
     seed: int = 0,
 ) -> LawReport:
     """The one runner: every part of a check, dimension by dimension.
 
-    Dimensions ascend; within one, parts run in their declared order, all
-    drawing from one :class:`Stream`.
+    It holds the run options and their defaults for every check; ``max_dim``
+    None means the system's own.  Dimensions ascend; within one, parts run
+    in their declared order, all drawing from one :class:`Stream`.
     """
     view = system.id_view
     stream = Stream(law_id, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
-    top = min(max_dim, system.max_dim)
+    top = system.max_dim if max_dim is None else min(max_dim, system.max_dim)
     plan = sorted(
         (n, k)
         for k, part in enumerate(parts)
         for n in dim_range(system, part.min_dim, part.lift,
-                           exhaustive_dim if part.exhaustive_only else max_dim)
+                           exhaustive_dim if part.exhaustive_only else top)
         if part.kind != "top" or n == top
     )
 
@@ -980,20 +961,11 @@ def _run(
             else:
                 yield part.kind, part.equations(view, n, stream)
 
-    return _evaluate(law_id, view, groups, describe, per_statement)
+    return _evaluate(law_id, groups, describe, per_statement)
 
 
-def run_law(
-    system: CubeSystem,
-    law: Law,
-    *,
-    max_dim: int,
-    exhaustive_dim: int = 3,
-    samples: int = 500,
-    seed: int = 0,
-) -> LawReport:
+def run_law(system: CubeSystem, law: Law, **options) -> LawReport:
     """Check one law: on every binding up to ``exhaustive_dim``, on seeded samples above."""
-    options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
     return _run(system, law.law_id, (law,), system.id_view.describe, False, **options)
 
 
@@ -1010,8 +982,7 @@ def select(registry: dict, ids: Optional[Iterable[str]], what: str = "law") -> l
 
 
 def run_axiom_suite(system: CubeSystem, law_ids=None, **options) -> list[LawReport]:
-    """Registry laws over the system, in registry order; ``max_dim`` defaults to the system's."""
-    options.setdefault("max_dim", system.max_dim)
+    """Registry laws over the system, in registry order."""
     return [run_law(system, REGISTRY[k], **options) for k in select(REGISTRY, law_ids)]
 
 
@@ -1060,4 +1031,4 @@ def check_axiom(system: CubeSystem, law_id: str, sample: list) -> LawReport:
     def groups(follow):
         return [(law.kind, law.equations(view, follow(bindings)))]
 
-    return _evaluate(law_id, view, groups, view.describe, False)
+    return _evaluate(law_id, groups, view.describe, False)

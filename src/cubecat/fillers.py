@@ -15,7 +15,7 @@ from typing import Callable, Union
 
 from . import folding
 from .core import (
-    ALL, MINUS, PLUS, CubeSystem, Sign, run_axiom_suite, slots, tabulated,
+    ALL, MINUS, PLUS, CubeSystem, Sign, integer_entry, run_axiom_suite, slots, tabulated,
 )
 from .errors import (
     AxiomFailure,
@@ -212,21 +212,21 @@ def expression_from_doc(system: CubeSystem, doc: dict) -> GeneratorExpression:
     try:
         kind = doc["kind"]
         if kind == "eps":
-            return Eps(int(doc["dir"]), system.parse(doc["cube"]))
+            return Eps(integer_entry(doc, "dir"), system.parse(doc["cube"]))
         if kind == "gamma":
             sign = SIGN_PARSE.get(doc["sign"])
             if sign is None:
                 raise ParseError(f"bad sign {doc['sign']!r}")
-            return Gamma(int(doc["dir"]), sign, system.parse(doc["cube"]))
+            return Gamma(integer_entry(doc, "dir"), sign, system.parse(doc["cube"]))
         if kind == "base":
             return Base(system.parse(doc["cube"]))
         if kind == "compose":
             return Compose(
-                int(doc["dir"]),
+                integer_entry(doc, "dir"),
                 expression_from_doc(system, doc["left"]),
                 expression_from_doc(system, doc["right"]),
             )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed expression document: {exc}") from exc
     raise ParseError(f"unknown expression node kind {doc.get('kind')!r}")
 

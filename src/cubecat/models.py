@@ -569,10 +569,10 @@ class NerveSystem(CubeSystem):
         if isinstance(doc, dict) and "faces" in doc:
             raise ParseError("a cube of the nerve has vertices and edges, not faces")
         try:
-            n = int(doc["dim"])
+            n = core.integer_entry(doc, "dim")
             vdoc = dict(doc["vertices"])
             edoc = dict(doc.get("edges", {}))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed cube document: {exc}") from exc
         if not 0 <= n <= self.max_dim:
             raise ParseError(f"cube dimension {n} is outside 0..{self.max_dim}")

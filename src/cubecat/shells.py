@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 from . import folding
 from .core import (
     MINUS, PLUS, CubeSystem, Sign, check_sign, composite_face, connection_face, degeneracy_face,
-    incidences, slot, slots, tabulated,
+    incidences, integer_entry, slot, slots, tabulated,
 )
 from .errors import (
     BoundaryMismatch,
@@ -362,9 +362,9 @@ class ShellExtension(CubeSystem):
         if "faces" not in doc:
             return self.base.parse(doc)
         try:
-            n = int(doc["dim"])
+            n = integer_entry(doc, "dim")
             raw = dict(doc["faces"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed shell document: {exc}") from exc
         if n < self.top:  # the base's own elements, whatever their form
             return self.base.parse(doc)

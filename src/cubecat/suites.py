@@ -53,31 +53,29 @@ def _folded(view, k: int) -> int:
 
 
 def _lemma_1_1(view, bindings):
-    for b in bindings:
-        y, = b
+    for y, in bindings:
         n = view.dim(y) + 1
         for r in range(1, n):
-            yield (b, lambda: f"i: psi_1..psi_{r - 1} e{r} x = e1 x",
+            yield (lambda: f"i: psi_1..psi_{r - 1} e{r} x = e1 x",
                    _fold_through(view, view.degeneracy(y, r), r - 1), view.degeneracy(y, 1))
         for j in range(1, n):
             folded = _fold_through(view, view.degeneracy(y, j), n - 1)
-            yield (b, lambda: f"ii: the full folding of e{j} x is 1-degenerate",
+            yield (lambda: f"ii: the full folding of e{j} x is 1-degenerate",
                    *_retraction(view, folded, 1))
 
 
 def _prop_1_2(view, bindings):
     sys = view.system
-    for b in bindings:
-        x, = b
+    for x, in bindings:
         folded = _folded(view, x)
         for i in range(2, view.dim(x) + 1):
             for sign in SIGNS:
-                yield (b, lambda: f"i: d{sign}{i} of the folded x is 1-degenerate",
+                yield (lambda: f"i: d{sign}{i} of the folded x is 1-degenerate",
                        *_retraction(view, view.face(folded, i, sign), 1))
         n_face, p_face = (view.elements[view.face(folded, 1, s)] for s in SIGNS)
-        yield (b, lambda: "ii: N and P share their boundary",
+        yield (lambda: "ii: N and P share their boundary",
                boundary(sys, n_face), boundary(sys, p_face))
-        yield (b, lambda: "iii: N and P force the folded boundary",
+        yield (lambda: "iii: N and P force the folded boundary",
                folding.reconstruct_folded_shell(sys, n_face, p_face),
                boundary(sys, view.elements[folded]))
 
@@ -85,31 +83,28 @@ def _prop_1_2(view, bindings):
 def _lemma_1_3(view, bindings):
     """Taking boundaries is a morphism into the shell extension."""
     sys = view.system
-    for b in bindings:
-        k, = b
+    for k, in bindings:
         x, d = view.elements[k], view.dim(k)
         if sys.within_ceiling(d + 1):
             lifts = shell_system(sys, d + 1)
             for j in range(1, d + 2):
-                yield (b, lambda: f"eps: boundary of e{j} x",
-                       lifts.degeneracy(x, j),
+                yield (lambda: f"eps: boundary of e{j} x", lifts.degeneracy(x, j),
                        boundary(sys, view.elements[view.degeneracy(k, j)]))
             for i in range(1, d + 1):
                 for sign in SIGNS:
-                    yield (b, lambda: f"gamma: boundary of G{sign}{i} x",
-                           lifts.connection(x, i, sign),
+                    yield (lambda: f"gamma: boundary of G{sign}{i} x", lifts.connection(x, i, sign),
                            boundary(sys, view.elements[view.connection(k, i, sign)]))
         if d >= 2:
             shells, s = shell_system(sys, d), boundary(sys, x)
             for j in range(1, d):
-                yield (b, lambda: f"psi: boundary of psi{j} x",
+                yield (lambda: f"psi: boundary of psi{j} x",
                        folding.psi(shells, s, j), boundary(sys, view.elements[_psi(view, k, j)]))
             fold = folding.big_psi(shells, s)
             folded = _folded(view, k)
-            yield (b, lambda: "Psi: boundary of the folded x",
+            yield (lambda: "Psi: boundary of the folded x",
                    fold.folded, boundary(sys, view.elements[folded]))
-            yield (b, lambda: "N: N of the boundary", view.id(fold.n_face), view.face(folded, 1, MINUS))
-            yield (b, lambda: "P: P of the boundary", view.id(fold.p_face), view.face(folded, 1, PLUS))
+            yield lambda: "N: N of the boundary", view.id(fold.n_face), view.face(folded, 1, MINUS)
+            yield lambda: "P: P of the boundary", view.id(fold.p_face), view.face(folded, 1, PLUS)
 
 
 def _lemma_1_3_compose(view, n, stream):
@@ -151,13 +146,12 @@ def _thm_1_4(view, n, stream):
 
 def _lemma_1_5(view, bindings):
     sys = view.system
-    for b in bindings:
-        k, = b
+    for k, in bindings:
         x = view.elements[k]
         s = boundary(sys, x)
         for j in range(1, view.dim(k)):
             back = fillers.unfold_step(sys, view.elements[_psi(view, k, j)], s, j)
-            yield (b, lambda: f"unfold psi{j} x along the boundary of x", back, x)
+            yield lambda: f"unfold psi{j} x along the boundary of x", back, x
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +159,33 @@ def _lemma_1_5(view, bindings):
 
 
 def _lemma_2_3(view, bindings):
-    for b in bindings:
-        c, = b
+    for c, in bindings:
         d = view.dim(c)
         for i in range(1, d + 1):
             for sign in SIGNS:
                 g = view.connection(c, i, sign)
-                yield (b, lambda: f"i: psi{i} G{sign}{i} x = e{i} x",
+                yield (lambda: f"i: psi{i} G{sign}{i} x = e{i} x",
                        _psi(view, g, i), view.degeneracy(c, i))
                 for j in range(i + 2, d + 1):
-                    yield (b, lambda: f"ii: psi{j} G{sign}{i} x = G{sign}{i} psi{j - 1} x",
+                    yield (lambda: f"ii: psi{j} G{sign}{i} x = G{sign}{i} psi{j - 1} x",
                            _psi(view, g, j), view.connection(_psi(view, c, j - 1), i, sign))
         for i in range(1, d):
             plus = _psi(view, _psi(view, view.connection(c, i, PLUS), i + 1), i)
             gamma = view.connection(view.face(c, i + 1, MINUS), i, PLUS)
-            yield (b, lambda: f"iii+: psi{i} psi{i + 1} G+{i} x",
+            yield (lambda: f"iii+: psi{i} psi{i + 1} G+{i} x",
                    plus, view.degeneracy(view.compose(gamma, c, i + 1), i))
             minus = _psi(view, _psi(view, view.connection(c, i, MINUS), i + 1), i)
             gamma = view.connection(view.face(c, i + 1, PLUS), i, MINUS)
-            yield (b, lambda: f"iii-: psi{i} psi{i + 1} G-{i} x",
+            yield (lambda: f"iii-: psi{i} psi{i + 1} G-{i} x",
                    minus, view.degeneracy(view.compose(c, gamma, i + 1), i))
 
 
 def _lemma_2_4(view, bindings):
     sys = view.system
-    for b in bindings:
-        k, = b
+    for k, in bindings:
         x = view.elements[k]
         for j in range(1, view.dim(k)):
-            yield (b, lambda: f"x is {j}-thin iff psi{j} x is {j - 1}-thin",
+            yield (lambda: f"x is {j}-thin iff psi{j} x is {j - 1}-thin",
                    folding.is_j_thin(sys, x, j),
                    folding.is_j_thin(sys, view.elements[_psi(view, k, j)], j - 1))
 
@@ -210,19 +202,18 @@ def _lemma_2_5(view, n, stream):
 
 
 def _lemma_2_6(view, bindings):
-    for b in bindings:
-        y, = b
+    for y, in bindings:
         for k in range(1, view.dim(y) + 2):
             folded = _fold_through(view, view.degeneracy(y, k), k - 1)
-            yield (b, lambda: f"e{k} x is {k - 1}-thin", *_retraction(view, folded, 1))
+            yield lambda: f"e{k} x is {k - 1}-thin", *_retraction(view, folded, 1)
 
 
 def _prop_2_1_thin(view, bindings):
     sys = view.system
-    for b in bindings:
-        x = view.elements[b[0]]
+    for k, in bindings:
+        x = view.elements[k]
         if folding.is_thin(sys, x):
-            yield (b, lambda: "i: the boundary of a thin x commutes",
+            yield (lambda: "i: the boundary of a thin x commutes",
                    is_commutative(sys, boundary(sys, x)), True)
 
 
@@ -255,15 +246,14 @@ def _prop_2_1_fillers(view, n, stream):
 
 
 def _prop_2_2_thin(view, bindings):
-    for b in bindings:
-        c, = b
+    for c, in bindings:
         d = view.dim(c)
         for i in range(1, d + 2):
-            yield (b, lambda: f"i-eps: e{i} x is thin",
+            yield (lambda: f"i-eps: e{i} x is thin",
                    *_retraction(view, _folded(view, view.degeneracy(c, i)), 1))
         for i in range(1, d + 1):
             for sign in SIGNS:
-                yield (b, lambda: f"i-gamma: G{sign}{i} x is thin",
+                yield (lambda: f"i-gamma: G{sign}{i} x is thin",
                        *_retraction(view, _folded(view, view.connection(c, i, sign)), 1))
 
 
@@ -286,16 +276,15 @@ def _prop_2_2_closure(view, n, stream):
 
 def _cor_2_7_lifts(view, bindings):
     sys = view.system
-    for b in bindings:
-        c, = b
+    for c, in bindings:
         x, d = view.elements[c], view.dim(c)
         lifts = shell_system(sys, d + 1)
         for i in range(1, d + 2):
-            yield (b, lambda: f"i-eps: the e{i} shell of x commutes",
+            yield (lambda: f"i-eps: the e{i} shell of x commutes",
                    is_commutative(sys, lifts.degeneracy(x, i)), True)
         for i in range(1, d + 1):
             for sign in SIGNS:
-                yield (b, lambda: f"i-gamma: the G{sign}{i} shell of x commutes",
+                yield (lambda: f"i-gamma: the G{sign}{i} shell of x commutes",
                        is_commutative(sys, lifts.connection(x, i, sign)), True)
 
 
@@ -311,13 +300,13 @@ def _cor_2_7_composites(view, n, stream):
 
 def _thm_2_8(view, bindings):
     sys = view.system
-    for b in bindings:
-        x = view.elements[b[0]]
+    for k, in bindings:
+        x = view.elements[k]
         if not folding.is_thin(sys, x):
             continue
         expr = fillers.thin_decompose(sys, x)
-        yield (b, lambda: "base-free: the decomposition of x", fillers.is_base_free(expr), True)
-        yield (b, lambda: "evaluates: the decomposition of x", fillers.evaluate(sys, expr), x)
+        yield lambda: "base-free: the decomposition of x", fillers.is_base_free(expr), True
+        yield lambda: "evaluates: the decomposition of x", fillers.evaluate(sys, expr), x
 
 
 def _cor_2_9(view, n, stream):
@@ -449,18 +438,9 @@ def _describer(system: CubeSystem):
     return describe
 
 
-def run_suite(
-    system: CubeSystem,
-    suite_id: str,
-    *,
-    max_dim: int,
-    exhaustive_dim: int = 3,
-    samples: int = 500,
-    seed: int = 0,
-) -> LawReport:
+def run_suite(system: CubeSystem, suite_id: str, **options) -> LawReport:
     """Check every part of one suite: exhaustive up to ``exhaustive_dim``, seeded above."""
     select(SUITE_INDEX, [suite_id], "suite")  # refuses an unknown id by name
-    options = dict(max_dim=max_dim, exhaustive_dim=exhaustive_dim, samples=samples, seed=seed)
     return _run(system, suite_id, SUITE_INDEX[suite_id].parts, _describer(system), True, **options)
 
 

@@ -205,6 +205,33 @@ def test_an_error_names_the_grid_being_checked(monkeypatch, k):
     assert report.instances == (k - 1) // 6 + 1
 
 
+@pytest.mark.parametrize("k", [3, 6, 9, 102])
+def test_a_failing_statement_names_the_grid_being_checked(monkeypatch, k):
+    # a bound statement carries no binding: the runner names the one it handed out
+    system = nerve(bundled_category("poset22"), 2)  # fresh: the patch sees every compose
+    view = system.id_view
+    compose, calls = view.compose, []
+    wrong = view.pool(0)[0]  # a 0-cube is never a composite of 2-cubes
+
+    def wrong_on_kth(x, y, i):
+        calls.append((x, y, i))
+        return wrong if len(calls) == k else compose(x, y, i)
+
+    monkeypatch.setattr(view, "compose", wrong_on_kth)
+    report = run_law(system, REGISTRY["INTERCHANGE"], max_dim=2, exhaustive_dim=2)
+    # the k-th compose, the last of one side, makes that side wrong without raising
+    grids = list(reference_bindings(view, "grid", 2))
+    x, y, z, w, i, j = grids[(k - 1) // 6]
+    assert not report.passed and "error" not in report.counterexample
+    assert report.counterexample["binding"] == {
+        "x": view.describe(x), "y": view.describe(y), "z": view.describe(z),
+        "w": view.describe(w), "i": i, "j": j,
+    }
+    assert report.counterexample["equation"] == f"interchange o{i}/o{j}"
+    assert view.describe(wrong) in (report.counterexample["lhs"], report.counterexample["rhs"])
+    assert report.instances == (k - 1) // 6 + 1
+
+
 def test_an_error_while_drawing_a_binding_names_none(monkeypatch):
     system = nerve(bundled_category("poset22"), 2)
     law, options = REGISTRY["INTERCHANGE"], dict(max_dim=2, exhaustive_dim=2)

@@ -447,10 +447,15 @@ def _poset22_four_cube() -> bytes:
     return json.dumps(system.describe(system.degeneracy(x, 4))).encode()
 
 
+def _two_shell() -> dict:
+    """The document of a 2-shell of the poset22 tower."""
+    tower = shell_tower(bundled_category("poset22"), 1, 2)
+    return tower.describe(tower.cubes(2)[0])
+
+
 def _two_shell_with_face_seven() -> bytes:
     """A 2-shell of the poset22 tower with an extra face entry "7+"."""
-    tower = shell_tower(bundled_category("poset22"), 1, 2)
-    doc = tower.describe(tower.cubes(2)[0])
+    doc = _two_shell()
     doc["faces"]["7+"] = doc["faces"]["1-"]
     return json.dumps(doc).encode()
 
@@ -475,6 +480,8 @@ BAD_DOCUMENTS = {
     # too many digits for int(): a ValueError, not a bad key, at the parent
     "shell-face-huge-index": b'{"dim": 3, "faces": {"' + b"9" * 5000 + b'-": 5}}',
     "unknown-object": b'{"dim": 0, "vertices": {"": "NOPE"}}',
+    # int(true) is 1, and both models read a 1-cube of the nerve
+    "bool-dim": b'{"dim": true, "vertices": {"0": "00", "1": "10"}, "edges": {"*": "00->10"}}',
     "list-edge-entry": b'{"dim": 1, "vertices": {"0": "00", "1": "10"}, "edges": {"*": ["x"]}}',
     "extra-vertex": json.dumps(
         {**SQUARE_DOC, "vertices": {**SQUARE_DOC["vertices"], "111": "11"}}).encode(),
@@ -483,6 +490,10 @@ BAD_DOCUMENTS = {
 # nerve leaves stop at its base dimension 1
 REJECTED_BY = {name: (doc, ("nerve", "tower")) for name, doc in BAD_DOCUMENTS.items()}
 REJECTED_BY["nerve-square-in-tower"] = (json.dumps(SQUARE_DOC).encode(), ("tower",))
+# a "dim" that int() reads as 2, given to the model that reads the rest of the document
+for what, doc, model in (("square", SQUARE_DOC, "nerve"), ("shell", _two_shell(), "tower")):
+    for value, name in ((2.9, "float"), (2.0, "whole-float"), ("2", "string")):
+        REJECTED_BY[f"{name}-dim-{what}"] = (json.dumps({**doc, "dim": value}).encode(), (model,))
 INVALID_CASES = [
     pytest.param(doc, command, model, id=f"{name}-{command}-{model}")
     for name, (doc, models) in REJECTED_BY.items()

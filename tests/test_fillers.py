@@ -205,7 +205,8 @@ def test_expression_documents_round_trip(poset_nerve):
     assert evaluate(poset_nerve, expression_from_doc(poset_nerve, swapped)) == x
 
 
-@pytest.mark.parametrize("bad", ["x", 1e999], ids=["word", "inf"])
+@pytest.mark.parametrize("bad", ["x", 1e999, 1.0, "1", True],
+                         ids=["word", "inf", "float", "string", "bool"])
 @pytest.mark.parametrize("kind", ["eps", "gamma", "compose"])
 def test_expression_documents_with_a_bad_dir_are_parse_errors(poset_nerve, kind, bad):
     cube = poset_nerve.describe(poset_nerve.cubes(1)[0])

@@ -2,8 +2,10 @@
 
 import pytest
 
-from cubecat import BrokenNerveSystem, bundled_category, fillers
+from cubecat import BrokenNerveSystem, bundled_category, fillers, nerve, run_axiom_suite
+from cubecat.core import REGISTRY, run_law
 from cubecat.errors import UnknownLaw
+from cubecat.shells import is_commutative, shell_system
 from cubecat.suites import SUITES, run_suite, run_suites
 from conftest import nerve_of, tower_of
 
@@ -58,6 +60,40 @@ def test_suites_catch_broken_models():
     report = run_suite(broken, "cor-2.7", **cfg)
     assert report.counterexample["error"] == "NotComposable"
     assert set(report.counterexample["binding"]) == {"x"}
+
+
+def test_a_failing_pool_part_names_its_own_binding(monkeypatch):
+    # cor-2.7 (ii) binds two shells and a direction itself: a wrong composite
+    # of commutative shells fails it under that dict
+    system = nerve(bundled_category("parallel_pair"), 2)  # fresh: no composite is stored yet
+    ext = shell_system(system, 2)
+    shells = ext.id_view
+    # every 2-shell is folded now, so later folds, the lifts' of part (i) too, compose nothing
+    commutes = {t: is_commutative(system, shells.elements[t]) for t in shells.pool(2)}
+    wrong = next(t for t, yes in commutes.items() if not yes)
+    monkeypatch.setattr(shells, "compose", lambda s, t, i: wrong)
+    report = run_suite(system, "cor-2.7", max_dim=2)
+    payload = report.counterexample
+    assert not report.passed and set(payload) == {"binding", "equation"}
+    assert set(payload["binding"]) == {"s", "t", "i"}
+    assert payload["equation"] == f"ii: s o{payload['binding']['i']} t commutes"
+    s, t = (ext.parse(payload["binding"][k]) for k in "st")
+    assert s.dim == t.dim == 2 and is_commutative(system, s) and is_commutative(system, t)
+
+
+@pytest.mark.parametrize("run, what", [
+    (run_law, REGISTRY["GAMMA-FACE"]), (run_suite, "lemma-1.3"),
+    (run_suites, ["lemma-1.1", "thm-3.1"]), (run_axiom_suite, ["EPS-FACE", "ASSOC"]),
+], ids=["run_law", "run_suite", "run_suites", "run_axiom_suite"])
+def test_max_dim_defaults_to_the_systems(run, what):
+    system = nerve_of("poset22", 2)
+
+    def reports(**options):
+        got = run(system, what, **options)
+        return [r.as_dict() for r in (got if isinstance(got, list) else [got])]
+
+    given = reports(max_dim=system.max_dim)
+    assert reports() == given and all(r["passed"] and r["instances"] for r in given)
 
 
 def test_suite_reports_are_seed_stable(square_tower):
