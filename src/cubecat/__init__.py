@@ -15,7 +15,6 @@ from .core import (
     SIGNS,
     CubeSystem,
     LawReport,
-    LAWS,
     REGISTRY,
     check_axiom,
     run_axiom_suite,

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import arrays, fillers, folding, models, shells, suites
-from .core import LawReport, MINUS, PLUS, run_axiom_suite, LAWS
+from .core import LawReport, MINUS, PLUS, REGISTRY, run_axiom_suite
 from .errors import CubicalError, NotThin, ParseError, UnknownLaw
 
 FAMILIES = ("nerve", "tower", "broken")
@@ -163,47 +163,21 @@ def _emit_reports(command: str, config: dict, reports: list[LawReport], fmt: str
     return 0 if passed else 1
 
 
-def _config_dict(args, extra=None) -> dict:
-    config = {
-        "model": args.model,
-        "cat": args.cat,
-        "dim": args.dim,
-        "exhaustive_dim": getattr(args, "exhaustive_dim", None),
-        "samples": getattr(args, "samples", None),
-        "seed": getattr(args, "seed", None),
-    }
-    if getattr(args, "base_dim", 1) != 1:
-        config["base_dim"] = args.base_dim
-    if extra:
-        config.update(extra)
-    return config
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _report_system(args) -> tuple:
-    """The model and run options of an axioms or theorems run, once the sampling flags pass."""
+def cmd_report(args, run, ids, key) -> int:
+    """An axioms or theorems run: ``run(system, ids or None, **options)`` over the model."""
     if args.samples < 0 or args.exhaustive_dim < 0:
         raise ParseError("--samples and --exhaustive-dim must not be negative")
-    options = dict(max_dim=args.dim, exhaustive_dim=args.exhaustive_dim,
-                   samples=args.samples, seed=args.seed)
-    return build_system(args.model, args.cat, args.dim, args.base_dim), options
-
-
-def cmd_axioms(args) -> int:
-    system, options = _report_system(args)
-    reports = run_axiom_suite(system, args.law or None, **options)
-    return _emit_reports("axioms", _config_dict(args, {"laws": args.law or "all"}),
-                         reports, args.format)
-
-
-def cmd_theorems(args) -> int:
-    system, options = _report_system(args)
-    reports = suites.run_suites(system, args.name or None, **options)
-    return _emit_reports("theorems", _config_dict(args, {"names": args.name or "all"}),
-                         reports, args.format)
+    options = dict(exhaustive_dim=args.exhaustive_dim, samples=args.samples, seed=args.seed)
+    system = build_system(args.model, args.cat, args.dim, args.base_dim)
+    reports = run(system, ids or None, max_dim=args.dim, **options)
+    config = {"model": args.model, "cat": args.cat, "dim": args.dim, key: ids or "all", **options}
+    if args.base_dim != 1:
+        config["base_dim"] = args.base_dim
+    return _emit_reports(args.command, config, reports, args.format)
 
 
 def cmd_fold(args) -> int:
@@ -362,15 +336,15 @@ def make_parser() -> argparse.ArgumentParser:
     _add_model_args(axioms)
     axioms.add_argument("--law", action="append", metavar="ID",
                         help="restrict to one or more law ids (repeatable); "
-                             "known: " + ", ".join(l.law_id for l in LAWS))
-    axioms.set_defaults(func=cmd_axioms)
+                             "known: " + ", ".join(REGISTRY))
+    axioms.set_defaults(func=lambda args: cmd_report(args, run_axiom_suite, args.law, "laws"))
 
     theorems = commands.add_parser("theorems", help="run named theorem suites")
     _add_model_args(theorems)
     theorems.add_argument("--name", action="append", metavar="SUITE",
                           help="restrict to one or more suites (repeatable); "
-                               "known: " + ", ".join(s.suite_id for s in suites.SUITES))
-    theorems.set_defaults(func=cmd_theorems)
+                               "known: " + ", ".join(suites.SUITES))
+    theorems.set_defaults(func=lambda args: cmd_report(args, suites.run_suites, args.name, "names"))
 
     fold = commands.add_parser("fold", help="fold a cube and report N, P, thinness")
     _add_model_args(fold, with_report_args=False)

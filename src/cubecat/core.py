@@ -667,7 +667,7 @@ def _eq_gamma_cancel(sys: IdView, bindings) -> Iterator:
                    sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
 
 
-LAWS = (
+REGISTRY = {law.law_id: law for law in (
     Law("FACE-FACE", "element", 2, 0,
         "shell incidence and boundary extraction assume faces commute",
         _eq_face_face),
@@ -713,9 +713,7 @@ LAWS = (
     Law("GAMMA-CANCEL", "element", 1, 1,
         "collapses the folded row around a cube to a degeneracy",
         _eq_gamma_cancel),
-)
-
-REGISTRY = {law.law_id: law for law in LAWS}
+)}
 
 
 @dataclass
@@ -853,14 +851,9 @@ def _exhaustive_bindings(view: IdView, kind: str, n: int) -> Iterator[tuple]:
                 j_minus = view.index(n, ((j, MINUS),))
                 by_both = view.index(n, ((i, MINUS), (j, MINUS)))
                 for x in view.pool(n):
-                    ys = minus.get((face(x, i, PLUS),))
-                    if not ys:
-                        continue
-                    zs = j_minus.get((face(x, j, PLUS),))
-                    if not zs:
-                        continue
+                    ys = minus.get((face(x, i, PLUS),), ())
                     # each z's face is looked up once per x, not once per (y, z)
-                    z_faces = [(z, face(z, i, PLUS)) for z in zs]
+                    z_faces = [(z, face(z, i, PLUS)) for z in j_minus.get((face(x, j, PLUS),), ())]
                     for y in ys:
                         fy = face(y, j, PLUS)
                         for z, fz in z_faces:

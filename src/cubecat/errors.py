@@ -88,13 +88,5 @@ class CategoryLawViolation(CubicalError):
     """A finite category presentation breaks unit, associativity, or closure."""
 
 
-class AxiomFailure(CubicalError):
-    """A model was rejected because a registry law fails on it."""
-
-    def __init__(self, report):
-        super().__init__(f"axiom {report.law_id} fails: {report.counterexample}")
-        self.report = report
-
-
 class MorphismViolation(CubicalError):
     """A would-be thin structure does not preserve the required operations."""

@@ -7,13 +7,12 @@ the runner owns the dimensions, the exhaustive or seeded bindings, the
 instance count and the first failure.  An instance of a suite is one
 checked statement.  A failing suite reports the law counterexample shape:
 its binding's elements described, a label naming the failing part, and
-``lhs``/``rhs`` where two elements are compared.  Suite ids are stable
-strings used by the command line and the acceptance tests.
+``lhs``/``rhs`` where two elements are compared.  ``SUITES`` maps each
+suite id, a stable string used by the command line and the acceptance
+tests, to its parts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import fillers, folding
 from .core import (
@@ -328,7 +327,7 @@ def _thm_3_1(view, n, stream):
     shells, and the round trip closes; one theta serves both.
     """
     sys, elements = view.system, view.elements
-    theta = fillers.theta_from_connections(sys, n, spot_check=False)
+    theta = fillers.theta_from_connections(sys, n)
     shells = shell_system(sys, n).id_view
     for k in view.pool(n - 1):
         a = elements[k]
@@ -358,7 +357,7 @@ def _thm_3_1(view, n, stream):
             for sign in SIGNS:
                 yield ({"x": k}, lambda: f"roundtrip-gamma: G{sign}{i} x read off theta",
                        theta.connection(a, i, sign), sys.connection(a, i, sign))
-    theta2 = fillers.theta_from_connections(theta, n, spot_check=False)
+    theta2 = fillers.theta_from_connections(theta, n)
     for s in domain:
         yield ({"s": s}, lambda: "roundtrip-theta: theta re-derived from its connections",
                theta2(elements[s]), theta(elements[s]))
@@ -371,22 +370,16 @@ def _thm_3_1(view, n, stream):
                native, folding.is_thin(theta, elements[x]))
 
 
-@dataclass(frozen=True)
-class Suite:
-    suite_id: str
-    description: str
-    parts: tuple  # registry entries under ``suite_id``, in the order they run
-
-
-def _suite(suite_id: str, description: str, *parts) -> Suite:
-    """A suite of parts given as (kind, min_dim, lift, equations[, exhaustive_only])."""
-    return Suite(suite_id, description, tuple(
+def _suite(suite_id: str, description: str, *parts) -> tuple:
+    """(suite_id, its parts in running order), each given as (kind, min_dim, lift,
+    equations[, exhaustive_only]) and made a registry entry under ``suite_id``."""
+    return suite_id, tuple(
         Law(suite_id, kind, lowest, lift, description, equations, exhaustive_only=any(only))
         for kind, lowest, lift, equations, *only in parts
-    ))
+    )
 
 
-SUITES = (
+SUITES = dict((
     _suite("lemma-1.1", "folding a degeneracy collapses to the first degeneracy",
            ("element", 1, 1, _lemma_1_1)),
     _suite("prop-1.2", "folded cubes are degenerate beyond direction 1 and their"
@@ -420,9 +413,7 @@ SUITES = (
            " shells", ("pool", 1, 0, _cor_2_9, True)),
     _suite("thm-3.1", "thin structures and connection sets determine each other"
            " with the same thin class", ("top", 2, 0, _thm_3_1)),
-)
-
-SUITE_INDEX = {s.suite_id: s for s in SUITES}
+))
 
 
 def _describer(system: CubeSystem):
@@ -440,9 +431,9 @@ def _describer(system: CubeSystem):
 
 def run_suite(system: CubeSystem, suite_id: str, **options) -> LawReport:
     """Check every part of one suite: exhaustive up to ``exhaustive_dim``, seeded above."""
-    select(SUITE_INDEX, [suite_id], "suite")  # refuses an unknown id by name
-    return _run(system, suite_id, SUITE_INDEX[suite_id].parts, _describer(system), True, **options)
+    select(SUITES, [suite_id], "suite")  # refuses an unknown id by name
+    return _run(system, suite_id, SUITES[suite_id], _describer(system), True, **options)
 
 
 def run_suites(system: CubeSystem, suite_ids=None, **options) -> list[LawReport]:
-    return [run_suite(system, k, **options) for k in select(SUITE_INDEX, suite_ids, "suite")]
+    return [run_suite(system, k, **options) for k in select(SUITES, suite_ids, "suite")]

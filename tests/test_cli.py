@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubecat import PLUS, bundled_category, is_thin, nerve, shell_tower
 from cubecat.cli import _dump, main, make_parser
+from cubecat.core import REGISTRY
 from conftest import tower_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -486,9 +487,14 @@ BAD_DOCUMENTS = {
     "extra-vertex": json.dumps(
         {**SQUARE_DOC, "vertices": {**SQUARE_DOC["vertices"], "111": "11"}}).encode(),
 }
+# The nerve refuses a document with "faces" before it reads anything else,
+# so of the shell documents only "shell-below-top" also runs under the nerve.
+SHELL_ONLY = ("non-object-face", "empty-face-key", "infinite-dim", "huge-shell-dim",
+              "shell-face-out-of-range", "shell-face-huge-index")
 # name -> (document, the model families that must reject it); a tower's
 # nerve leaves stop at its base dimension 1
-REJECTED_BY = {name: (doc, ("nerve", "tower")) for name, doc in BAD_DOCUMENTS.items()}
+REJECTED_BY = {name: (doc, ("tower",) if name in SHELL_ONLY else ("nerve", "tower"))
+               for name, doc in BAD_DOCUMENTS.items()}
 REJECTED_BY["nerve-square-in-tower"] = (json.dumps(SQUARE_DOC).encode(), ("tower",))
 # a "dim" that int() reads as 2, given to the model that reads the rest of the document
 for what, doc, model in (("square", SQUARE_DOC, "nerve"), ("shell", _two_shell(), "tower")):
@@ -511,6 +517,9 @@ def test_invalid_cube_document_is_config_error(tmp_path, doc, command, model):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+    if model == "nerve" and b'"faces"' in doc:
+        assert result.stderr.startswith(
+            "error: a cube of the nerve has vertices and edges, not faces\n"), result.stderr
     elapsed = re.search(r"elapsed: ([0-9.]+)s", result.stderr)
     assert elapsed and float(elapsed.group(1)) < 1.0, result.stderr
 
@@ -553,6 +562,28 @@ def test_repeated_in_process_calls_are_independent(square_file):
         code, out = run_in_process(*argv)
         result = run_cli(*argv)
         assert (code, out) == (result.returncode, result.stdout), argv
+
+
+def test_report_config_carries_base_dim_only_when_given():
+    argv = ("axioms", "--model", "tower", "--cat", "terminal", "--dim", "3", "--law", "ASSOC",
+            "--format", "json")
+    code, out = run_in_process(*argv, "--base-dim", "2")
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "model": "tower", "cat": "terminal", "dim": 3, "base_dim": 2, "laws": ["ASSOC"],
+        "exhaustive_dim": 3, "samples": 500, "seed": 0,
+    }
+    code, out = run_in_process(*argv)
+    assert code == 0
+    assert "base_dim" not in json.loads(out)["config"]
+
+
+def test_axioms_help_lists_the_registry_in_order(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapped help lines
+    out = io.StringIO()
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(out):
+        main(["axioms", "--help"])
+    assert re.search(r"known: (.*)", out.getvalue()).group(1).split(", ") == list(REGISTRY)
 
 
 def test_render_transport_pair(tmp_path):

@@ -17,7 +17,7 @@ EXPECTED_IDS = [
 
 
 def test_registry_ids_and_order():
-    assert [s.suite_id for s in SUITES] == EXPECTED_IDS
+    assert list(SUITES) == EXPECTED_IDS
 
 
 def test_all_suites_pass_on_small_models():

@@ -17,7 +17,6 @@ from cubecat import (
 )
 from cubecat.core import composable_pairs
 from cubecat.errors import (
-    AxiomFailure,
     MorphismViolation,
     NotCommutative,
     PreconditionFailed,
@@ -73,7 +72,7 @@ def test_connections_round_trip(poset_nerve, square_nerve):
         for a in system.cubes(1):
             for sign in (MINUS, PLUS):
                 assert override.connection(a, 1, sign) == system.connection(a, 1, sign)
-        theta2 = theta_from_connections(override, 2, spot_check=False)
+        theta2 = theta_from_connections(override, 2)
         for s in theta.domain():
             assert theta2(s) == theta(s)
 
@@ -129,7 +128,9 @@ def test_badly_wired_theta_is_rejected(poset_nerve):
         connections_from_theta(fake)
 
 
-def test_spot_check_rejects_broken_model():
+def test_broken_model_is_refused_where_its_connections_are_read_back():
+    # theta is built without a law check; reading its connections back is the check
     broken = BrokenNerveSystem(bundled_category("poset22"), 2)
-    with pytest.raises(AxiomFailure):
-        theta_from_connections(broken, 2)
+    with pytest.raises(MorphismViolation, match="TRANSPORT"):
+        connections_from_theta(theta_from_connections(broken, 2))
+    assert not run_suite(broken, "thm-3.1", max_dim=2, exhaustive_dim=2).passed
