@@ -115,14 +115,18 @@ def tile_grid(system: CubeSystem, rows, dir_v: int, dir_h: int,
     ``labels``, when given, is a grid of the same shape.  Adjacency is
     validated eagerly so a constructed grid is always composable.
     """
-    if dir_v == dir_h:
-        raise NotComposable(dir_v, dir_v, dir_h, "array directions must differ")
     rows = tuple(tuple(r) for r in rows)
     if not rows or not rows[0]:
         raise BadTiling("array must have at least one cell")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise BadTiling("array rows have unequal lengths")
+    # the partition refuses equal directions before any face is compared
+    partition = ComposablePartition(system, [
+        PartitionCell(r, c, r + 1, c + 1, x, labels[r][c] if labels else None)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
+    ], dir_v, dir_h)
     dims = {system.dim(x) for row in rows for x in row}
     if len(dims) != 1:
         raise NotComposable(dir_h, None, None, "array cells have mixed dimensions")
@@ -132,11 +136,7 @@ def tile_grid(system: CubeSystem, rows, dir_v: int, dir_h: int,
                 _check_shared_face(system, x, row[c + 1], dir_h, f"cells ({r},{c})-({r},{c + 1})")
             if r + 1 < len(rows):
                 _check_shared_face(system, x, rows[r + 1][c], dir_v, f"cells ({r},{c})-({r + 1},{c})")
-    return ComposablePartition(system, [
-        PartitionCell(r, c, r + 1, c + 1, x, labels[r][c] if labels else None)
-        for r, row in enumerate(rows)
-        for c, x in enumerate(row)
-    ], dir_v, dir_h)
+    return partition
 
 
 def _check_shared_face(system: CubeSystem, x, y, direction: int, where: str) -> None:

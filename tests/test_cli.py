@@ -180,6 +180,27 @@ def test_tap_output_shape():
     assert result.returncode == 0
 
 
+def test_tap_failures_carry_counterexample_blocks():
+    code, out = run_in_process("axioms", "--model", "broken", "--cat", "poset22", "--dim", "2",
+                               "--format", "tap")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["TAP version 13", f"1..{len(REGISTRY)}"]
+    passed, at = [], 2
+    while at < len(lines):  # each "not ok" line opens an indented --- ... block
+        status = "ok" if lines[at].startswith("ok ") else "not ok"
+        assert lines[at].startswith(f"{status} {len(passed) + 1} - "), lines[at]
+        passed.append(status == "ok")
+        if status == "ok":
+            at += 1
+            continue
+        end = lines.index("  ...", at)
+        assert lines[at + 1] == "  ---" and end > at + 2
+        assert all(line.startswith("  ") for line in lines[at + 2:end]), lines[at + 2:end]
+        at = end + 1
+    assert len(passed) == len(REGISTRY) and not all(passed)
+
+
 def test_theorems_all_suites_small_model():
     result = run_cli("theorems", "--model", "tower", "--cat", "parallel_pair",
                      "--dim", "2", "--samples", "30")
@@ -203,20 +224,26 @@ def test_missing_category_is_config_error(tmp_path):
     result = run_cli("axioms", "--model", "nerve",
                      "--cat", str(tmp_path / "none.json"), "--dim", "2")
     assert result.returncode == 2
-    # dimensions below 1 and negative sampling flags are rejected the same way
-    for argv in (
-        ("axioms", "--model", "nerve", "--cat", "poset22", "--dim", "0"),
-        ("axioms", "--model", "tower", "--cat", "poset22", "--base-dim", "0", "--dim", "2"),
-        ("axioms", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "0",
-         "--samples", "-1"),
-        ("axioms", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "-3"),
-        ("theorems", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "0",
-         "--samples", "-1"),
-        ("theorems", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "-3"),
+    # dimensions out of range and negative sampling flags are rejected the same way
+    negative = "error: --samples and --exhaustive-dim must not be negative"
+    for argv, message in (
+        (("axioms", "--model", "nerve", "--cat", "poset22", "--dim", "0"),
+         "error: --dim must be at least 1"),
+        (("axioms", "--model", "tower", "--cat", "poset22", "--base-dim", "0", "--dim", "2"),
+         "error: --base-dim must be at least 1"),
+        (("axioms", "--model", "tower", "--cat", "poset22", "--base-dim", "2", "--dim", "2"),
+         "error: tower needs base dimension below the checked dimension"),
+        (("axioms", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "0",
+          "--samples", "-1"), negative),
+        (("axioms", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "-3"), negative),
+        (("theorems", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "0",
+          "--samples", "-1"), negative),
+        (("theorems", "--cat", "terminal", "--dim", "2", "--exhaustive-dim", "-3"), negative),
     ):
         result = run_cli(*argv)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[0] == message
 
 
 ONE_OBJECT = {
@@ -318,6 +345,21 @@ def test_fold_square(square_file):
     assert len(doc["steps"]) == 1
 
 
+def test_fold_square_text(square_file):
+    argv = ("fold", "--cat", "poset22", "--dim", "2", square_file)
+    code, out = run_in_process(*argv)
+    _, report = run_in_process(*argv, "--format", "json")
+    doc = json.loads(report)
+    assert code == 0
+    assert out.splitlines() == [
+        "dimension: 2",
+        "thin: true",
+        f"N: {json.dumps(doc['n'], sort_keys=True)}",
+        f"P: {json.dumps(doc['p'], sort_keys=True)}",
+        f"after folding direction 1: {json.dumps(doc['steps'][0]['result'], sort_keys=True)}",
+    ]
+
+
 def test_fold_degenerate_edge():
     doc = {
         "dim": 1,
@@ -397,8 +439,16 @@ EDGE_PAIR = [EDGE_DOC, {"dim": 1, "vertices": {"0": "01", "1": "11"}, "edges": {
 TRANSPORT = "--dir must be between 1 and 1 for --kind transport on a pair of 1-cubes, not {}"
 
 
-@pytest.mark.parametrize("kind, doc, direction, message", [
-    pytest.param(kind, doc, direction, message, id=f"{name}-{kind}")
+# a square of the broken model whose identity array cannot be resolved
+BROKEN_SQUARE = {
+    "dim": 2,
+    "vertices": {"00": "00", "01": "00", "10": "00", "11": "11"},
+    "edges": {"*0": "00->00", "*1": "00->11", "0*": "00->00", "1*": "00->11"},
+}
+
+
+@pytest.mark.parametrize("kind, doc, direction, message, model", [
+    pytest.param(kind, doc, direction, message, "nerve", id=f"{name}-{kind}")
     for kind in ("psi", "identity", "unfold")
     for name, doc, direction, message in [
         ("dir-0", SQUARE_DOC, 0,
@@ -409,24 +459,30 @@ TRANSPORT = "--dir must be between 1 and 1 for --kind transport on a pair of 1-c
         ("0-cube", POINT_DOC, 1, "a 0-cube has no folding direction; --kind {} needs"),
     ]
 ] + [
-    pytest.param("transport", EDGE_PAIR, 0, TRANSPORT.format(0), id="dir-0-transport"),
-    pytest.param("transport", EDGE_PAIR, 2, TRANSPORT.format(2), id="dir-n-transport"),
-    pytest.param("transport", EDGE_PAIR, 5, TRANSPORT.format(5), id="dir-5-transport"),
+    pytest.param("transport", EDGE_PAIR, 0, TRANSPORT.format(0), "nerve", id="dir-0-transport"),
+    pytest.param("transport", EDGE_PAIR, 2, TRANSPORT.format(2), "nerve", id="dir-n-transport"),
+    pytest.param("transport", EDGE_PAIR, 5, TRANSPORT.format(5), "nerve", id="dir-5-transport"),
     pytest.param("transport", EDGE_PAIR[::-1], 1,
                  "the pair does not compose in direction 1: the upper 1-face of the first cube"
-                 " is not the lower 1-face of the second\n", id="not-composable-transport"),
+                 " is not the lower 1-face of the second\n", "nerve",
+                 id="not-composable-transport"),
     pytest.param("transport", [EDGE_DOC, SQUARE_DOC], 1,
                  "transport rendering needs two cubes of one dimension, not a 1-cube and a 2-cube",
-                 id="mixed-dims-transport"),
+                 "nerve", id="mixed-dims-transport"),
     pytest.param("transport", [POINT_DOC, POINT_DOC], 1,
-                 "a 0-cube has no direction; --kind transport needs", id="0-cube-transport"),
+                 "a 0-cube has no direction; --kind transport needs", "nerve",
+                 id="0-cube-transport"),
+    # past the --dir checks: the identity array of a broken square has no resolution
+    pytest.param("identity", BROKEN_SQUARE, 1,
+                 "Unresolvable: cell (1,1) cannot be an identity for both directions\n", "broken",
+                 id="unresolvable-identity-broken"),
 ])
-def test_render_checks_dir_up_front(tmp_path, kind, doc, direction, message):
+def test_render_checks_dir_up_front(tmp_path, kind, doc, direction, message, model):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["render", "--cat", "poset22", "--dim", "2", "--kind", kind,
+        code = main(["render", "--model", model, "--cat", "poset22", "--dim", "2", "--kind", kind,
                      "--dir", str(direction), str(path)])
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue().startswith(f"error: {message.format(kind)}"), err.getvalue()

@@ -173,3 +173,56 @@ def test_malformed_document_rejected():
         load_fincat({"objects": ["A"]})
     with pytest.raises(ParseError):
         load_fincat([1, 2, 3])
+
+
+# objects A, B and C; f: A -> B, g: B -> C, h: A -> C, and g o f = h
+BASE = {
+    "objects": ["A", "B", "C"],
+    "morphisms": [{"name": f"1{o}", "src": o, "tgt": o} for o in "ABC"] + [
+        {"name": "f", "src": "A", "tgt": "B"}, {"name": "g", "src": "B", "tgt": "C"},
+        {"name": "h", "src": "A", "tgt": "C"}],
+    "identities": {o: f"1{o}" for o in "ABC"},
+    "compose": [["g", "f", "h"]],
+}
+
+
+def edited(**changes):
+    return {**BASE, **changes}
+
+
+def arrow(name, src, tgt):
+    return {"name": name, "src": src, "tgt": tgt}
+
+
+@pytest.mark.parametrize("doc, error, culprit", [
+    pytest.param(edited(objects=["A", "B", "C", "A"]), ParseError, "duplicate object names",
+                 id="duplicate-object"),
+    pytest.param(edited(identities={"A": "1A", "B": "1B"}), ParseError,
+                 "object 'C' lacks an identity", id="no-identity"),
+    pytest.param(edited(identities={"A": "1A", "B": "1B", "C": "g"}), ParseError,
+                 "identity of 'C' is not an endomorphism", id="identity-not-endo"),
+    pytest.param(edited(morphisms=BASE["morphisms"] + [arrow("k", "A", "Z")]), ParseError,
+                 "morphism 'k' has unknown endpoint", id="unknown-endpoint"),
+    pytest.param(edited(compose=[["g", "f", "h"], ["g", "x", "h"]]), ParseError,
+                 r"\(g, x\) -> h names unknown", id="unknown-arrow-in-entry"),
+    pytest.param(edited(compose=[["g", "f", "h"], ["f", "f", "f"]]), CategoryLawViolation,
+                 r"entry \(f, f\) is not composable", id="not-composable"),
+    pytest.param(edited(compose=[["g", "f", "f"]]), CategoryLawViolation,
+                 r"composite f of \(g, f\) has wrong endpoints", id="wrong-endpoints"),
+    pytest.param(edited(compose=[]), CategoryLawViolation,
+                 r"misses \(g, f\)", id="missing-entry"),
+    pytest.param(edited(morphisms=BASE["morphisms"] + [arrow("f2", "A", "B")],
+                        compose=[["g", "f", "h"], ["g", "f2", "h"], ["1B", "f", "f2"]]),
+                 CategoryLawViolation, "identity law broken: 1B o f = f2, expected f",
+                 id="identity-composite"),
+    pytest.param(edited(identities=["1A", "1B", "1C"]), ParseError,
+                 "identities must be an object", id="identities-list"),
+    pytest.param({"graph": {"vertices": ["A", "B"]}}, ParseError,
+                 "malformed graph document: 'edges'", id="graph-without-edges"),
+    pytest.param({"graph": {"vertices": ["A"], "edges": [arrow("e", "A", "Z")]}}, ParseError,
+                 "edge 'e' has unknown endpoint", id="graph-unknown-vertex"),
+])
+def test_category_refusals_name_the_culprit(doc, error, culprit):
+    load_fincat(BASE)  # the unedited document is a category
+    with pytest.raises(error, match=culprit):
+        load_fincat(doc)

@@ -159,6 +159,68 @@ def test_parse_rejects_mismatched_endpoints(poset_nerve):
         poset_nerve.parse(doc)
 
 
+def test_parse_refusals_name_the_document_keys(poset_nerve, square_nerve):
+    square = {
+        "dim": 2,
+        "vertices": {"00": "00", "10": "10", "01": "01", "11": "11"},
+        "edges": {"*0": "00->10", "*1": "01->11", "0*": "00->01", "1*": "10->11"},
+    }
+    for arrow in ("nope", "00->01"):
+        with pytest.raises(ParseError, match=f"edge '1\\*': '{arrow}' is not an arrow"):
+            poset_nerve.parse({**square, "edges": {**square["edges"], "1*": arrow}})
+    vertices = {**square["vertices"], "xx": "11"}
+    del vertices["11"]
+    with pytest.raises(ParseError, match="missing vertex entry '11'"):
+        poset_nerve.parse({**square, "vertices": vertices})
+    edges = {**square["edges"], "1?": "10->11"}
+    del edges["1*"]
+    with pytest.raises(ParseError, match="missing edge entry '1\\*'"):
+        poset_nerve.parse({**square, "edges": edges})
+    doc = {
+        "dim": 2,
+        "vertices": {"00": "A", "10": "B", "01": "C", "11": "D"},
+        "edges": {"*0": "f", "*1": "k", "0*": "h", "1*": "g"},
+    }
+    with pytest.raises(ParseError, match="does not commute") as refusal:
+        square_nerve.parse(doc)
+    assert all(repr(key) in str(refusal.value) for key in doc["edges"])
+
+
+@pytest.mark.parametrize("name, checked, refused", [
+    ("terminal", 4, 0), ("poset22", 199, 19710), ("free_square", 202, 21772),
+    ("parallel_pair", 54, 1850),
+])
+def test_parse_accepts_exactly_the_pool_cubes(name, checked, refused):
+    # oracle: a document whose entries differ from a pool cube's in one
+    # vertex object or one edge arrow parses if and only if it is a pool cube;
+    # the first 150 cubes of each pool are checked
+    system = nerve_of(name, 3)
+    counts = [0, 0]
+    for n in range(4):
+        pool = system.cubes(n)
+        known = {(x.vertices, x.edges) for x in pool}
+        for x in pool[:150]:
+            doc = system.describe(x)
+            assert system.parse(doc) == x
+            counts[0] += 1
+            for part, names in (("vertices", system.cat.objects), ("edges", system.cat.morphisms)):
+                for key, name in itertools.product(doc[part], names):
+                    if doc[part][key] == name:
+                        continue
+                    mutant = {**doc, part: {**doc[part], key: name}}
+                    entries = tuple(mutant["vertices"].values()), tuple(mutant["edges"].values())
+                    if entries in known:
+                        assert system.parse(mutant) == NerveCube(n, *entries)
+                        continue
+                    try:
+                        system.parse(mutant)
+                    except ParseError:
+                        counts[1] += 1
+                    else:
+                        raise AssertionError(f"parsed a cube outside the pool: {mutant}")
+    assert counts == [checked, refused]
+
+
 def test_parse_rejects_unknown_and_non_string_entries(poset_nerve):
     with pytest.raises(ParseError, match="unknown object 'NOPE'"):
         poset_nerve.parse({"dim": 0, "vertices": {"": "NOPE"}})
