@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .core import MINUS, PLUS, CubeSystem, degenerate_at
+from .core import MINUS, PLUS, CubeSystem
 from .errors import (
     BadTiling,
     InterchangeViolation,
@@ -27,20 +27,13 @@ from .errors import (
 from .fillers import Base, Compose, evaluate
 
 PLAIN = "plain"
-# in every glyph the drawn bars mark the degenerate faces, so two horizontal
-# bars mean an identity for the horizontal composition, and so on
-EPS_H = "eps_h"  # ═  identity for the horizontal composition
-EPS_V = "eps_v"  # ║  identity for the vertical composition
 GAMMA_PLUS = "gamma_plus"
 GAMMA_MINUS = "gamma_minus"
-DOUBLE = "double"  # identity for both compositions
 
+# in each glyph the drawn bars mark the degenerate faces
 KIND_GLYPHS = {
-    EPS_H: "═",   # ═
-    EPS_V: "║",   # ║
     GAMMA_PLUS: "┌",   # ┌  degenerate faces on top and left
     GAMMA_MINUS: "┘",  # ┘  degenerate faces on bottom and right
-    DOUBLE: "□",  # □
 }
 
 
@@ -48,8 +41,8 @@ KIND_GLYPHS = {
 class SymbolicCell:
     """A cell that is either a concrete cube or a placeholder symbol.
 
-    Placeholders resolve to the unique degenerate cube or connection that
-    the composability of the surrounding array forces.
+    Placeholders resolve to the unique connection that the composability of
+    the surrounding array forces.
     """
 
     kind: str
@@ -207,18 +200,16 @@ def compose_partition(partition: ComposablePartition):
 
 
 def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> ComposablePartition:
-    """Pin every placeholder cell down from its resolved neighbours.
+    """Pin every connection placeholder down from its resolved neighbours.
 
-    Degenerate placeholders copy a shared face from any resolved neighbour;
-    connection placeholders additionally require dir_h = dir_v + 1, the only
-    situation in which they are determined.  Repeats to a fixed point and
-    fails if placeholders remain.
+    A connection is determined by the face it shares with a resolved
+    neighbour, and only when dir_h = dir_v + 1.  Repeats to a fixed point
+    and fails if placeholders remain.
     """
     cells = [list(row) for row in grid]
     n_rows, n_cols = len(cells), len(cells[0]) if cells else 0
     if any(len(row) != n_cols for row in cells):
         raise Unresolvable("symbol grid is ragged")
-    view = system.id_view
 
     def resolved(r, c):
         return 0 <= r < n_rows and 0 <= c < n_cols and cells[r][c].kind == PLAIN \
@@ -238,40 +229,16 @@ def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> Composa
         return None
 
     def attempt(r, c):
-        cell = cells[r][c]
-        kind = cell.kind
-        if kind == EPS_H:
-            f = neighbour_face(r, c, "left", "right")
-            return None if f is None else system.degeneracy(f, dir_h)
-        if kind == EPS_V:
-            f = neighbour_face(r, c, "up", "down")
-            return None if f is None else system.degeneracy(f, dir_v)
-        if kind in (GAMMA_PLUS, GAMMA_MINUS):
-            if dir_h != dir_v + 1:
-                raise Unresolvable(
-                    "connection symbols need horizontal direction = vertical + 1"
-                )
-            if kind == GAMMA_PLUS:
-                f = neighbour_face(r, c, "right", "down")
-                return None if f is None else system.connection(f, dir_v, PLUS)
-            f = neighbour_face(r, c, "left", "up")
-            return None if f is None else system.connection(f, dir_v, MINUS)
-        if kind == DOUBLE:
-            for which, direction in (
-                ("up", dir_v), ("down", dir_v), ("left", dir_h), ("right", dir_h),
-            ):
-                f = neighbour_face(r, c, which)
-                if f is None:
-                    continue
-                out = system.degeneracy(f, direction)
-                k = view.id(out)
-                if not (degenerate_at(view, k, dir_v) and degenerate_at(view, k, dir_h)):
-                    raise Unresolvable(
-                        f"cell ({r},{c}) cannot be an identity for both directions"
-                    )
-                return out
+        kind = cells[r][c].kind
+        if kind not in KIND_GLYPHS:
             return None
-        return None
+        if dir_h != dir_v + 1:
+            raise Unresolvable("connection symbols need horizontal direction = vertical + 1")
+        if kind == GAMMA_PLUS:
+            f = neighbour_face(r, c, "right", "down")
+            return None if f is None else system.connection(f, dir_v, PLUS)
+        f = neighbour_face(r, c, "left", "up")
+        return None if f is None else system.connection(f, dir_v, MINUS)
 
     pending = [
         (r, c)

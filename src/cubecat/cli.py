@@ -4,7 +4,7 @@ Subcommands: axioms (registry laws), theorems (named suites), fold,
 decompose, render.  Reports are deterministic for a fixed seed and config:
 stdout carries only the canonical report (text, json or tap); timing goes
 to stderr.  Exit codes: 0 all checks pass, 1 at least one check fails,
-2 configuration or input errors.
+2 configuration or input errors, 130 interrupted, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def build_system(family: str, cat_spec: str, max_dim: int, base_dim: int = 1):
             raise ParseError("--base-dim must be at least 1")
         if base_dim >= max_dim:
             raise ParseError("tower needs base dimension below the checked dimension")
-        return shells.shell_tower(cat, base_dim, max_dim - base_dim)
+        return shells.shell_tower(models.nerve(cat, base_dim), max_dim - base_dim)
     raise ParseError(f"unknown model family {family!r}")
 
 
@@ -278,22 +278,22 @@ def cmd_render(args) -> int:
         raise ParseError(f"--dir must be between 1 and {n - 1} for --kind {args.kind}"
                          f" on a {n}-cube, not {j}")
     if args.kind == "psi":
-        grid = [[
+        grid = arrays.resolve_symbols(system, [[
             arrays.SymbolicCell(arrays.GAMMA_PLUS),
             arrays.SymbolicCell.plain(x, "x"),
             arrays.SymbolicCell(arrays.GAMMA_MINUS),
-        ]]
-        resolved = arrays.resolve_symbols(system, grid, dir_v=j, dir_h=j + 1)
-        print(arrays.render_ascii(resolved), end="")
+        ]], dir_v=j, dir_h=j + 1)
     elif args.kind == "identity":
-        grid = [
-            [arrays.SymbolicCell.plain(x, "x"), arrays.SymbolicCell(arrays.EPS_H)],
-            [arrays.SymbolicCell(arrays.EPS_V), arrays.SymbolicCell(arrays.DOUBLE)],
-        ]
-        resolved = arrays.resolve_symbols(system, grid, dir_v=j, dir_h=j + 1)
-        print(arrays.render_ascii(resolved), end="")
+        # x padded by its units: degeneracies of its upper faces, a double one in the corner
+        unit = system.degeneracy(system.face(x, j + 1, PLUS), j + 1)
+        grid = arrays.tile_grid(system, [
+            [x, unit],
+            [system.degeneracy(system.face(x, j, PLUS), j),
+             system.degeneracy(system.face(unit, j, PLUS), j)],
+        ], dir_v=j, dir_h=j + 1, labels=[["x", "═"], ["║", "□"]])
     else:  # unfold
-        print(arrays.render_ascii(unfold_partition(system, x, j)), end="")
+        grid = unfold_partition(system, x, j)
+    print(arrays.render_ascii(grid), end="")
     return 0
 
 
@@ -377,6 +377,13 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
+        sys.stdout.flush()  # a closed stdout is met here even by a report that fits the buffer
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes nowhere at the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        return 130
     except (ParseError, UnknownLaw, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,6 @@ from .errors import (
     NotComposable,
     ParseError,
 )
-from .models import FinCatPresentation, nerve
 
 
 NODE_BUDGET = 4000  # search nodes a random top shell may visit
@@ -405,12 +404,12 @@ def shell_system(base: CubeSystem, n: int) -> ShellExtension:
     return base
 
 
-def shell_tower(cat: FinCatPresentation, base_dim: int = 1, height: int = 1) -> CubeSystem:
-    """Iterate the shell extension ``height`` times above a nerve base."""
+def shell_tower(root: CubeSystem, height: int = 1) -> CubeSystem:
+    """Stack the shell systems of dimensions root.max_dim + 1 .. root.max_dim + height on root."""
     if height < 1:
         raise ValueError("height must be at least 1")
-    system: CubeSystem = nerve(cat, base_dim)
-    for top in range(base_dim + 1, base_dim + height + 1):
+    system = root
+    for top in range(root.max_dim + 1, root.max_dim + height + 1):
         system = shell_system(system, top)
     return system
 

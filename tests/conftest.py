@@ -17,7 +17,7 @@ def nerve_of(name: str, max_dim: int = 3):
 def tower_of(name: str, top: int, base_dim: int = 1):
     key = ("tower", name, top, base_dim)
     if key not in _CACHE:
-        _CACHE[key] = shell_tower(bundled_category(name), base_dim, top - base_dim)
+        _CACHE[key] = shell_tower(nerve(bundled_category(name), base_dim), top - base_dim)
     return _CACHE[key]
 
 

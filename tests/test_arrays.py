@@ -23,7 +23,7 @@ from cubecat import (
     resolve_symbols,
     tile_grid,
 )
-from cubecat.arrays import DOUBLE, EPS_H, EPS_V, GAMMA_MINUS, GAMMA_PLUS
+from cubecat.arrays import GAMMA_MINUS, GAMMA_PLUS
 from cubecat.core import _exhaustive_bindings, composable_pairs
 from cubecat.errors import BadTiling, InterchangeViolation, NotComposable, Unresolvable
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -62,6 +62,20 @@ def test_psi_row_array(poset_nerve):
             poset_nerve.connection(poset_nerve.face(x, 2, PLUS), 1, MINUS),
         ]], dir_v=1, dir_h=2)
         assert compose_partition(row) == psi(poset_nerve, x, 1)
+
+
+def identity_grid(system, x):
+    """The direction-1 identity array around the square x, labelled as the CLI draws it.
+
+    x is padded by its units: degeneracies of its upper faces, and in the
+    corner the double degeneracy of its last vertex.
+    """
+    corner = system.face(system.face(x, 1, PLUS), 1, PLUS)
+    return tile_grid(system, [
+        [x, system.degeneracy(system.face(x, 2, PLUS), 2)],
+        [system.degeneracy(system.face(x, 1, PLUS), 1),
+         system.degeneracy(system.degeneracy(corner, 1), 1)],
+    ], dir_v=1, dir_h=2, labels=[["x", "═"], ["║", "□"]])
 
 
 def test_identity_array_composes_to_its_cell(poset_nerve):
@@ -213,35 +227,43 @@ def test_interchange_violation_is_raised():
 
 
 def test_resolve_symbols_identity_grid(poset_nerve):
-    x = identity_square(poset_nerve)
-    grid = [
-        [SymbolicCell.plain(x, "x"), SymbolicCell(EPS_H)],
-        [SymbolicCell(EPS_V), SymbolicCell(DOUBLE)],
-    ]
-    resolved = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
-    assert compose_partition(resolved) == x
-    # the resolved paddings are the expected degeneracies
-    cells = {(c.r0, c.c0): c.cube for c in resolved.cells}
-    assert cells[0, 1] == poset_nerve.degeneracy(poset_nerve.face(x, 2, PLUS), 2)
-    assert cells[1, 0] == poset_nerve.degeneracy(poset_nerve.face(x, 1, PLUS), 1)
+    # the corner is an identity for both directions: the degeneracy of the
+    # upper face of either neighbouring unit, as well as of the last vertex
+    face, degeneracy = poset_nerve.face, poset_nerve.degeneracy
+    for x in poset_nerve.cubes(2):
+        grid = identity_grid(poset_nerve, x)
+        assert compose_partition(grid) == x
+        cells = {(c.r0, c.c0): c.cube for c in grid.cells}
+        assert cells[1, 1] == degeneracy(face(cells[0, 1], 1, PLUS), 1)
+        assert cells[1, 1] == degeneracy(face(cells[1, 0], 2, PLUS), 2)
 
 
 def test_resolve_symbols_full_reconstruction_array(poset_nerve):
     # the 3x3 array around x whose columns cancel to x: corners are double
     # identities, the middle row folds, and the off-cells are degeneracies
+    face, degeneracy, connection = poset_nerve.face, poset_nerve.degeneracy, poset_nerve.connection
     for x in poset_nerve.cubes(2)[:8]:
-        grid = [
-            [SymbolicCell(DOUBLE), SymbolicCell(EPS_V), SymbolicCell(GAMMA_PLUS)],
-            [SymbolicCell(GAMMA_PLUS), SymbolicCell.plain(x, "x"),
-             SymbolicCell(GAMMA_MINUS)],
-            [SymbolicCell(GAMMA_MINUS), SymbolicCell(EPS_V), SymbolicCell(DOUBLE)],
+        low, high = face(x, 2, MINUS), face(x, 2, PLUS)
+        first, last = face(low, 1, MINUS), face(high, 1, PLUS)
+        cells = [
+            [degeneracy(degeneracy(first, 1), 1), degeneracy(face(x, 1, MINUS), 1),
+             connection(high, 1, PLUS)],
+            [connection(low, 1, PLUS), x, connection(high, 1, MINUS)],
+            [connection(low, 1, MINUS), degeneracy(face(x, 1, PLUS), 1),
+             degeneracy(degeneracy(last, 1), 1)],
         ]
-        resolved = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
-        assert compose_partition(resolved) == x
+        assert compose_partition(tile_grid(poset_nerve, cells, dir_v=1, dir_h=2)) == x
         # middle row alone is the elementary folding
-        middle = [c.cube for c in resolved.cells if c.r0 == 1]
-        row = tile_grid(poset_nerve, [middle], dir_v=1, dir_h=2)
+        row = tile_grid(poset_nerve, [cells[1]], dir_v=1, dir_h=2)
         assert compose_partition(row) == psi(poset_nerve, x, 1)
+        # with the connections left as placeholders, the outer two are
+        # resolved from the inner two, on a second pass
+        symbols = [[SymbolicCell.plain(cube) for cube in row] for row in cells]
+        for (r, c), kind in {(0, 2): GAMMA_PLUS, (1, 0): GAMMA_PLUS,
+                             (1, 2): GAMMA_MINUS, (2, 0): GAMMA_MINUS}.items():
+            symbols[r][c] = SymbolicCell(kind)
+        resolved = resolve_symbols(poset_nerve, symbols, dir_v=1, dir_h=2)
+        assert [c.cube for c in resolved.cells] == [cube for row in cells for cube in row]
 
 
 def test_resolve_symbols_psi_row(poset_nerve):
@@ -253,18 +275,19 @@ def test_resolve_symbols_psi_row(poset_nerve):
 
 
 def test_resolve_symbols_needs_context(poset_nerve):
-    with pytest.raises(Unresolvable):
-        resolve_symbols(poset_nerve, [[SymbolicCell(EPS_H)]], dir_v=1, dir_h=2)
+    with pytest.raises(Unresolvable, match="no concrete cell"):
+        resolve_symbols(poset_nerve, [[SymbolicCell(GAMMA_PLUS)]], dir_v=1, dir_h=2)
 
 
 def test_resolve_then_render_shows_kinds(poset_nerve):
     x = identity_square(poset_nerve)
-    grid = [
-        [SymbolicCell.plain(x, "x"), SymbolicCell(EPS_H)],
-        [SymbolicCell(EPS_V), SymbolicCell(DOUBLE)],
-    ]
-    text = render_ascii(resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2))
+    text = render_ascii(identity_grid(poset_nerve, x))
     for glyph in ("║", "═", "□", "x"):
+        assert glyph in text
+    # a resolved connection is labelled with its kind's glyph
+    row = [[SymbolicCell(GAMMA_PLUS), SymbolicCell.plain(x, "x"), SymbolicCell(GAMMA_MINUS)]]
+    text = render_ascii(resolve_symbols(poset_nerve, row, dir_v=1, dir_h=2))
+    for glyph in ("┌", "┘", "x"):
         assert glyph in text
 
 
@@ -276,11 +299,7 @@ def test_render_golden(name, poset_nerve):
                  SymbolicCell(GAMMA_MINUS)]]
         text = render_ascii(resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2))
     elif name == "identity_array":
-        grid = [
-            [SymbolicCell.plain(x, "x"), SymbolicCell(EPS_H)],
-            [SymbolicCell(EPS_V), SymbolicCell(DOUBLE)],
-        ]
-        text = render_ascii(resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2))
+        text = render_ascii(identity_grid(poset_nerve, x))
     else:
         s = boundary(poset_nerve, x)
         a = psi(poset_nerve, x, 1)

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, re-checkable output."""
 
 import contextlib
+import fcntl
 import io
 import json
 import math
@@ -8,8 +9,10 @@ import os
 import pathlib
 import re
 import resource
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +202,37 @@ def test_tap_failures_carry_counterexample_blocks():
         assert all(line.startswith("  ") for line in lines[at + 2:end]), lines[at + 2:end]
         at = end + 1
     assert len(passed) == len(REGISTRY) and not all(passed)
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a one-page pipe cannot hold the report (about 9 kB), so the command is
+    # still writing when the reader closes it after the first line
+    read_end, write_end = os.pipe()
+    assert fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096) < 8192
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubecat.cli", "axioms", "--model", "broken", "--cat", "poset22",
+         "--dim", "2", "--format", "tap"],
+        stdout=write_end, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(write_end)
+    with open(read_end, "rb", buffering=0) as reader:
+        first = reader.readline()
+    err = proc.communicate(timeout=60)[1]
+    assert first == b"TAP version 13\n"
+    assert proc.returncode == 141
+    assert re.fullmatch(r"elapsed: [0-9.]+s\n", err), err
+
+
+def test_interrupt_exits_130_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubecat.cli", "axioms", "--cat", "poset22", "--dim", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    time.sleep(1)  # the run takes several seconds
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert out == "" and "Traceback" not in err, err
 
 
 def test_theorems_all_suites_small_model():
@@ -439,7 +473,7 @@ EDGE_PAIR = [EDGE_DOC, {"dim": 1, "vertices": {"0": "01", "1": "11"}, "edges": {
 TRANSPORT = "--dir must be between 1 and 1 for --kind transport on a pair of 1-cubes, not {}"
 
 
-# a square of the broken model whose identity array cannot be resolved
+# a square of the broken model whose identity array does not compose
 BROKEN_SQUARE = {
     "dim": 2,
     "vertices": {"00": "00", "01": "00", "10": "00", "11": "11"},
@@ -472,10 +506,11 @@ BROKEN_SQUARE = {
     pytest.param("transport", [POINT_DOC, POINT_DOC], 1,
                  "a 0-cube has no direction; --kind transport needs", "nerve",
                  id="0-cube-transport"),
-    # past the --dir checks: the identity array of a broken square has no resolution
+    # past the --dir checks: a broken square's unit does not compose with it
     pytest.param("identity", BROKEN_SQUARE, 1,
-                 "Unresolvable: cell (1,1) cannot be an identity for both directions\n", "broken",
-                 id="unresolvable-identity-broken"),
+                 "NotComposable: cells (0,0)-(0,1): not composable in direction 2: upper face ",
+                 "broken",
+                 id="not-composable-identity-broken"),
 ])
 def test_render_checks_dir_up_front(tmp_path, kind, doc, direction, message, model):
     path = tmp_path / "cube.json"
@@ -506,7 +541,7 @@ def _poset22_four_cube() -> bytes:
 
 def _two_shell() -> dict:
     """The document of a 2-shell of the poset22 tower."""
-    tower = shell_tower(bundled_category("poset22"), 1, 2)
+    tower = shell_tower(nerve(bundled_category("poset22"), 1), 2)
     return tower.describe(tower.cubes(2)[0])
 
 

@@ -1,11 +1,13 @@
 """The benchmark harness still finds every name it traces in the package, and
-the benchmark's seed-0 theorems-dim3 reports are still the package's."""
+the benchmark's seed-0 outputs of every workload are still the package's."""
 
 import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import cubecat.cli
 
@@ -35,18 +37,32 @@ def test_benchmark_selftest_metrics_and_coverage():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_theorems_dim3_reports_at_seed_0_are_the_references(monkeypatch):
-    # the benchmark's sampled jobs pin the seeded draw stream: at seed 0 each
-    # report's digest must be the one in references.json
+def _reference_problems(monkeypatch, workload: str) -> dict:
+    """{label: problems} of the seed-0 calls of ``workload`` that disagree with references.json."""
     workloads = _load(monkeypatch, "workloads")
     refs = json.loads((PERFBENCH / "references.json").read_text("utf-8"))
     checker = workloads.Checker(cubecat, refs, 0)
     problems = {}
-    for op in workloads.make_ops("theorems-dim3", 0, refs):
+    ops = workloads.make_ops(workload, 0, refs)
+    assert ops
+    for op in ops:
         found = checker.check(op, workloads.call_cli(cubecat.cli.main, op.argv, op.stdin))
         if found:
             problems[op.label] = found
-    assert problems == {}
+    return problems
+
+
+def test_theorems_dim3_reports_at_seed_0_are_the_references(monkeypatch):
+    # the benchmark's sampled jobs pin the seeded draw stream: at seed 0 each
+    # report's digest must be the one in references.json
+    assert _reference_problems(monkeypatch, "theorems-dim3") == {}
+
+
+@pytest.mark.parametrize("workload", ["registry-exhaustive", "cube-queries"])
+def test_benchmark_outputs_at_seed_0_are_the_references(monkeypatch, workload):
+    # every other benchmarked output too: each call's exit code and stdout
+    # (the report's digest, or the query's) must be the reference's
+    assert _reference_problems(monkeypatch, workload) == {}
 
 
 def test_traced_law_and_suite_runs_name_their_spans(monkeypatch):

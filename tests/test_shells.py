@@ -181,7 +181,7 @@ def test_shell_operations_check_their_directions(square_nerve):
 
 
 def test_shell_faces_refuse_a_bad_sign():
-    tower = shell_tower(bundled_category("poset22"), 1, 1)
+    tower = shell_tower(nerve(bundled_category("poset22"), 1))
     s = tower.cubes(2)[0]
     assert s.face(1, PLUS) == tower.face(s, 1, PLUS)
     with pytest.raises(ValueError, match="sign must be"):
@@ -291,11 +291,14 @@ def test_shell_tower_helper_matches_manual_build():
     from cubecat import ShellExtension, shell_tower
 
     cat = bundled_category("free_square")
-    tower = shell_tower(cat, base_dim=1, height=2)
+    root = nerve(cat, 1)
+    tower = shell_tower(root, height=2)
     manual = ShellExtension(ShellExtension(nerve(cat, 1), 2), 3)
     for n in range(4):
         assert tower.cubes(n) == manual.cubes(n)
     assert tower.op_ceiling == 3
+    # a tower stands on any root, a tower included: its levels are shared
+    assert shell_tower(shell_tower(root)) is tower
 
 
 def test_shell_system_does_not_keep_its_base_alive():
@@ -311,7 +314,7 @@ def test_shell_system_does_not_keep_its_base_alive():
 def _two_towers():
     """Two towers over poset22 whose id spaces number the same elements differently."""
     cat = bundled_category("poset22")
-    one, two = shell_tower(cat, 1, 2), shell_tower(cat, 1, 2)
+    one, two = shell_tower(nerve(cat, 1), 2), shell_tower(nerve(cat, 1), 2)
     # a degenerate edge and a degenerate 2-shell take early ids
     for system, n in ((two.base.base, 0), (two.base, 1)):
         system.degeneracy(system.cubes(n)[-1], 1)
@@ -332,7 +335,7 @@ def test_equal_shells_of_two_towers_are_equal_keys():
 
 def test_a_shell_of_another_id_space_is_stored_as_a_native_one():
     cat = bundled_category("free_square")
-    tower, other = shell_tower(cat, 1, 1), nerve(cat, 2)
+    tower, other = shell_tower(nerve(cat, 1)), nerve(cat, 2)
     other.degeneracy(other.cubes(0)[0], 1)  # other numbers its elements differently
     foreign = boundary(other, other.cubes(2)[-1])
     is_thin(tower, foreign)  # interns the foreign shell before any native twin
@@ -374,7 +377,7 @@ def test_a_shell_of_another_tower_is_used_as_a_native_one():
 
 
 def test_recorded_hashes_are_the_elements_hashes():
-    tower = shell_tower(bundled_category("parallel_pair"), 1, 2)
+    tower = shell_tower(nerve(bundled_category("parallel_pair"), 1), 2)
     reports = run_axiom_suite(tower, max_dim=3, exhaustive_dim=2, samples=20,
                               law_ids=["COMP-FACE", "GAMMA-FACE", "EPS-COMP"])
     assert all(r.passed for r in reports)

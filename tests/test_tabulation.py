@@ -72,7 +72,7 @@ def footprint(system) -> tuple:
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: nerve(bundled_category("poset22"), 3), id="nerve"),
-    pytest.param(lambda: shell_tower(bundled_category("poset22"), 1, 2), id="tower"),
+    pytest.param(lambda: shell_tower(nerve(bundled_category("poset22"), 1), 2), id="tower"),
     pytest.param(lambda: theta_from_connections(nerve(bundled_category("poset22"), 3), 3),
                  id="theta"),
 ])
@@ -204,7 +204,7 @@ def test_a_tower_samples_its_top_the_same_whether_or_not_it_was_listed():
         return out
 
     cat = bundled_category("parallel_pair")
-    fresh, listed = shell_tower(cat, 1, 2), shell_tower(cat, 1, 2)
+    fresh, listed = shell_tower(nerve(cat, 1), 2), shell_tower(nerve(cat, 1), 2)
     assert listed.cubes(3)
     got = draws(fresh)
     assert sum(d is not None for d in got) > 30
@@ -260,7 +260,7 @@ def test_seeded_draws_are_pinned(model, hook, n):
 
 
 def test_each_pool_is_stored_by_the_view_that_enumerates_it():
-    tower = shell_tower(bundled_category("poset22"), 1, 2)
+    tower = shell_tower(nerve(bundled_category("poset22"), 1), 2)
     inner, root = tower.base, tower.base.base
     owners = {0: root, 1: root, 2: inner, 3: tower}
     for k, owner in owners.items():
