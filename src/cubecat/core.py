@@ -119,13 +119,14 @@ class CubeSystem:
         (i, sign, f), *rest = pins
         found = view.index(n, ((i, sign),)).get((f,), ())
         for j, b, g in rest:
-            found = [k for k in found if view.face(k, j, b) == g]
+            column = view.faces[j, b]
+            found = [k for k in found if column[k] == g]
         return view.elements[rng.choice(found)] if found else None
 
     def _after(self, x, i: int) -> tuple:
         """The pin of an element that composes after x in direction i."""
         view = self.id_view
-        return i, MINUS, view.face(view.id(x), i, PLUS)
+        return i, MINUS, view.faces[i, PLUS][view.id(x)]
 
     def sample_element(self, n: int, rng):
         return self._draw(n, rng)
@@ -155,7 +156,7 @@ def degenerate_at(view: "IdView", k: int, i: int) -> bool:
     Uses the retraction test k == eps_i(face_i^- k), which avoids asking
     models for a degeneracy-image oracle.
     """
-    return k == view.degeneracy(view.face(k, i, MINUS), i)
+    return k == view.degeneracies[i, None][view.faces[i, MINUS][k]]
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +199,24 @@ def degeneracy_face(view: "IdView", k: int, j: int, i: int, sign: Sign) -> int:
     if i == j:
         return k
     if i < j:
-        return view.degeneracy(view.face(k, i, sign), j - 1)
-    return view.degeneracy(view.face(k, i - 1, sign), j)
+        return view.degeneracies[j - 1, None][view.faces[i, sign][k]]
+    return view.degeneracies[j, None][view.faces[i - 1, sign][k]]
 
 
 def connection_face(view: "IdView", k: int, j: int, g: Sign, i: int, sign: Sign) -> int:
     """Face (i, sign) of the connection G^g_j of id k (GAMMA-FACE)."""
     if i == j or i == j + 1:
-        return k if sign == g else view.degeneracy(view.face(k, j, sign), j)
+        return k if sign == g else view.degeneracies[j, None][view.faces[j, sign][k]]
     if i < j:
-        return view.connection(view.face(k, i, sign), j - 1, g)
-    return view.connection(view.face(k, i - 1, sign), j, g)
+        return view.connections[j - 1, g][view.faces[i, sign][k]]
+    return view.connections[j, g][view.faces[i - 1, sign][k]]
 
 
 def composite_face(view: "IdView", x_face: int, y_face: int, i: int, j: int, sign: Sign) -> int:
     """Face (j, sign) of x o_i y, given the (j, sign) faces of x and y (COMP-FACE)."""
     if j == i:
         return x_face if sign == MINUS else y_face
-    return view.compose(x_face, y_face, i - 1 if j < i else i)
+    return view.composites[x_face, y_face, i - 1 if j < i else i]
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,84 @@ OPS = ("face", "degeneracy", "connection", "compose")
 ALL = float("inf")  # owns_from of an operation handed down whole
 
 
+class _Table(dict):
+    """One operation table of a view: a hit is a plain dict lookup, a miss runs ``__missing__``.
+
+    ``below`` is the lowest first-argument dimension the view answers
+    itself; a call below it reads ``lower``, the base's table of the same
+    operation, and stores nothing.  ``plain`` is the owner's plain
+    definition of the operation.
+    """
+
+    __slots__ = ("view", "op", "below", "lower", "plain")
+
+    def __init__(self, view: "IdView", op: str, below: float, lower: Optional["_Table"], plain):
+        self.view, self.op, self.below, self.lower, self.plain = view, op, below, lower, plain
+
+
+class Composites(_Table):
+    """(x, y, i) -> the id of x o_i y."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> int:
+        x, y, i = key
+        view = self.view
+        d = view.dims[x]
+        if d < self.below:
+            return self.lower[key]
+        if view.dims[y] != d or not 1 <= i <= d:
+            raise IndexOutOfRange("compose", i, d)
+        out = self[key] = view.id(self.plain(view.elements[x], view.elements[y], i))
+        return out
+
+
+class Columns(_Table):
+    """(i, sign) -> the :class:`Column` of a face, degeneracy or connection.
+
+    A degeneracy's sign is None.  A miss hands out a new column and stores
+    nothing: the column keeps itself here once it has answered a read, so
+    a refused call leaves no column behind.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> "Column":
+        column = Column()
+        column.columns, column.key = self, key
+        return column
+
+
+class Column(dict):
+    """Element id -> result id, for the (direction, sign) ``key`` of one operation."""
+
+    __slots__ = ("columns", "key")
+
+    def __missing__(self, k: int) -> int:
+        columns, key = self.columns, self.key
+        view, op = columns.view, columns.op
+        d = view.dims[k]
+        if d < columns.below:
+            out = columns.lower[key][k]
+            columns.setdefault(key, self)  # answered, though stored by the base
+            return out
+        i, sign = key
+        # the signature's rules, the same in every model
+        if not 1 <= i <= (d + 1 if op == "degeneracy" else d):
+            raise IndexOutOfRange(op, i, d)
+        if op != "face" and not view.system.within_ceiling(d + 1):
+            raise DimensionTooLarge(
+                f"{op} from dimension {d} exceeds the ceiling {view.system.op_ceiling}")
+        if op == "degeneracy":
+            got = columns.plain(view.elements[k], i)
+        else:
+            check_sign(sign)
+            got = columns.plain(view.elements[k], i, sign)
+        out = self[k] = view.id(got)
+        columns.setdefault(key, self)[k] = out
+        return out
+
+
 class IdView:
     """The signature of one system on dense integer element ids.
 
@@ -232,19 +311,21 @@ class IdView:
     handed out in first-seen order, ``elements[k]`` is the one canonical
     object of id k, ``dims[k]`` its dimension and ``hashes[k]`` its hash,
     taken once when it is interned (a shell hashes the hashes of its face
-    ids, so no face is hashed again).  ``id`` interns an element; ``face``,
-    ``degeneracy``, ``connection`` and ``compose``, built with the view, take
-    and return ids.  Each answers a call whose first argument lies below the
-    system's ``owns_from(op)`` dimension with the base's operation, so a
-    result is stored once, by its owner, however many systems are stacked on
-    it.  The owner keeps it in ``tables[op]``: faces, degeneracies and
-    connections under (i, sign) and then the element's id (the sign of a
-    degeneracy is None), composites under the (x, y, i) tuple.  A lookup
-    that hits returns the stored id.  A miss checks the direction, the sign
-    and, for a degeneracy or connection, the ceiling, which a view enforces
-    on what it hands down too, and then runs the owner's plain definition,
-    which may raise as well; only what it returns is interned and stored.
-    Nothing is tabulated before it is asked for.
+    ids, so no face is hashed again).  ``id`` interns an element.  The four
+    operations are tables read by subscript, on ids: ``composites[x, y, i]``,
+    ``faces[i, sign][x]``, ``degeneracies[i, None][x]`` and
+    ``connections[i, g][x]``, where the outer table holds one
+    :class:`Column` per (direction, sign); ``tables`` maps each operation's
+    name to its table.  A hit returns the stored id with no Python frame.
+    A miss runs the table's ``__missing__``.  A call whose first argument
+    lies below the system's ``owns_from(op)`` dimension reads the base's
+    table and stores nothing, so a result is stored once, by its owner,
+    however many systems are stacked on it; an operation handed down whole
+    (``ALL``) is the base's table itself.  Otherwise the miss checks the
+    direction, the sign and, for a degeneracy or connection, the ceiling,
+    which a view enforces on what it hands down too, and then runs the
+    owner's plain definition, which may raise as well; only what it returns
+    is interned and stored.  Nothing is tabulated before it is asked for.
 
     Three operations derived from these four are stored the same way, on
     first use, by the view whose operations computed them, never by the id
@@ -273,89 +354,38 @@ class IdView:
         else:
             self.ids, self.elements, self.dims, self.hashes = (
                 base.ids, base.elements, base.dims, base.hashes)
-        self.tables = {op: {} for op in OPS}
+        self.tables = {op: self._table(op) for op in OPS}
+        self.faces, self.degeneracies, self.connections, self.composites = self.tables.values()
         self.psis: dict = {}
         self.folds: dict = {}
         self.boundaries: dict = {}
         self.pools: dict = {}
         self.indexes: dict = {}
         self.dim = self.dims.__getitem__
-        self._build()
 
-    def _build(self) -> None:
-        # closures rather than methods: the law loops call them millions of times
+    def _table(self, op: str) -> _Table:
         system, base = self.system, self.base
-        ids, elements, dims, hashes, dim, native = (
-            self.ids, self.elements, self.dims, self.hashes, system.dim, system._native)
-        ceiling = system.op_ceiling
+        below = system.owns_from(op)
+        if op in ("degeneracy", "connection") and system.op_ceiling is not None:
+            below = min(below, system.op_ceiling)  # from the ceiling up, this view refuses the call
+        if below == ALL:
+            return base.tables[op]
+        lower = None if base is None else base.tables[op]
+        kind = Composites if op == "compose" else Columns
+        return kind(self, op, below, lower, getattr(system, "_" + op, None))
 
-        def intern(x) -> int:
-            k = ids.get(x)
-            if k is None:
-                d = dim(x)  # may raise on a non-element: nothing is stored before it returns
-                x = native(x)  # a shell of another id space gets this space's face ids
-                k = ids[x] = len(elements)
-                elements.append(x)
-                dims.append(d)
-                hashes.append(hash(x))
-            return k
-
-        def check(op: str, d: int, i: int, sign: Optional[Sign]) -> None:
-            # the signature's rules, the same in every model
-            if not 1 <= i <= (d + 1 if op == "degeneracy" else d):
-                raise IndexOutOfRange(op, i, d)
-            if op != "face" and not system.within_ceiling(d + 1):
-                raise DimensionTooLarge(f"{op} from dimension {d} exceeds the ceiling {ceiling}")
-            if op != "degeneracy":
-                check_sign(sign)
-
-        def operation(op: str):
-            below = system.owns_from(op)
-            if op in ("degeneracy", "connection") and ceiling is not None:
-                below = min(below, ceiling)  # from the ceiling up, this view refuses the call
-            if below == ALL:
-                return getattr(base, op)
-            lower = getattr(base, op, None)
-            tables, plain = self.tables[op], getattr(system, "_" + op, None)
-
-            if op == "compose":
-
-                def compose(x: int, y: int, i: int) -> int:
-                    d = dims[x]
-                    if d < below:
-                        return lower(x, y, i)
-                    key = (x, y, i)
-                    out = tables.get(key)
-                    if out is None:
-                        if dims[y] != d or not 1 <= i <= d:
-                            raise IndexOutOfRange("compose", i, d)
-                        out = tables[key] = intern(plain(elements[x], elements[y], i))
-                    return out
-
-                return compose
-
-            if op == "degeneracy":
-
-                def plain(x, i: int, sign: None, degeneracy=plain):
-                    return degeneracy(x, i)
-
-            def indexed(x: int, i: int, sign: Optional[Sign] = None) -> int:
-                if dims[x] < below:
-                    return lower(x, i, sign)
-                table = tables.get((i, sign))
-                out = None if table is None else table.get(x)
-                if out is None:
-                    check(op, dims[x], i, sign)
-                    out = intern(plain(elements[x], i, sign))
-                    if table is None:
-                        table = tables[i, sign] = {}
-                    table[x] = out
-                return out
-
-            return indexed
-
-        self.id = intern
-        self.face, self.degeneracy, self.connection, self.compose = map(operation, OPS)
+    def id(self, x) -> int:
+        """The id of element x, interned on first sight."""
+        k = self.ids.get(x)
+        if k is None:
+            system = self.system
+            d = system.dim(x)  # may raise on a non-element: nothing is stored before it returns
+            x = system._native(x)  # a shell of another id space gets this space's face ids
+            k = self.ids[x] = len(self.elements)
+            self.elements.append(x)
+            self.dims.append(d)
+            self.hashes.append(hash(x))
+        return k
 
     def canonical(self, x):
         """The one stored object equal to x."""
@@ -378,7 +408,7 @@ class IdView:
             return self.base.index(n, keys)
         got = self.indexes.get((n, keys))
         if got is None:
-            got = self.indexes[n, keys] = face_index(self.face, self.pool(n), keys)
+            got = self.indexes[n, keys] = face_index(self, self.pool(n), keys)
         return got
 
     def _stored_pool(self, n: int) -> tuple:
@@ -402,19 +432,19 @@ def _object_forms() -> dict:
 
     def face(self, x, i: int, sign: Sign):
         view = self.id_view
-        return view.elements[view.face(view.id(x), i, sign)]
+        return view.elements[view.faces[i, sign][view.id(x)]]
 
     def degeneracy(self, x, i: int):
         view = self.id_view
-        return view.elements[view.degeneracy(view.id(x), i)]
+        return view.elements[view.degeneracies[i, None][view.id(x)]]
 
     def connection(self, x, i: int, sign: Sign):
         view = self.id_view
-        return view.elements[view.connection(view.id(x), i, sign)]
+        return view.elements[view.connections[i, sign][view.id(x)]]
 
     def compose(self, x, y, i: int):
         view = self.id_view
-        return view.elements[view.compose(view.id(x), view.id(y), i)]
+        return view.elements[view.composites[view.id(x), view.id(y), i]]
 
     def cubes(self, n: int) -> tuple:
         """Exhaustive, duplicate-free, deterministically ordered dimension-n elements."""
@@ -444,11 +474,12 @@ def tabulated(cls: type) -> type:
 # face indexes
 
 
-def face_index(face: Callable, elements: Iterable, keys: tuple) -> dict:
-    """The elements by the tuple of their faces at ``keys``, each list in the given order."""
+def face_index(view: IdView, ids: Iterable[int], keys: tuple) -> dict:
+    """The ids by the tuple of their face ids at ``keys``, each list in the given order."""
+    columns = [view.faces[key] for key in keys]
     index: dict = {}
-    for x in elements:
-        index.setdefault(tuple([face(x, i, sign) for i, sign in keys]), []).append(x)
+    for x in ids:
+        index.setdefault(tuple([column[x] for column in columns]), []).append(x)
     return index
 
 
@@ -461,10 +492,9 @@ def _pairs(plus: dict, minus: dict) -> Iterator[tuple]:
                 yield x, y
 
 
-def composable_pairs(system: CubeSystem, elements, i: int) -> Iterator[tuple]:
-    """(x, y) of a list with x's upper i-face y's lower one, grouped by that face, first seen first."""
-    face = system.face
-    return _pairs(face_index(face, elements, ((i, PLUS),)), face_index(face, elements, ((i, MINUS),)))
+def composable_pairs(view: IdView, ids, i: int) -> Iterator[tuple]:
+    """(x, y) of ids with x's upper i-face y's lower one, grouped by that face, first seen first."""
+    return _pairs(face_index(view, ids, ((i, PLUS),)), face_index(view, ids, ((i, MINUS),)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,70 +541,72 @@ class Law:
 
 
 def _eq_face_face(sys: IdView, bindings) -> Iterator:
-    face = sys.face
+    faces = sys.faces
     for x, in bindings:
         for (i, a), (j, b), (k, c) in incidences(sys.dim(x)):
-            yield lambda: f"d{b}{j} d{a}{i}", face(face(x, i, a), j, b), face(face(x, j, b), k, c)
+            yield lambda: f"d{b}{j} d{a}{i}", faces[j, b][faces[i, a][x]], faces[k, c][faces[j, b][x]]
 
 
 def _eq_eps_face(sys: IdView, bindings) -> Iterator:
     for x, in bindings:
         n = sys.dim(x)
         for j in range(1, n + 2):
-            ex = sys.degeneracy(x, j)
+            ex = sys.degeneracies[j, None][x]
             for i, a in slots(n + 1):
-                yield lambda: f"d{a}{i} e{j}", sys.face(ex, i, a), degeneracy_face(sys, x, j, i, a)
+                yield lambda: f"d{a}{i} e{j}", sys.faces[i, a][ex], degeneracy_face(sys, x, j, i, a)
 
 
 def _eq_eps_eps(sys: IdView, bindings) -> Iterator:
     for x, in bindings:
         for j in range(1, sys.dim(x) + 2):
             for i in range(1, j + 1):
-                yield (lambda: f"e{i} e{j}", sys.degeneracy(sys.degeneracy(x, j), i),
-                       sys.degeneracy(sys.degeneracy(x, i), j + 1))
+                yield (lambda: f"e{i} e{j}",
+                       sys.degeneracies[i, None][sys.degeneracies[j, None][x]],
+                       sys.degeneracies[j + 1, None][sys.degeneracies[i, None][x]])
 
 
 def _eq_eps_unit(sys: IdView, bindings) -> Iterator:
     for x, in bindings:
         for i in range(1, sys.dim(x) + 1):
-            left = sys.degeneracy(sys.face(x, i, MINUS), i)
-            right = sys.degeneracy(sys.face(x, i, PLUS), i)
-            yield lambda: f"left unit o{i}", sys.compose(left, x, i), x
-            yield lambda: f"right unit o{i}", sys.compose(x, right, i), x
+            left = sys.degeneracies[i, None][sys.faces[i, MINUS][x]]
+            right = sys.degeneracies[i, None][sys.faces[i, PLUS][x]]
+            yield lambda: f"left unit o{i}", sys.composites[left, x, i], x
+            yield lambda: f"right unit o{i}", sys.composites[x, right, i], x
 
 
 def _eq_comp_face(sys: IdView, bindings) -> Iterator:
-    face, compose = sys.face, sys.compose
+    faces, compose = sys.faces, sys.composites
     for x, y, i in bindings:
-        z = compose(x, y, i)
+        z = compose[x, y, i]
         # the two i-faces first, then the others in slot order
         for j, a in ((i, MINUS), (i, PLUS), *(key for key in slots(sys.dim(x)) if key[0] != i)):
-            yield (lambda: f"d{a}{j} (x o{i} y)", face(z, j, a),
-                   composite_face(sys, face(x, j, a), face(y, j, a), i, j, a))
+            face = faces[j, a]
+            yield (lambda: f"d{a}{j} (x o{i} y)", face[z],
+                   composite_face(sys, face[x], face[y], i, j, a))
 
 
 def _eq_assoc(sys: IdView, bindings) -> Iterator:
-    compose = sys.compose
+    compose = sys.composites
     for x, y, z, i in bindings:
         yield (lambda: f"assoc o{i}",
-               compose(compose(x, y, i), z, i), compose(x, compose(y, z, i), i))
+               compose[compose[x, y, i], z, i], compose[x, compose[y, z, i], i])
 
 
 def _eq_interchange(sys: IdView, bindings) -> Iterator:
-    compose = sys.compose
+    compose = sys.composites
     for x, y, z, w, i, j in bindings:
         yield (lambda: f"interchange o{i}/o{j}",
-               compose(compose(x, y, i), compose(z, w, i), j),
-               compose(compose(x, z, j), compose(y, w, j), i))
+               compose[compose[x, y, i], compose[z, w, i], j],
+               compose[compose[x, z, j], compose[y, w, j], i])
 
 
 def _eq_eps_comp(sys: IdView, bindings) -> Iterator:
     for x, y, i in bindings:
-        z = sys.compose(x, y, i)
+        z = sys.composites[x, y, i]
         for j in range(1, sys.dim(x) + 2):
             i2 = i + 1 if j <= i else i
-            yield (lambda: f"e{j} (x o{i} y)", sys.degeneracy(z, j),
-                   sys.compose(sys.degeneracy(x, j), sys.degeneracy(y, j), i2))
+            yield (lambda: f"e{j} (x o{i} y)", sys.degeneracies[j, None][z],
+                   sys.composites[sys.degeneracies[j, None][x], sys.degeneracies[j, None][y], i2])
 
 
 def _eq_gamma_face(sys: IdView, bindings) -> Iterator:
@@ -582,9 +614,9 @@ def _eq_gamma_face(sys: IdView, bindings) -> Iterator:
         n = sys.dim(x)
         for i in range(1, n + 1):
             for g in SIGNS:
-                cx = sys.connection(x, i, g)
+                cx = sys.connections[i, g][x]
                 for m, a in slots(n + 1):
-                    yield (lambda: f"d{a}{m} G{g}{i}", sys.face(cx, m, a),
+                    yield (lambda: f"d{a}{m} G{g}{i}", sys.faces[m, a][cx],
                            connection_face(sys, x, i, g, m, a))
 
 
@@ -592,16 +624,16 @@ def _eq_gamma_eps(sys: IdView, bindings) -> Iterator:
     for x, in bindings:
         n = sys.dim(x)
         for j in range(1, n + 2):
-            ex = sys.degeneracy(x, j)
+            ex = sys.degeneracies[j, None][x]
             for i in range(1, n + 2):
                 for g in SIGNS:
-                    lhs = sys.connection(ex, i, g)
+                    lhs = sys.connections[i, g][ex]
                     if j == i:
-                        rhs = sys.degeneracy(sys.degeneracy(x, i), i)
+                        rhs = sys.degeneracies[i, None][sys.degeneracies[i, None][x]]
                     elif j < i:
-                        rhs = sys.degeneracy(sys.connection(x, i - 1, g), j)
+                        rhs = sys.degeneracies[j, None][sys.connections[i - 1, g][x]]
                     else:
-                        rhs = sys.degeneracy(sys.connection(x, i, g), j + 1)
+                        rhs = sys.degeneracies[j + 1, None][sys.connections[i, g][x]]
                     yield lambda: f"G{g}{i} e{j}", lhs, rhs
 
 
@@ -610,61 +642,61 @@ def _eq_gamma_gamma(sys: IdView, bindings) -> Iterator:
         n = sys.dim(x)
         for j in range(1, n + 1):
             for b in SIGNS:
-                cx = sys.connection(x, j, b)
+                cx = sys.connections[j, b][x]
                 for i in range(1, n + 2):
                     for a in SIGNS:
                         # mixed signs at equal or upper-adjacent index have no plain law
                         if i in (j, j + 1) and a != b:
                             continue
-                        lhs = sys.connection(cx, i, a)
+                        lhs = sys.connections[i, a][cx]
                         if i == j:
-                            rhs = sys.connection(cx, i + 1, a)
+                            rhs = sys.connections[i + 1, a][cx]
                         elif i == j + 1:
-                            rhs = sys.connection(cx, j, b)
+                            rhs = sys.connections[j, b][cx]
                         elif i < j:
-                            rhs = sys.connection(sys.connection(x, i, a), j + 1, b)
+                            rhs = sys.connections[j + 1, b][sys.connections[i, a][x]]
                         else:
-                            rhs = sys.connection(sys.connection(x, i - 1, a), j, b)
+                            rhs = sys.connections[j, b][sys.connections[i - 1, a][x]]
                         yield lambda: f"G{a}{i} G{b}{j}", lhs, rhs
 
 
 def _eq_gamma_comp(sys: IdView, bindings) -> Iterator:
     for x, y, i in bindings:
-        z = sys.compose(x, y, i)
+        z = sys.composites[x, y, i]
         for j in range(1, sys.dim(x) + 1):
             if j == i:
                 continue
             i2 = i + 1 if j < i else i
             for g in SIGNS:
-                yield (lambda: f"G{g}{j} (x o{i} y)", sys.connection(z, j, g),
-                       sys.compose(sys.connection(x, j, g), sys.connection(y, j, g), i2))
+                yield (lambda: f"G{g}{j} (x o{i} y)", sys.connections[j, g][z],
+                       sys.composites[sys.connections[j, g][x], sys.connections[j, g][y], i2])
 
 
 def _eq_transport(sys: IdView, bindings) -> Iterator:
     for a, b, i in bindings:
-        top = sys.compose(sys.connection(a, i, PLUS), sys.degeneracy(a, i + 1), i + 1)
-        bottom = sys.compose(sys.degeneracy(a, i), sys.connection(b, i, PLUS), i + 1)
+        top = sys.composites[sys.connections[i, PLUS][a], sys.degeneracies[i + 1, None][a], i + 1]
+        bottom = sys.composites[sys.degeneracies[i, None][a], sys.connections[i, PLUS][b], i + 1]
         yield (lambda: f"G+{i} of o{i}-composite",
-               sys.connection(sys.compose(a, b, i), i, PLUS), sys.compose(top, bottom, i))
+               sys.connections[i, PLUS][sys.composites[a, b, i]], sys.composites[top, bottom, i])
 
 
 def _eq_transport_minus(sys: IdView, bindings) -> Iterator:
     for a, b, i in bindings:
-        top = sys.compose(sys.connection(a, i, MINUS), sys.degeneracy(b, i), i + 1)
-        bottom = sys.compose(sys.degeneracy(b, i + 1), sys.connection(b, i, MINUS), i + 1)
+        top = sys.composites[sys.connections[i, MINUS][a], sys.degeneracies[i, None][b], i + 1]
+        bottom = sys.composites[sys.degeneracies[i + 1, None][b], sys.connections[i, MINUS][b], i + 1]
         yield (lambda: f"G-{i} of o{i}-composite",
-               sys.connection(sys.compose(a, b, i), i, MINUS), sys.compose(top, bottom, i))
+               sys.connections[i, MINUS][sys.composites[a, b, i]], sys.composites[top, bottom, i])
 
 
 def _eq_gamma_cancel(sys: IdView, bindings) -> Iterator:
     for x, in bindings:
         for i in range(1, sys.dim(x) + 1):
-            plus = sys.connection(x, i, PLUS)
-            minus = sys.connection(x, i, MINUS)
+            plus = sys.connections[i, PLUS][x]
+            minus = sys.connections[i, MINUS][x]
             yield (lambda: f"G+{i} o{i+1} G-{i}",
-                   sys.compose(plus, minus, i + 1), sys.degeneracy(x, i))
+                   sys.composites[plus, minus, i + 1], sys.degeneracies[i, None][x])
             yield (lambda: f"G+{i} o{i} G-{i}",
-                   sys.compose(plus, minus, i), sys.degeneracy(x, i + 1))
+                   sys.composites[plus, minus, i], sys.degeneracies[i + 1, None][x])
 
 
 REGISTRY = {law.law_id: law for law in (
@@ -834,15 +866,16 @@ def _exhaustive_bindings(view: IdView, kind: str, n: int) -> Iterator[tuple]:
     upper i-face, the faces in the order ``pool(n)`` first shows them; grids
     run over x in pool order; every other element comes in pool order.
     """
-    face = view.face
+    faces = view.faces
     for i in range(1, n + 1):
         minus = view.index(n, ((i, MINUS),))
+        upper_i = faces[i, PLUS]
         if kind == "pair":
             for x, y in _pairs(view.index(n, ((i, PLUS),)), minus):
                 yield x, y, i
         elif kind == "triple":
             for x, y in _pairs(view.index(n, ((i, PLUS),)), minus):
-                for z in minus.get((face(y, i, PLUS),), ()):
+                for z in minus.get((upper_i[y],), ()):
                     yield x, y, z, i
         else:
             for j in range(1, n + 1):
@@ -850,12 +883,13 @@ def _exhaustive_bindings(view: IdView, kind: str, n: int) -> Iterator[tuple]:
                     continue
                 j_minus = view.index(n, ((j, MINUS),))
                 by_both = view.index(n, ((i, MINUS), (j, MINUS)))
+                upper_j = faces[j, PLUS]
                 for x in view.pool(n):
-                    ys = minus.get((face(x, i, PLUS),), ())
+                    ys = minus.get((upper_i[x],), ())
                     # each z's face is looked up once per x, not once per (y, z)
-                    z_faces = [(z, face(z, i, PLUS)) for z in j_minus.get((face(x, j, PLUS),), ())]
+                    z_faces = [(z, upper_i[z]) for z in j_minus.get((upper_j[x],), ())]
                     for y in ys:
-                        fy = face(y, j, PLUS)
+                        fy = upper_j[y]
                         for z, fz in z_faces:
                             for w in by_both.get((fz, fy), ()):
                                 yield x, y, z, w, i, j
@@ -1002,7 +1036,7 @@ def _bind_sample(system: CubeSystem, law: Law, sample: list) -> list[tuple]:
     )
     bindings = [
         b for b in candidates
-        if all(view.face(b[x], b[d], PLUS) == view.face(b[y], b[d], MINUS)
+        if all(view.faces[b[d], PLUS][b[x]] == view.faces[b[d], MINUS][b[y]]
                for x, y, d in layout.mates)
     ]
     if not bindings:

@@ -165,11 +165,11 @@ def evaluate(system: CubeSystem, expr: GeneratorExpression):
 
     def value(expr: GeneratorExpression) -> int:
         if isinstance(expr, Compose):
-            return view.compose(value(expr.left), value(expr.right), expr.dir)
+            return view.composites[value(expr.left), value(expr.right), expr.dir]
         if isinstance(expr, Eps):
-            return view.degeneracy(view.id(expr.cube), expr.dir)
+            return view.degeneracies[expr.dir, None][view.id(expr.cube)]
         if isinstance(expr, Gamma):
-            return view.connection(view.id(expr.cube), expr.dir, expr.sign)
+            return view.connections[expr.dir, expr.sign][view.id(expr.cube)]
         return view.id(expr.cube)
 
     return view.elements[value(expr)]

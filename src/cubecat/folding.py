@@ -36,10 +36,10 @@ def _psi(view, x: int, i: int) -> int:
         n = view.dim(x)
         if n < 2 or not 1 <= i <= n - 1:
             raise IndexOutOfRange("psi", i, n)
-        left = view.connection(view.face(x, i + 1, MINUS), i, PLUS)
-        right = view.connection(view.face(x, i + 1, PLUS), i, MINUS)
-        out = view.psis.setdefault(i, {})[x] = view.compose(
-            view.compose(left, x, i + 1), right, i + 1)
+        left = view.connections[i, PLUS][view.faces[i + 1, MINUS][x]]
+        right = view.connections[i, MINUS][view.faces[i + 1, PLUS][x]]
+        out = view.psis.setdefault(i, {})[x] = view.composites[
+            view.composites[left, x, i + 1], right, i + 1]
     return out
 
 
@@ -84,16 +84,16 @@ def big_psi(system: CubeSystem, x) -> FoldResult:
     got = view.folds.get(k)
     if got is None:
         folded = _fold_through(view, k, n - 1)
-        n_face = view.face(folded, 1, MINUS)
-        p_face = view.face(folded, 1, PLUS)
+        n_face = view.faces[1, MINUS][folded]
+        p_face = view.faces[1, PLUS][folded]
         for i in range(2, n + 1):
             for sign in SIGNS:
-                if not degenerate_at(view, view.face(folded, i, sign), 1):
+                if not degenerate_at(view, view.faces[i, sign][folded], 1):
                     raise PostconditionViolated(
                         f"face ({i},{sign}) of the folded cube is not degenerate"
                     )
         for i, sign in slots(n - 1):
-            if view.face(n_face, i, sign) != view.face(p_face, i, sign):
+            if view.faces[i, sign][n_face] != view.faces[i, sign][p_face]:
                 raise PostconditionViolated(
                     f"folded boundary composites disagree at face ({i},{sign})"
                 )
@@ -115,7 +115,7 @@ def reconstruct_folded_shell(system: CubeSystem, n_face, p_face):
     view = system.id_view
     n, p = view.id(n_face), view.id(p_face)
     for i, sign in slots(d):
-        if view.face(n, i, sign) != view.face(p, i, sign):
+        if view.faces[i, sign][n] != view.faces[i, sign][p]:
             raise BoundaryMismatch(
                 f"main faces disagree on their ({i},{sign}) face"
             )

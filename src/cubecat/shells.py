@@ -88,9 +88,9 @@ def face_keys(n: int) -> MappingProxyType:
 def check_incidence(system: CubeSystem, shell: Shell) -> None:
     """Faces of faces must agree across the shell."""
     view = system.id_view
-    faces, face = tuple(map(view.id, shell.faces)), view.face
+    ids, faces = tuple(map(view.id, shell.faces)), view.faces
     for (i, a), (j, b), (k, c) in incidences(shell.dim):
-        if face(faces[slot(i, a)], j, b) != face(faces[slot(j, b)], k, c):
+        if faces[j, b][ids[slot(i, a)]] != faces[k, c][ids[slot(j, b)]]:
             raise BoundaryMismatch(
                 f"incidence fails between faces ({i},{a}) and ({j},{b})"
             )
@@ -130,8 +130,8 @@ def boundary(system: CubeSystem, x) -> Shell:
     k = view.id(x)
     out = view.boundaries.get(k)
     if out is None:
-        face = view.face
-        out = view.boundaries[k] = Shell(view, n, tuple([face(k, i, s) for i, s in slots(n)]))
+        faces = view.faces
+        out = view.boundaries[k] = Shell(view, n, tuple([faces[key][k] for key in slots(n)]))
     return out
 
 

@@ -39,7 +39,7 @@ from .shells import (
 
 def _retraction(view, k: int, i: int) -> tuple:
     """(k, e_i d-_i k): equal exactly when k is degenerate in direction i."""
-    return k, view.degeneracy(view.face(k, i, MINUS), i)
+    return k, view.degeneracies[i, None][view.faces[i, MINUS][k]]
 
 
 def _folded(view, k: int) -> int:
@@ -56,9 +56,10 @@ def _lemma_1_1(view, bindings):
         n = view.dim(y) + 1
         for r in range(1, n):
             yield (lambda: f"i: psi_1..psi_{r - 1} e{r} x = e1 x",
-                   _fold_through(view, view.degeneracy(y, r), r - 1), view.degeneracy(y, 1))
+                   _fold_through(view, view.degeneracies[r, None][y], r - 1),
+                   view.degeneracies[1, None][y])
         for j in range(1, n):
-            folded = _fold_through(view, view.degeneracy(y, j), n - 1)
+            folded = _fold_through(view, view.degeneracies[j, None][y], n - 1)
             yield (lambda: f"ii: the full folding of e{j} x is 1-degenerate",
                    *_retraction(view, folded, 1))
 
@@ -70,8 +71,8 @@ def _prop_1_2(view, bindings):
         for i in range(2, view.dim(x) + 1):
             for sign in SIGNS:
                 yield (lambda: f"i: d{sign}{i} of the folded x is 1-degenerate",
-                       *_retraction(view, view.face(folded, i, sign), 1))
-        n_face, p_face = (view.elements[view.face(folded, 1, s)] for s in SIGNS)
+                       *_retraction(view, view.faces[i, sign][folded], 1))
+        n_face, p_face = (view.elements[view.faces[1, s][folded]] for s in SIGNS)
         yield (lambda: "ii: N and P share their boundary",
                boundary(sys, n_face), boundary(sys, p_face))
         yield (lambda: "iii: N and P force the folded boundary",
@@ -88,11 +89,11 @@ def _lemma_1_3(view, bindings):
             lifts = shell_system(sys, d + 1)
             for j in range(1, d + 2):
                 yield (lambda: f"eps: boundary of e{j} x", lifts.degeneracy(x, j),
-                       boundary(sys, view.elements[view.degeneracy(k, j)]))
+                       boundary(sys, view.elements[view.degeneracies[j, None][k]]))
             for i in range(1, d + 1):
                 for sign in SIGNS:
                     yield (lambda: f"gamma: boundary of G{sign}{i} x", lifts.connection(x, i, sign),
-                           boundary(sys, view.elements[view.connection(k, i, sign)]))
+                           boundary(sys, view.elements[view.connections[i, sign][k]]))
         if d >= 2:
             shells, s = shell_system(sys, d), boundary(sys, x)
             for j in range(1, d):
@@ -102,8 +103,8 @@ def _lemma_1_3(view, bindings):
             folded = _folded(view, k)
             yield (lambda: "Psi: boundary of the folded x",
                    fold.folded, boundary(sys, view.elements[folded]))
-            yield lambda: "N: N of the boundary", view.id(fold.n_face), view.face(folded, 1, MINUS)
-            yield lambda: "P: P of the boundary", view.id(fold.p_face), view.face(folded, 1, PLUS)
+            yield lambda: "N: N of the boundary", view.id(fold.n_face), view.faces[1, MINUS][folded]
+            yield lambda: "P: P of the boundary", view.id(fold.p_face), view.faces[1, PLUS][folded]
 
 
 def _lemma_1_3_compose(view, n, stream):
@@ -114,7 +115,7 @@ def _lemma_1_3_compose(view, n, stream):
         for x, y in composable_pairs(view, drawn, i):
             yield ({"x": x, "y": y, "i": i}, lambda: f"compose: boundary of x o{i} y",
                    shells.compose(boundary(sys, elements[x]), boundary(sys, elements[y]), i),
-                   boundary(sys, elements[view.compose(x, y, i)]))
+                   boundary(sys, elements[view.composites[x, y, i]]))
 
 
 def _thm_1_4(view, n, stream):
@@ -162,21 +163,21 @@ def _lemma_2_3(view, bindings):
         d = view.dim(c)
         for i in range(1, d + 1):
             for sign in SIGNS:
-                g = view.connection(c, i, sign)
+                g = view.connections[i, sign][c]
                 yield (lambda: f"i: psi{i} G{sign}{i} x = e{i} x",
-                       _psi(view, g, i), view.degeneracy(c, i))
+                       _psi(view, g, i), view.degeneracies[i, None][c])
                 for j in range(i + 2, d + 1):
                     yield (lambda: f"ii: psi{j} G{sign}{i} x = G{sign}{i} psi{j - 1} x",
-                           _psi(view, g, j), view.connection(_psi(view, c, j - 1), i, sign))
+                           _psi(view, g, j), view.connections[i, sign][_psi(view, c, j - 1)])
         for i in range(1, d):
-            plus = _psi(view, _psi(view, view.connection(c, i, PLUS), i + 1), i)
-            gamma = view.connection(view.face(c, i + 1, MINUS), i, PLUS)
+            plus = _psi(view, _psi(view, view.connections[i, PLUS][c], i + 1), i)
+            gamma = view.connections[i, PLUS][view.faces[i + 1, MINUS][c]]
             yield (lambda: f"iii+: psi{i} psi{i + 1} G+{i} x",
-                   plus, view.degeneracy(view.compose(gamma, c, i + 1), i))
-            minus = _psi(view, _psi(view, view.connection(c, i, MINUS), i + 1), i)
-            gamma = view.connection(view.face(c, i + 1, PLUS), i, MINUS)
+                   plus, view.degeneracies[i, None][view.composites[gamma, c, i + 1]])
+            minus = _psi(view, _psi(view, view.connections[i, MINUS][c], i + 1), i)
+            gamma = view.connections[i, MINUS][view.faces[i + 1, PLUS][c]]
             yield (lambda: f"iii-: psi{i} psi{i + 1} G-{i} x",
-                   minus, view.degeneracy(view.compose(c, gamma, i + 1), i))
+                   minus, view.degeneracies[i, None][view.composites[c, gamma, i + 1]])
 
 
 def _lemma_2_4(view, bindings):
@@ -197,13 +198,13 @@ def _lemma_2_5(view, n, stream):
             for y, z in composable_pairs(view, degenerate, i):
                 yield ({"x": y, "y": z, "i": i},
                        lambda: f"the o{i} composite of {j}-degenerate x, y is {j}-degenerate",
-                       *_retraction(view, view.compose(y, z, i), j))
+                       *_retraction(view, view.composites[y, z, i], j))
 
 
 def _lemma_2_6(view, bindings):
     for y, in bindings:
         for k in range(1, view.dim(y) + 2):
-            folded = _fold_through(view, view.degeneracy(y, k), k - 1)
+            folded = _fold_through(view, view.degeneracies[k, None][y], k - 1)
             yield lambda: f"e{k} x is {k - 1}-thin", *_retraction(view, folded, 1)
 
 
@@ -249,11 +250,11 @@ def _prop_2_2_thin(view, bindings):
         d = view.dim(c)
         for i in range(1, d + 2):
             yield (lambda: f"i-eps: e{i} x is thin",
-                   *_retraction(view, _folded(view, view.degeneracy(c, i)), 1))
+                   *_retraction(view, _folded(view, view.degeneracies[i, None][c]), 1))
         for i in range(1, d + 1):
             for sign in SIGNS:
                 yield (lambda: f"i-gamma: G{sign}{i} x is thin",
-                       *_retraction(view, _folded(view, view.connection(c, i, sign)), 1))
+                       *_retraction(view, _folded(view, view.connections[i, sign][c]), 1))
 
 
 def _prop_2_2_closure(view, n, stream):
@@ -269,7 +270,7 @@ def _prop_2_2_closure(view, n, stream):
             continue
         a, b = map(view.id, got)
         yield ({"x": a, "y": b, "i": i}, lambda: f"ii: the o{i} composite of thin x, y is thin",
-               *_retraction(view, _folded(view, view.compose(a, b, i)), 1))
+               *_retraction(view, _folded(view, view.composites[a, b, i]), 1))
         produced += 1
 
 
@@ -294,7 +295,7 @@ def _cor_2_7_composites(view, n, stream):
     for i in range(1, n + 1):
         for s, t in composable_pairs(shells, commutative, i):
             yield ({"s": s, "t": t, "i": i}, lambda: f"ii: s o{i} t commutes",
-                   is_commutative(sys, elements[shells.compose(s, t, i)]), True)
+                   is_commutative(sys, elements[shells.composites[s, t, i]]), True)
 
 
 def _thm_2_8(view, bindings):
@@ -333,11 +334,11 @@ def _thm_3_1(view, n, stream):
         a = elements[k]
         for i in range(1, n + 1):
             yield ({"x": k}, lambda: f"eps: theta of the e{i} shell of x is e{i} x",
-                   theta(elements[shells.degeneracy(k, i)]), sys.degeneracy(a, i))
+                   theta(elements[shells.degeneracies[i, None][k]]), sys.degeneracy(a, i))
         for i in range(1, n):
             for sign in SIGNS:
                 yield ({"x": k}, lambda: f"gamma: theta of the G{sign}{i} shell of x is G{sign}{i} x",
-                       theta(elements[shells.connection(k, i, sign)]), sys.connection(a, i, sign))
+                       theta(elements[shells.connections[i, sign][k]]), sys.connection(a, i, sign))
     if n > stream.exhaustive_dim:
         return
     domain = [shells.id(s) for s in theta.domain()]
@@ -346,7 +347,7 @@ def _thm_3_1(view, n, stream):
     for i in range(1, n + 1):
         for s, t in composable_pairs(shells, domain, i):
             yield ({"s": s, "t": t, "i": i}, lambda: f"compose: theta(s o{i} t)",
-                   theta(elements[shells.compose(s, t, i)]),
+                   theta(elements[shells.composites[s, t, i]]),
                    sys.compose(theta(elements[s]), theta(elements[t]), i))
     # the connections read back off theta agree with the model's own,
     # and re-deriving theta from them closes the loop

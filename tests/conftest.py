@@ -3,6 +3,7 @@
 import pytest
 
 from cubecat import MINUS, PLUS, bundled_category, nerve, shell_tower
+from cubecat.core import composable_pairs
 
 _CACHE = {}
 
@@ -46,6 +47,26 @@ def poset_tower():
     return tower_of("poset22", 3)
 
 
+def element_pairs(system, elements, i: int):
+    """``core.composable_pairs`` on elements rather than ids."""
+    view = system.id_view
+    for x, y in composable_pairs(view, [view.id(e) for e in elements], i):
+        yield view.elements[x], view.elements[y]
+
+
+class Spy(dict):
+    """Stands in for an id table of a view: ``answer(key)`` answers each
+    subscript, and ``calls`` lists the keys asked for, in order."""
+
+    def __init__(self, answer):
+        super().__init__()
+        self.answer, self.calls = answer, []
+
+    def __getitem__(self, key):
+        self.calls.append(key)
+        return self.answer(key)
+
+
 def edge_cube(system, name: str):
     """The 1-cube of a nerve carrying the named morphism."""
     for c in system.cubes(1):
@@ -62,7 +83,10 @@ def reference_bindings(view, kind: str, n: int):
     the faces in the order the pool first shows them; grids by x in pool
     order; every other element in pool order.
     """
-    pool, face = view.pool(n), view.face
+    pool, faces = view.pool(n), view.faces
+
+    def face(x, i, sign):
+        return faces[i, sign][x]
 
     def composes(x, y, i):
         return face(x, i, PLUS) == face(y, i, MINUS)

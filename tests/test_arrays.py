@@ -24,8 +24,9 @@ from cubecat import (
     tile_grid,
 )
 from cubecat.arrays import GAMMA_MINUS, GAMMA_PLUS
-from cubecat.core import _exhaustive_bindings, composable_pairs
+from cubecat.core import _exhaustive_bindings
 from cubecat.errors import BadTiling, InterchangeViolation, NotComposable, Unresolvable
+from conftest import element_pairs
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -45,7 +46,7 @@ def identity_square(system):
 
 
 def test_transport_array_composes_to_connection(poset_nerve):
-    for a, b in list(composable_pairs(poset_nerve, poset_nerve.cubes(1), 1))[:20]:
+    for a, b in list(element_pairs(poset_nerve, poset_nerve.cubes(1), 1))[:20]:
         grid = tile_grid(poset_nerve, [
             [poset_nerve.connection(a, 1, PLUS), poset_nerve.degeneracy(a, 2)],
             [poset_nerve.degeneracy(a, 1), poset_nerve.connection(b, 1, PLUS)],
@@ -134,7 +135,7 @@ def test_interchange_row_vs_column_exhaustive_2x2(poset_nerve):
 
 
 def test_partition_simple_span(poset_nerve):
-    pairs = composable_pairs(poset_nerve, poset_nerve.cubes(2), 2)
+    pairs = element_pairs(poset_nerve, poset_nerve.cubes(2), 2)
     for a, b in pairs:
         top = poset_nerve.compose(a, b, 2)
         mates = [c for c in poset_nerve.cubes(2)

@@ -18,9 +18,9 @@ from cubecat import (
     run_suite,
     shells,
 )
-from cubecat.core import REGISTRY, composable_pairs, incidences, run_law, slots
+from cubecat.core import REGISTRY, incidences, run_law, slots
 from cubecat.errors import IndexOutOfRange, MalformedSample, NotComposable, UnknownLaw
-from conftest import nerve_of, reference_bindings, tower_of
+from conftest import Spy, element_pairs, nerve_of, reference_bindings, tower_of
 
 
 def failing_ids(reports):
@@ -56,7 +56,7 @@ def test_connection_cancellations(poset_nerve):
 
 
 def test_check_axiom_transport_on_composable_pair(poset_nerve):
-    pairs = list(composable_pairs(poset_nerve, poset_nerve.cubes(1), 1))
+    pairs = list(element_pairs(poset_nerve, poset_nerve.cubes(1), 1))
     a, b = pairs[0]
     report = check_axiom(poset_nerve, "TRANSPORT", [a, b])
     assert report.passed and report.instances == 1
@@ -136,7 +136,7 @@ def test_transport_law_on_sampled_pairs(data):
     system = nerve_of("poset22", 3)
     n = data.draw(st.integers(min_value=1, max_value=2))
     i = data.draw(st.integers(min_value=1, max_value=n))
-    pairs = list(composable_pairs(system, system.cubes(n), i))
+    pairs = list(element_pairs(system, system.cubes(n), i))
     a, b = data.draw(st.sampled_from(pairs))
     lhs = system.connection(system.compose(a, b, i), i, PLUS)
     top = system.compose(system.connection(a, i, PLUS), system.degeneracy(a, i + 1), i + 1)
@@ -184,15 +184,15 @@ def test_exhaustive_bindings_come_in_the_reference_order(make, name, n, kinds):
 def test_an_error_names_the_grid_being_checked(monkeypatch, k):
     system = nerve(bundled_category("poset22"), 2)  # fresh: the patch sees every compose
     view = system.id_view
-    compose, calls = view.compose, []
+    composites = view.composites
 
-    def fails_on_kth(x, y, i):
-        calls.append((x, y, i))
-        if len(calls) == k:
-            raise NotComposable(i, "left", "right", "compose")
-        return compose(x, y, i)
+    def fails_on_kth(key):
+        if len(spy.calls) == k:
+            raise NotComposable(key[2], "left", "right", "compose")
+        return composites[key]
 
-    monkeypatch.setattr(view, "compose", fails_on_kth)
+    spy = Spy(fails_on_kth)
+    monkeypatch.setattr(view, "composites", spy)
     report = run_law(system, REGISTRY["INTERCHANGE"], max_dim=2, exhaustive_dim=2)
     # INTERCHANGE composes six times per grid, and grids come in enumeration order
     grids = list(reference_bindings(view, "grid", 2))
@@ -210,14 +210,10 @@ def test_a_failing_statement_names_the_grid_being_checked(monkeypatch, k):
     # a bound statement carries no binding: the runner names the one it handed out
     system = nerve(bundled_category("poset22"), 2)  # fresh: the patch sees every compose
     view = system.id_view
-    compose, calls = view.compose, []
+    composites = view.composites
     wrong = view.pool(0)[0]  # a 0-cube is never a composite of 2-cubes
-
-    def wrong_on_kth(x, y, i):
-        calls.append((x, y, i))
-        return wrong if len(calls) == k else compose(x, y, i)
-
-    monkeypatch.setattr(view, "compose", wrong_on_kth)
+    spy = Spy(lambda key: wrong if len(spy.calls) == k else composites[key])
+    monkeypatch.setattr(view, "composites", spy)
     report = run_law(system, REGISTRY["INTERCHANGE"], max_dim=2, exhaustive_dim=2)
     # the k-th compose, the last of one side, makes that side wrong without raising
     grids = list(reference_bindings(view, "grid", 2))
@@ -237,24 +233,25 @@ def test_an_error_while_drawing_a_binding_names_none(monkeypatch):
     law, options = REGISTRY["INTERCHANGE"], dict(max_dim=2, exhaustive_dim=2)
     assert run_law(system, law, **options).passed  # from now on every compose is a table hit
     view = system.id_view
-    face, compose, composed = view.face, view.compose, []
+    faces, composed = view.faces, Spy(view.composites.__getitem__)
 
-    def counting(x, y, i):
-        composed.append((x, y, i))
-        return compose(x, y, i)
+    def fails_once_grids_are_checked(key):
+        # only the grid enumerator reads faces once composing has begun
+        column = faces[key]
 
-    def fails_once_grids_are_checked(x, i, sign):
-        # only the grid enumerator asks for faces once composing has begun
-        if composed:
-            raise IndexOutOfRange("face", i, view.dim(x))
-        return face(x, i, sign)
+        def read(k):
+            if composed.calls:
+                raise IndexOutOfRange("face", key[0], view.dim(k))
+            return column[k]
 
-    monkeypatch.setattr(view, "compose", counting)
-    monkeypatch.setattr(view, "face", fails_once_grids_are_checked)
+        return Spy(read)
+
+    monkeypatch.setattr(view, "composites", composed)
+    monkeypatch.setattr(view, "faces", Spy(fails_once_grids_are_checked))
     report = run_law(system, law, **options)
     assert report.counterexample["error"] == "IndexOutOfRange"
     assert "binding" not in report.counterexample
-    assert composed and len(composed) == 6 * report.instances
+    assert composed.calls and len(composed.calls) == 6 * report.instances
 
 
 def test_unavailable_draw_is_skipped(monkeypatch):
@@ -302,7 +299,7 @@ def test_a_wrong_shared_face_formula_fails_its_law_and_lemma_1_3(monkeypatch):
 
     def off_by_one(view, k, j, g, i, sign):
         if i < j:  # face i + 1 of k where face i belongs
-            return view.connection(view.face(k, i + 1, sign), j - 1, g)
+            return view.connections[j - 1, g][view.faces[i + 1, sign][k]]
         return right(view, k, j, g, i, sign)
 
     for module in (core, shells):

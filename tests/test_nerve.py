@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from cubecat import MINUS, PLUS, bundled_category, nerve
-from cubecat.core import composable_pairs
 from cubecat.models import (
     NerveCube,
     edge_bases,
@@ -18,7 +17,7 @@ from cubecat.models import (
     vertex_labels,
 )
 from cubecat.errors import DimensionTooLarge, IndexOutOfRange, ParseError
-from conftest import edge_cube, nerve_of
+from conftest import edge_cube, element_pairs, nerve_of
 
 
 def identity_square(system):
@@ -238,11 +237,9 @@ def test_edge_cube_helper(square_nerve):
 def test_compose_concatenates_direction_edges(square_nerve):
     # composing squares glues their shared face and composes the
     # direction-i edges as paths in the category
-    from cubecat.core import composable_pairs
-
     cat = square_nerve.cat
     for i in (1, 2):
-        for u, v in composable_pairs(square_nerve, square_nerve.cubes(2), i):
+        for u, v in element_pairs(square_nerve, square_nerve.cubes(2), i):
             w = square_nerve.compose(u, v, i)
             pos = i - 1
             for base in range(4):
@@ -344,7 +341,7 @@ def test_pickers_agree_with_per_entry_reindexing(name):
             for i in range(1, n + 2):
                 assert system._degeneracy(x, i) == reference_degeneracy(cat, x, i)
         for i in range(1, n + 1):
-            for x, y in composable_pairs(system, cubes, i):
+            for x, y in element_pairs(system, cubes, i):
                 assert system._compose(x, y, i) == reference_compose(cat, x, y, i)
                 checked += 1
     assert checked > len(system.cubes(3))

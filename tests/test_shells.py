@@ -28,10 +28,10 @@ from cubecat import (
     theta_from_connections,
 )
 from cubecat import shells
-from cubecat.core import composable_pairs, incidences, slot, slots
+from cubecat.core import incidences, slot, slots
 from cubecat.shells import Shell, check_incidence
 from cubecat.errors import BoundaryMismatch, DimensionTooLarge, IndexOutOfRange, NotComposable
-from conftest import edge_cube, nerve_of, tower_of
+from conftest import Spy, edge_cube, element_pairs, nerve_of, tower_of
 
 
 def square_shell(system, bottom, top, left, right):
@@ -351,7 +351,7 @@ def test_a_shell_of_another_tower_is_used_as_a_native_one():
         ext = shell_system(system, n)
         twin = {t: t for t in two.cubes(n)}  # this tower's shell -> the other's
         for i in range(1, n + 1):
-            pairs = itertools.islice(composable_pairs(one, one.cubes(n), i), 40)
+            pairs = itertools.islice(element_pairs(one, one.cubes(n), i), 40)
             for s, t in pairs:
                 native = ext.compose(s, t, i)
                 assert native.space is s.space
@@ -395,7 +395,11 @@ def reference_shells(ext, rng=None, pins=None):
     """The recursive top-shell search with ``rng.shuffle``, as it was before
     the flat loop: the stream the flat loop must reproduce draw for draw."""
     view, n = ext.base.id_view, ext.top
-    face, keys = view.face, slots(n)
+    faces, keys = view.faces, slots(n)
+
+    def face(x, i, sign):
+        return faces[i, sign][x]
+
     by_profile = [view.index(n - 1, slots(d)) for d in range(n)]
     # face q of the face placed at slot p is face r of the face placed at slot q
     needs, meet = [[] for _ in keys], {}
@@ -518,20 +522,15 @@ def test_draws_read_rows_not_faces(monkeypatch, model):
     ext, top = searched(model, "poset22", 3), 3
     view, rng, picks = ext.base.id_view, random.Random(repr(("rows", model))), random.Random(top)
     assert ext.random_top_shell(rng) is not None  # builds the indexes the search reads
-    face, calls = view.face, []
-
-    def counted(*args):
-        calls.append(args)
-        return face(*args)
-
-    monkeypatch.setattr(view, "face", counted)
+    spy = Spy(view.faces.__getitem__)
+    monkeypatch.setattr(view, "faces", spy)
     pinned = 0
     for _ in range(100):
         x = ext.random_top_shell(rng)
         i, j = picks.sample(range(1, top + 1), 2)
         pins = {(i, MINUS): x.ids[slot(i, PLUS)], (j, PLUS): x.ids[slot(j, MINUS)]}
         pinned += ext.random_top_shell(rng, pins) is not None
-    assert calls == []
+    assert spy.calls == []
     assert pinned
 
 

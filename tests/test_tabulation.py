@@ -15,6 +15,7 @@ import pytest
 from cubecat import (
     MINUS,
     PLUS,
+    NerveSystem,
     ShellExtension,
     big_psi,
     bundled_category,
@@ -25,14 +26,14 @@ from cubecat import (
     shell_tower,
     theta_from_connections,
 )
-from cubecat.core import composable_pairs, slots
+from cubecat.core import REGISTRY, run_law, slots
 from cubecat.shells import boundary, enumerate_shells, make_shell, shell_system
 from cubecat.errors import (
     DimensionTooLarge, IndexOutOfRange, NotComposable, PostconditionViolated,
 )
 from cubecat.fillers import ThinStructure
 from cubecat.suites import run_suite
-from conftest import nerve_of, tower_of
+from conftest import Spy, element_pairs, nerve_of, tower_of
 
 
 def warmed(system):
@@ -41,16 +42,21 @@ def warmed(system):
     return system
 
 
+def own(view, op: str) -> int:
+    """Entries the view stores for one operation; 0 for one it reads whole from its base."""
+    table = view.tables[op]
+    if table.view is not view:
+        return 0
+    return len(table) if op == "compose" else sum(map(len, table.values()))
+
+
 def stored(system) -> int:
     """Entries in the system's own tables."""
-    total = 0
-    for op, tables in system.id_view.tables.items():
-        total += len(tables) if op == "compose" else sum(map(len, tables.values()))
-    return total
+    return sum(own(system.id_view, op) for op in system.id_view.tables)
 
 
 def composable_pairs_first(system, n: int):
-    return next(iter(composable_pairs(system, system.cubes(n), 1))) + (1,)
+    return next(iter(element_pairs(system, system.cubes(n), 1))) + (1,)
 
 
 def uncomposable_pair(system, n: int):
@@ -62,10 +68,13 @@ def uncomposable_pair(system, n: int):
 
 
 def footprint(system) -> tuple:
-    """The size of the shared id space and of every table of the system and its bases."""
+    """The size of the shared id space and of every table of the system and its bases, columns by key too."""
     sizes = [len(system.id_view.ids)]
     while system is not None:
+        view = system.id_view
         sizes.append(stored(system))
+        sizes.append({(op, key) for op, table in view.tables.items()
+                      if op != "compose" and table.view is view for key in table})
         system = system.base
     return tuple(sizes)
 
@@ -89,35 +98,35 @@ def test_invalid_calls_raise_on_warm_tables(make):
             with pytest.raises(NotComposable):
                 system.compose(x, y, 1)
             with pytest.raises(NotComposable):
-                view.compose(k, view.id(y), 1)
+                view.composites[k, view.id(y), 1]
             with pytest.raises(IndexOutOfRange):
                 system.face(x, n + 1, MINUS)
             with pytest.raises(IndexOutOfRange):
                 system.face(x, 0, PLUS)
             with pytest.raises(IndexOutOfRange):
-                view.face(k, n + 1, PLUS)
+                view.faces[n + 1, PLUS][k]
             with pytest.raises(ValueError):
                 system.face(x, 1, "bogus")
             with pytest.raises(ValueError):
-                view.face(k, n, "bogus")
+                view.faces[n, "bogus"][k]
             if n == top:
-                for lift in (lambda: system.degeneracy(x, 1), lambda: view.degeneracy(k, n + 1),
-                             lambda: system.connection(x, 1, PLUS), lambda: view.connection(k, n, MINUS)):
+                for lift in (lambda: system.degeneracy(x, 1), lambda: view.degeneracies[n + 1, None][k],
+                             lambda: system.connection(x, 1, PLUS), lambda: view.connections[n, MINUS][k]):
                     with pytest.raises(DimensionTooLarge):
                         lift()
             else:
                 with pytest.raises(IndexOutOfRange):
                     system.connection(x, n + 1, PLUS)
                 with pytest.raises(IndexOutOfRange):
-                    view.connection(k, 0, MINUS)
+                    view.connections[0, MINUS][k]
                 with pytest.raises(IndexOutOfRange):
                     system.degeneracy(x, n + 2)
                 with pytest.raises(IndexOutOfRange):
-                    view.degeneracy(k, 0)
+                    view.degeneracies[0, None][k]
                 with pytest.raises(ValueError):
                     system.connection(x, 1, "bogus")
                 with pytest.raises(ValueError):
-                    view.connection(k, n, None)
+                    view.connections[n, None][k]
             assert footprint(system) == before, "a refused call left an entry behind"
 
 
@@ -131,7 +140,7 @@ def test_extension_refuses_top_dimension_base_cubes_on_warm_tables():
         ext.compose(square, square, 2)
     view = ext.id_view
     with pytest.raises(DimensionTooLarge):
-        view.compose(view.id(square), view.id(square), 2)
+        view.composites[view.id(square), view.id(square), 2]
     # the extension's own top-dimension composites still work
     s, t, i = composable_pairs_first(ext, 2)
     assert ext.dim(ext.compose(s, t, i)) == 2
@@ -150,7 +159,7 @@ def test_connection_override_sees_its_gamma_not_the_cached_connection():
     for a in base.cubes(1):
         differ += base.connection(a, 1, PLUS) != base.connection(a, 1, MINUS)
         assert override.connection(a, 1, PLUS) == base.connection(a, 1, MINUS)
-        got = view.connection(view.id(a), 1, MINUS)
+        got = view.connections[1, MINUS][view.id(a)]
         assert view.elements[got] == base.connection(a, 1, PLUS)
     assert differ, "the flipped gamma must be told apart from the base's connection"
     # the other operations are the base's, answered from its tables, below the ceiling
@@ -166,12 +175,51 @@ def test_connection_override_sees_its_gamma_not_the_cached_connection():
 def test_a_tower_stores_a_delegated_result_once():
     tower = tower_of("poset22", 3)
     inner, root = tower.base, tower.base.base
+    view = tower.id_view
     x, y, i = composable_pairs_first(tower, 1)
-    z = tower.compose(x, y, i)
-    key = (tower.id_view.id(x), tower.id_view.id(y), i)
-    assert root.id_view.tables["compose"][key] == tower.id_view.id(z)
-    assert key not in tower.id_view.tables["compose"]
-    assert key not in inner.id_view.tables["compose"]
+    k = view.id(x)
+    # (owner, where a view keeps the result, the key, the result asked of the tower);
+    # a 1-cube's faces and composites are the root's, its lifts the inner extension's
+    cases = [
+        (root, lambda v: v.composites, (k, view.id(y), i), tower.compose(x, y, i)),
+        (root, lambda v: v.faces[1, PLUS], k, tower.face(x, 1, PLUS)),
+        (inner, lambda v: v.degeneracies[2, None], k, tower.degeneracy(x, 2)),
+        (inner, lambda v: v.connections[1, MINUS], k, tower.connection(x, 1, MINUS)),
+    ]
+    for owner, table, key, result in cases:
+        for system in (tower, inner, root):
+            got = table(system.id_view)
+            if system is owner:
+                assert got.get(key) == view.id(result)
+            else:
+                assert key not in got
+
+
+def test_a_warm_interchange_run_composes_nothing(monkeypatch):
+    # each composite is computed once, by the owner's plain definition, and stored there
+    calls = []
+    for cls in (NerveSystem, ShellExtension):
+        plain = cls._compose
+
+        def counted(self, x, y, i, plain=plain):
+            calls.append((x, y, i))
+            return plain(self, x, y, i)
+
+        monkeypatch.setattr(cls, "_compose", counted)
+    tower = shell_tower(nerve(bundled_category("poset22"), 1), 2)  # its tables see the patch
+    law, options = REGISTRY["INTERCHANGE"], dict(max_dim=3, exhaustive_dim=3)
+    first = run_law(tower, law, **options)
+    assert first.passed and first.instances == 184_550
+    # own table sizes, top down: composites, then faces (read by the grid enumerator)
+    systems = (tower, tower.base, tower.base.base)
+    sizes = {op: [own(s.id_view, op) for s in systems] for op in ("compose", "face")}
+    assert sizes == {"compose": [7_500, 200, 16], "face": [2_400, 144, 18]}
+    assert len(tower.id_view.ids) == 449
+    assert len(calls) == sum(sizes["compose"])
+    again = run_law(tower, law, **options)
+    assert again == first
+    assert len(calls) == sum(sizes["compose"]), "a warm run composed again"
+    assert [own(s.id_view, "compose") for s in systems] == sizes["compose"]
 
 
 def test_nothing_is_tabulated_at_set_up():
@@ -353,20 +401,13 @@ def test_a_failed_fold_is_not_stored_and_a_stored_one_is_reused(monkeypatch):
     first = big_psi(system, x)
     assert first.folded == system.degeneracy(first.n_face, 1)
     answers = (first, psi(system, x, 1), psi(system, x, 2), boundary(system, x))
-    calls = []
-
-    def counted(op):
-        def wrapper(*args):
-            calls.append(args)
-            return op(*args)
-        return wrapper
-
-    monkeypatch.setattr(view, "compose", counted(view.compose))
-    monkeypatch.setattr(view, "face", counted(view.face))
+    spies = [Spy(table.__getitem__) for table in (view.composites, view.faces)]
+    monkeypatch.setattr(view, "composites", spies[0])
+    monkeypatch.setattr(view, "faces", spies[1])
     again = (big_psi(system, x), psi(system, x, 1), psi(system, x, 2), boundary(system, x))
     assert again == answers
     assert again[3] is answers[3]
-    assert not calls, "a stored fold or boundary was computed again"
+    assert not any(spy.calls for spy in spies), "a stored fold or boundary was computed again"
 
 
 def test_a_formal_shell_is_stored_once_by_its_extension():

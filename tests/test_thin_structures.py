@@ -15,14 +15,13 @@ from cubecat import (
     shell_system,
     theta_from_connections,
 )
-from cubecat.core import composable_pairs
 from cubecat.errors import (
     MorphismViolation,
     NotCommutative,
     PreconditionFailed,
 )
 from cubecat.suites import run_suite
-from conftest import nerve_of, tower_of
+from conftest import element_pairs, nerve_of, tower_of
 
 
 def test_theta_sends_formal_generators_to_real_ones(square_nerve):
@@ -61,7 +60,7 @@ def test_theta_preserves_composition(poset_nerve):
     domain = theta.domain()
     ext = shell_system(poset_nerve, 2)
     for i in (1, 2):
-        for s, t in composable_pairs(ext, domain, i):
+        for s, t in element_pairs(ext, domain, i):
             assert theta(ext.compose(s, t, i)) == poset_nerve.compose(theta(s), theta(t), i)
 
 

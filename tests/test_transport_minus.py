@@ -7,9 +7,8 @@ and always agrees.  The surviving form is the registry law TRANSPORT-MINUS.
 """
 
 from cubecat import MINUS
-from cubecat.core import composable_pairs
 from cubecat.errors import NotComposable
-from conftest import nerve_of
+from conftest import element_pairs, nerve_of
 
 # candidate cell layouts for the expansion of G-_i(a o_i b), as functions
 # of (system, a, b, i); rows listed top first, composed h=i+1 then v=i
@@ -39,7 +38,7 @@ def candidate_holds(system, layout, max_dim=2) -> bool:
     for n in range(1, max_dim + 1):
         elements = system.cubes(n)
         for i in range(1, n + 1):
-            for a, b in composable_pairs(system, elements, i):
+            for a, b in element_pairs(system, elements, i):
                 cells = layout(system, a, b, i)
                 try:
                     top = system.compose(cells[0][0], cells[0][1], i + 1)
