@@ -22,7 +22,6 @@ from .core import (
 from .arrays import (
     ComposablePartition,
     PartitionCell,
-    SymbolicCell,
     compose_partition,
     render_ascii,
     resolve_symbols,

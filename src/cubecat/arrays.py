@@ -7,7 +7,8 @@ evaluated by ``fillers.evaluate`` from ``fillers`` terms, one per band and one
 stacking the bands, after the faces they join are checked, so a mismatch
 names its cells or bands: rows first always, and columns first as well when
 the columns stack.  The two must agree, which is the interchange law for
-arrays.  The renderer draws a partition as a box diagram with one label per
+arrays.  The ψ row of a cube is one such array (``resolve_symbols``).
+The renderer draws a partition as a box diagram with one label per
 cell and a direction legend.
 """
 
@@ -18,40 +19,8 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from .core import MINUS, PLUS, CubeSystem
-from .errors import (
-    BadTiling,
-    InterchangeViolation,
-    NotComposable,
-    Unresolvable,
-)
+from .errors import BadTiling, InterchangeViolation, NotComposable
 from .fillers import Base, Compose, evaluate
-
-PLAIN = "plain"
-GAMMA_PLUS = "gamma_plus"
-GAMMA_MINUS = "gamma_minus"
-
-# in each glyph the drawn bars mark the degenerate faces
-KIND_GLYPHS = {
-    GAMMA_PLUS: "┌",   # ┌  degenerate faces on top and left
-    GAMMA_MINUS: "┘",  # ┘  degenerate faces on bottom and right
-}
-
-
-@dataclass(frozen=True)
-class SymbolicCell:
-    """A cell that is either a concrete cube or a placeholder symbol.
-
-    Placeholders resolve to the unique connection that the composability of
-    the surrounding array forces.
-    """
-
-    kind: str
-    cube: object = None
-    label: Optional[str] = None
-
-    @staticmethod
-    def plain(cube, label: Optional[str] = None) -> "SymbolicCell":
-        return SymbolicCell(PLAIN, cube, label)
 
 
 @dataclass(frozen=True)
@@ -196,80 +165,20 @@ def compose_partition(partition: ComposablePartition):
 
 
 # ---------------------------------------------------------------------------
-# symbolic cells
+# the psi row
 
 
-def resolve_symbols(system: CubeSystem, grid, dir_v: int, dir_h: int) -> ComposablePartition:
-    """Pin every connection placeholder down from its resolved neighbours.
+def resolve_symbols(system: CubeSystem, x, j: int) -> ComposablePartition:
+    """The ψ_j row of x: Γ⁺_j(∂⁻_{j+1}x), x, Γ⁻_j(∂⁺_{j+1}x), labelled ┌, x, ┘.
 
-    A connection is determined by the face it shares with a resolved
-    neighbour, and only when dir_h = dir_v + 1.  Repeats to a fixed point
-    and fails if placeholders remain.
+    Resolves the row's two connection symbols from x's faces in direction
+    j + 1; the row composes along it to ψ_j x (``folding.psi``).
     """
-    cells = [list(row) for row in grid]
-    n_rows, n_cols = len(cells), len(cells[0]) if cells else 0
-    if any(len(row) != n_cols for row in cells):
-        raise Unresolvable("symbol grid is ragged")
-
-    def resolved(r, c):
-        return 0 <= r < n_rows and 0 <= c < n_cols and cells[r][c].kind == PLAIN \
-            and cells[r][c].cube is not None
-
-    def neighbour_face(r, c, *sides):
-        """Face shared with the first resolved neighbour among sides (left, right, up, down)."""
-        for side in sides:
-            dr, dc, direction, sign = {
-                "left": (0, -1, dir_h, PLUS),
-                "right": (0, 1, dir_h, MINUS),
-                "up": (-1, 0, dir_v, PLUS),
-                "down": (1, 0, dir_v, MINUS),
-            }[side]
-            if resolved(r + dr, c + dc):
-                return system.face(cells[r + dr][c + dc].cube, direction, sign)
-        return None
-
-    def attempt(r, c):
-        kind = cells[r][c].kind
-        if kind not in KIND_GLYPHS:
-            return None
-        if dir_h != dir_v + 1:
-            raise Unresolvable("connection symbols need horizontal direction = vertical + 1")
-        if kind == GAMMA_PLUS:
-            f = neighbour_face(r, c, "right", "down")
-            return None if f is None else system.connection(f, dir_v, PLUS)
-        f = neighbour_face(r, c, "left", "up")
-        return None if f is None else system.connection(f, dir_v, MINUS)
-
-    pending = [
-        (r, c)
-        for r in range(n_rows)
-        for c in range(n_cols)
-        if cells[r][c].kind != PLAIN
-    ]
-    if not any(resolved(r, c) for r in range(n_rows) for c in range(n_cols)):
-        raise Unresolvable("no concrete cell to anchor resolution")
-    while pending:
-        progressed = False
-        still = []
-        for r, c in pending:
-            cube = attempt(r, c)
-            if cube is None:
-                still.append((r, c))
-                continue
-            glyph = KIND_GLYPHS[cells[r][c].kind]
-            cells[r][c] = SymbolicCell(PLAIN, cube, cells[r][c].label or glyph)
-            progressed = True
-        if not progressed:
-            raise Unresolvable(f"cells {still} cannot be determined from context")
-        pending = still
-    return tile_grid(
-        system,
-        [[cell.cube for cell in row] for row in cells],
-        dir_v,
-        dir_h,
-        labels=[[cell.label or _default_label(r, c) for c, cell in enumerate(row)]
-                for r, row in enumerate(cells)],
-    )
+    return tile_grid(system, [[
+        system.connection(system.face(x, j + 1, MINUS), j, PLUS),
+        x,
+        system.connection(system.face(x, j + 1, PLUS), j, MINUS),
+    ]], dir_v=j, dir_h=j + 1, labels=[["┌", "x", "┘"]])
 
 
 def _default_label(r: int, c: int) -> str:

@@ -278,11 +278,7 @@ def cmd_render(args) -> int:
         raise ParseError(f"--dir must be between 1 and {n - 1} for --kind {args.kind}"
                          f" on a {n}-cube, not {j}")
     if args.kind == "psi":
-        grid = arrays.resolve_symbols(system, [[
-            arrays.SymbolicCell(arrays.GAMMA_PLUS),
-            arrays.SymbolicCell.plain(x, "x"),
-            arrays.SymbolicCell(arrays.GAMMA_MINUS),
-        ]], dir_v=j, dir_h=j + 1)
+        grid = arrays.resolve_symbols(system, x, j)
     elif args.kind == "identity":
         # x padded by its units: degeneracies of its upper faces, a double one in the corner
         unit = system.degeneracy(system.face(x, j + 1, PLUS), j + 1)

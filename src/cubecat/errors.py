@@ -45,10 +45,6 @@ class BadTiling(CubicalError):
     """Partition rectangles fail to tile the bounding rectangle."""
 
 
-class Unresolvable(CubicalError):
-    """A symbolic array cell cannot be pinned down from its neighbours."""
-
-
 class BoundaryMismatch(CubicalError):
     """Two cubes expected to share a boundary do not."""
 

@@ -1,4 +1,4 @@
-"""Composable partitions and grids, symbol resolution, and rendering."""
+"""Composable partitions and grids, the ψ row, and rendering."""
 
 import pathlib
 
@@ -12,7 +12,6 @@ from cubecat import (
     ComposablePartition,
     NerveSystem,
     PartitionCell,
-    SymbolicCell,
     boundary,
     bundled_category,
     compose_partition,
@@ -23,9 +22,8 @@ from cubecat import (
     resolve_symbols,
     tile_grid,
 )
-from cubecat.arrays import GAMMA_MINUS, GAMMA_PLUS
 from cubecat.core import _exhaustive_bindings
-from cubecat.errors import BadTiling, InterchangeViolation, NotComposable, Unresolvable
+from cubecat.errors import BadTiling, InterchangeViolation, NotComposable
 from conftest import element_pairs
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -53,16 +51,6 @@ def test_transport_array_composes_to_connection(poset_nerve):
         ], dir_v=1, dir_h=2)
         expected = poset_nerve.connection(poset_nerve.compose(a, b, 1), 1, PLUS)
         assert compose_partition(grid) == expected
-
-
-def test_psi_row_array(poset_nerve):
-    for x in poset_nerve.cubes(2)[:10]:
-        row = tile_grid(poset_nerve, [[
-            poset_nerve.connection(poset_nerve.face(x, 2, MINUS), 1, PLUS),
-            x,
-            poset_nerve.connection(poset_nerve.face(x, 2, PLUS), 1, MINUS),
-        ]], dir_v=1, dir_h=2)
-        assert compose_partition(row) == psi(poset_nerve, x, 1)
 
 
 def identity_grid(system, x):
@@ -227,7 +215,7 @@ def test_interchange_violation_is_raised():
         compose_partition(tile_grid(lying, [[x, y], [z, w]], dir_v=1, dir_h=2))
 
 
-def test_resolve_symbols_identity_grid(poset_nerve):
+def test_identity_grid_corner_is_a_double_unit(poset_nerve):
     # the corner is an identity for both directions: the degeneracy of the
     # upper face of either neighbouring unit, as well as of the last vertex
     face, degeneracy = poset_nerve.face, poset_nerve.degeneracy
@@ -257,27 +245,19 @@ def test_resolve_symbols_full_reconstruction_array(poset_nerve):
         # middle row alone is the elementary folding
         row = tile_grid(poset_nerve, [cells[1]], dir_v=1, dir_h=2)
         assert compose_partition(row) == psi(poset_nerve, x, 1)
-        # with the connections left as placeholders, the outer two are
-        # resolved from the inner two, on a second pass
-        symbols = [[SymbolicCell.plain(cube) for cube in row] for row in cells]
-        for (r, c), kind in {(0, 2): GAMMA_PLUS, (1, 0): GAMMA_PLUS,
-                             (1, 2): GAMMA_MINUS, (2, 0): GAMMA_MINUS}.items():
-            symbols[r][c] = SymbolicCell(kind)
-        resolved = resolve_symbols(poset_nerve, symbols, dir_v=1, dir_h=2)
-        assert [c.cube for c in resolved.cells] == [cube for row in cells for cube in row]
 
 
 def test_resolve_symbols_psi_row(poset_nerve):
-    for x in poset_nerve.cubes(2)[:6]:
-        grid = [[SymbolicCell(GAMMA_PLUS), SymbolicCell.plain(x, "x"),
-                 SymbolicCell(GAMMA_MINUS)]]
-        resolved = resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2)
-        assert compose_partition(resolved) == psi(poset_nerve, x, 1)
-
-
-def test_resolve_symbols_needs_context(poset_nerve):
-    with pytest.raises(Unresolvable, match="no concrete cell"):
-        resolve_symbols(poset_nerve, [[SymbolicCell(GAMMA_PLUS)]], dir_v=1, dir_h=2)
+    # the row of the three cells psi composes, for every square and 3-cube
+    # at every folding direction
+    rows = 0
+    for n in (2, 3):
+        for x in poset_nerve.cubes(n):
+            for j in range(1, n):
+                row = resolve_symbols(poset_nerve, x, j)
+                assert compose_partition(row) == psi(poset_nerve, x, j)
+                rows += 1
+    assert rows == 36 + 400 * 2
 
 
 def test_resolve_then_render_shows_kinds(poset_nerve):
@@ -285,9 +265,8 @@ def test_resolve_then_render_shows_kinds(poset_nerve):
     text = render_ascii(identity_grid(poset_nerve, x))
     for glyph in ("║", "═", "□", "x"):
         assert glyph in text
-    # a resolved connection is labelled with its kind's glyph
-    row = [[SymbolicCell(GAMMA_PLUS), SymbolicCell.plain(x, "x"), SymbolicCell(GAMMA_MINUS)]]
-    text = render_ascii(resolve_symbols(poset_nerve, row, dir_v=1, dir_h=2))
+    # the psi row labels its connections by their glyphs: ┌ for Γ⁺, ┘ for Γ⁻
+    text = render_ascii(resolve_symbols(poset_nerve, x, 1))
     for glyph in ("┌", "┘", "x"):
         assert glyph in text
 
@@ -296,9 +275,7 @@ def test_resolve_then_render_shows_kinds(poset_nerve):
 def test_render_golden(name, poset_nerve):
     x = identity_square(poset_nerve)
     if name == "psi_row":
-        grid = [[SymbolicCell(GAMMA_PLUS), SymbolicCell.plain(x, "x"),
-                 SymbolicCell(GAMMA_MINUS)]]
-        text = render_ascii(resolve_symbols(poset_nerve, grid, dir_v=1, dir_h=2))
+        text = render_ascii(resolve_symbols(poset_nerve, x, 1))
     elif name == "identity_array":
         text = render_ascii(identity_grid(poset_nerve, x))
     else:
