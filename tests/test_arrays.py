@@ -53,6 +53,16 @@ def test_transport_array_composes_to_connection(poset_nerve):
         assert compose_partition(grid) == expected
 
 
+def test_psi_row_array(poset_nerve):
+    for x in poset_nerve.cubes(2)[:10]:
+        row = tile_grid(poset_nerve, [[
+            poset_nerve.connection(poset_nerve.face(x, 2, MINUS), 1, PLUS),
+            x,
+            poset_nerve.connection(poset_nerve.face(x, 2, PLUS), 1, MINUS),
+        ]], dir_v=1, dir_h=2)
+        assert compose_partition(row) == psi(poset_nerve, x, 1)
+
+
 def identity_grid(system, x):
     """The direction-1 identity array around the square x, labelled as the CLI draws it.
 
