@@ -27,6 +27,10 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # finite category presentations
 
+# A category document asking for more work than this is refused at load:
+MAX_ARROWS = 5_000  # arrows of a free category, counted before any is named
+MAX_TRIPLES = 1_000_000  # composable triples the associativity check visits
+
 
 class FinCatPresentation:
     """Finite category given by object list, morphism table and composition table.
@@ -40,10 +44,8 @@ class FinCatPresentation:
         self.morphisms = dict(morphisms)  # name -> (src, tgt)
         self.identities = dict(identities)  # object -> name
         self.table = dict(compose_table)  # (g, f) -> name
-        self._hom: dict = {}
+        self._hom: dict = {}  # (src, tgt) -> names, in morphism order
         self._validate()
-        for name, (s, t) in self.morphisms.items():
-            self._hom.setdefault((s, t), []).append(name)
 
     def src(self, m: str) -> str:
         return self.morphisms[m][0]
@@ -64,8 +66,10 @@ class FinCatPresentation:
     def _validate(self) -> None:
         if len(set(self.objects)) != len(self.objects):
             raise ParseError("duplicate object names")
+        # arrows by source and by target, each in morphism order
+        out, into = {o: [] for o in self.objects}, {o: [] for o in self.objects}
         for obj in self.identities:
-            if obj not in self.objects:
+            if obj not in out:
                 raise ParseError(f"identity given for unknown object {obj!r}")
         for obj in self.objects:
             ident = self.identities.get(obj)
@@ -74,8 +78,11 @@ class FinCatPresentation:
             if self.morphisms[ident] != (obj, obj):
                 raise ParseError(f"identity of {obj!r} is not an endomorphism")
         for name, (s, t) in self.morphisms.items():
-            if s not in self.objects or t not in self.objects:
+            if s not in out or t not in out:
                 raise ParseError(f"morphism {name!r} has unknown endpoint")
+            out[s].append(name)
+            into[t].append(name)
+            self._hom.setdefault((s, t), []).append(name)
         for (g, f), gf in self.table.items():
             if g not in self.morphisms or f not in self.morphisms or gf not in self.morphisms:
                 raise ParseError(f"composition entry ({g}, {f}) -> {gf} names unknown morphisms")
@@ -86,9 +93,7 @@ class FinCatPresentation:
                     f"composite {gf} of ({g}, {f}) has wrong endpoints"
                 )
         for g, (sg, _) in self.morphisms.items():
-            for f, (_, tf) in self.morphisms.items():
-                if tf != sg:
-                    continue
+            for f in into[sg]:
                 # a composite with an identity is the other arrow, entered here if not given
                 unit = f if g == self.identities[sg] else g if f == self.identities[sg] else None
                 gf = self.table.setdefault((g, f), unit)
@@ -97,14 +102,13 @@ class FinCatPresentation:
                 if unit is not None and gf != unit:
                     raise CategoryLawViolation(
                         f"identity law broken: {g} o {f} = {gf}, expected {unit}")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.tgt(f) != self.src(g):
-                    continue
+        triples = sum(len(into[s]) * len(out[t]) for s, t in self.morphisms.values())
+        if triples > MAX_TRIPLES:
+            raise ParseError(f"associativity would check {triples} triples; the limit is {MAX_TRIPLES}")
+        for f, (_, tf) in self.morphisms.items():
+            for g in out[tf]:
                 gf = self.table[(g, f)]
-                for h in self.morphisms:
-                    if self.tgt(g) != self.src(h):
-                        continue
+                for h in out[self.tgt(g)]:
                     if self.table[(h, gf)] != self.table[(self.table[(h, g)], f)]:
                         raise CategoryLawViolation(
                             f"associativity fails on ({h}, {g}, {f})"
@@ -139,45 +143,40 @@ def _free_category(graph: dict) -> FinCatPresentation:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     outgoing: dict = {v: [] for v in vertices}
+    sources: dict = {v: [] for v in vertices}  # a source for each edge into v
     for name, (s, t) in edges.items():
         if s not in outgoing or t not in outgoing:
             raise ParseError(f"edge {name!r} has unknown endpoint")
         outgoing[s].append((name, t))
-
-    # paths are stored in application order; acyclicity keeps them finite
-    paths: list[tuple] = []
-
-    def walk(v: str, trail: tuple, seen: frozenset) -> None:
-        for name, t in outgoing[v]:
-            if t in seen:
-                raise ParseError("graph has a cycle; free category would be infinite")
-            paths.append(trail + ((name, t),))
-            walk(t, trail + ((name, t),), seen | {t})
-
+        sources[t].append(s)
+    # list a vertex once every vertex it points to is listed, counting its paths
+    waiting = {v: len(out) for v, out in outgoing.items()}
+    order, count = [v for v, n in waiting.items() if n == 0], {}
+    for v in order:
+        count[v] = sum(1 + count[t] for _, t in outgoing[v])
+        for s in sources[v]:
+            waiting[s] -= 1
+            if waiting[s] == 0:
+                order.append(s)
+    if len(order) < len(outgoing):  # a vertex on a cycle is never listed
+        raise ParseError("graph has a cycle; free category would be infinite")
+    arrows = len(outgoing) + sum(count[v] for v in vertices)
+    if arrows > MAX_ARROWS:
+        raise ParseError(f"the free category would have {arrows} arrows; the limit is {MAX_ARROWS}")
+    # each vertex's non-empty paths as (name, end), depth first; "g∘f" means f first
+    paths: dict = {}
+    for v in order:
+        paths[v] = [path for name, t in outgoing[v] for path in
+                    [(name, t), *((f"{q}∘{name}", end) for q, end in paths[t])]]
+    identities = {v: f"id:{v}" for v in vertices}
+    morphisms = {ident: (v, v) for v, ident in identities.items()}
     for v in vertices:
-        walk(v, ((None, v),), frozenset({v}))
-
-    def path_name(p) -> str:
-        return "∘".join(reversed([name for name, _ in p[1:]]))  # "g∘f" means f first
-
-    morphisms = {}
-    identities = {}
-    for v in vertices:
-        ident = f"id:{v}"
-        morphisms[ident] = (v, v)
-        identities[v] = ident
-    for p in paths:
-        name = path_name(p)
-        if name in morphisms:  # an edge named like an identity or a composite path
-            raise ParseError(f"the free category would name two morphisms {name!r}")
-        morphisms[name] = (p[0][1], p[-1][1])
-    table = {}  # the presentation enters the composites with identities
-    for p in paths:
-        for q in paths:
-            if p[-1][1] != q[0][1]:
-                continue
-            # the composite is the concatenated path, itself listed under its name
-            table[(path_name(q), path_name(p))] = path_name(p + q[1:])
+        for name, end in paths[v]:
+            if name in morphisms:  # an edge named like an identity or a composite path
+                raise ParseError(f"the free category would name two morphisms {name!r}")
+            morphisms[name] = (v, end)
+    # p then a path q from its end is the path q∘p; the presentation enters identity composites
+    table = {(q, p): f"{q}∘{p}" for v in outgoing for p, end in paths[v] for q, _ in paths[end]}
     return FinCatPresentation(vertices, morphisms, identities, table)
 
 

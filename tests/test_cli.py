@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from cubecat import PLUS, bundled_category, is_thin, nerve, shell_tower
 from cubecat.cli import _dump, main, make_parser
 from cubecat.core import REGISTRY
+from cubecat.models import MAX_ARROWS, MAX_TRIPLES
 from conftest import tower_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -287,6 +288,7 @@ ONE_OBJECT = {
     "compose": [["1", "1", "1"]],
 }
 ONE_EDGE = {"vertices": ["a", "b"], "edges": [{"name": "f", "src": "a", "tgt": "b"}]}
+CHAIN = [f"c{i}" for i in range(1200)]  # its free category has 720,600 arrows
 
 
 def test_category_document_from_path(tmp_path):
@@ -340,6 +342,15 @@ BAD_CATEGORIES = {
         "identities": {o: f"1{o}" for o in "ABC"},
         "compose": [["g", "f", "h"], ["g", "f", "k"]],
     },
+    "graph-over-the-arrow-limit": {"graph": {"vertices": CHAIN, "edges": [
+        {"name": f"s{i}", "src": a, "tgt": b} for i, (a, b) in enumerate(zip(CHAIN, CHAIN[1:]))]}},
+    # the cyclic group of order 101: 101**3 composable triples
+    "group-over-the-triple-limit": {
+        "objects": ["*"],
+        "morphisms": [{"name": f"a{i}", "src": "*", "tgt": "*"} for i in range(101)],
+        "identities": {"*": "a0"},
+        "compose": [[f"a{i}", f"a{j}", f"a{(i + j) % 101}"] for i in range(101) for j in range(101)],
+    },
     # files the JSON reader refuses, written as they are
     "not-utf-8": b"\xff\xfe{}",
     "nested-past-the-recursion-limit": b"[" * 100_000,
@@ -351,6 +362,8 @@ CULPRITS = {
     "edge-named-like-a-path": "'g∘f'",
     "identity-of-unknown-object": "'Z'",
     "compose-entries-disagree": "(g, f)",
+    "graph-over-the-arrow-limit": f"720600 arrows; the limit is {MAX_ARROWS}",
+    "group-over-the-triple-limit": f"1030301 triples; the limit is {MAX_TRIPLES}",
 }
 
 
@@ -366,6 +379,16 @@ def test_invalid_category_document_is_config_error(tmp_path, name):
     assert len(result.stderr.splitlines()) == 2  # the message, then the elapsed time
     assert CULPRITS.get(name, "") in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_a_deep_graph_is_refused_within_a_second(tmp_path):
+    # a recursive path walk ran this chain into a RecursionError traceback with exit 1
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(BAD_CATEGORIES["graph-over-the-arrow-limit"]), encoding="utf-8")
+    result = run_cli("axioms", "--cat", str(path), "--dim", "2")
+    assert result.returncode == 2
+    elapsed = re.fullmatch(r"elapsed: (\S+)s", result.stderr.splitlines()[-1])
+    assert float(elapsed.group(1)) < 1.0
 
 
 def test_fold_square(square_file):

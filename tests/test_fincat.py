@@ -1,9 +1,12 @@
 """Category presentation loading and validation."""
 
+import itertools
+
 import pytest
 
 from cubecat import bundled_category, load_fincat
 from cubecat.errors import CategoryLawViolation, ParseError
+from cubecat.models import MAX_ARROWS
 
 
 def count_paths(graph):
@@ -226,3 +229,31 @@ def test_category_refusals_name_the_culprit(doc, error, culprit):
     load_fincat(BASE)  # the unedited document is a category
     with pytest.raises(error, match=culprit):
         load_fincat(doc)
+
+
+def grid_poset(d):
+    """[1]^d as a presentation document: bit strings under the product order."""
+    objects = ["".join(bits) for bits in itertools.product("01", repeat=d)]
+    below = [(x, y) for x in objects for y in objects if all(map(str.__le__, x, y))]
+    up = {x: [y for w, y in below if w == x] for x in objects}
+    return {
+        "objects": objects,
+        "morphisms": [arrow(f"{x}<{y}", x, y) for x, y in below],
+        "identities": {x: f"{x}<{x}" for x in objects},
+        "compose": [[f"{y}<{z}", f"{x}<{y}", f"{x}<{z}"] for x, y in below for z in up[y]],
+    }
+
+
+def test_the_limits_admit_the_grid_poset_of_dimension_7():
+    # 5**7 composable triples: a coordinate of w <= x <= y <= z reads 0000, 0001, 0011, 0111 or 1111
+    cat = load_fincat(grid_poset(7))
+    assert len(cat.morphisms) == 3 ** 7 and len(cat.table) == 4 ** 7
+
+
+def test_the_arrow_limit_counts_identities_and_paths():
+    vertices = [f"v{i}" for i in range(MAX_ARROWS - 3)]
+    edges = [arrow("e", "v0", "v1"), arrow("f", "v1", "v2")]  # e, f and f∘e
+    assert len(load_fincat({"graph": {"vertices": vertices, "edges": edges}}).morphisms) == MAX_ARROWS
+    edges.append(arrow("g", "v2", "v3"))  # g, g∘f and g∘f∘e
+    with pytest.raises(ParseError, match=f"{MAX_ARROWS + 3} arrows; the limit is {MAX_ARROWS}"):
+        load_fincat({"graph": {"vertices": vertices, "edges": edges}})
