@@ -216,7 +216,7 @@ def composite_face(view: "IdView", x_face: int, y_face: int, i: int, j: int, sig
     """Face (j, sign) of x o_i y, given the (j, sign) faces of x and y (COMP-FACE)."""
     if j == i:
         return x_face if sign == MINUS else y_face
-    return view.composites[x_face, y_face, i - 1 if j < i else i]
+    return view.composites[i - 1 if j < i else i][x_face][y_face]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +231,8 @@ class _Table(dict):
 
     ``below`` is the lowest first-argument dimension the view answers
     itself; a call below it reads ``lower``, the base's table of the same
-    operation, and stores nothing.  ``plain`` is the owner's plain
-    definition of the operation.
+    operation, and stores no result of its own.  ``plain`` is the owner's
+    plain definition of the operation.
     """
 
     __slots__ = ("view", "op", "below", "lower", "plain")
@@ -241,20 +241,72 @@ class _Table(dict):
         self.view, self.op, self.below, self.lower, self.plain = view, op, below, lower, plain
 
 
-class Composites(_Table):
-    """(x, y, i) -> the id of x o_i y."""
+class ComposeTable(_Table):
+    """i -> the :class:`DirectionTable` of the composites in direction i.
+
+    A miss refuses anything but an int direction from 1 up to the system's
+    ceiling before it makes a table.  It hands out a new direction table
+    and stores nothing: the table keeps itself here once it has answered a
+    read, so a refused call leaves no table behind.
+    """
 
     __slots__ = ()
 
-    def __missing__(self, key: tuple) -> int:
-        x, y, i = key
-        view = self.view
-        d = view.dims[x]
-        if d < self.below:
-            return self.lower[key]
-        if view.dims[y] != d or not 1 <= i <= d:
+    def __missing__(self, i: int) -> "DirectionTable":
+        ceiling = self.view.system.op_ceiling
+        top = ALL if ceiling is None else ceiling
+        if type(i) is not int or not 1 <= i <= top:
+            raise IndexOutOfRange("compose", i, top)
+        table = DirectionTable()
+        table.composites, table.i = self, i
+        return table
+
+
+class DirectionTable(dict):
+    """x -> the :class:`Row` of x's composites in direction ``i``.
+
+    Below the view's ``owns_from("compose")`` the row is the owner's: the
+    view keeps a reference to it once it has answered, so a delegated read
+    is a plain hit from then on, while each entry is stored once, in the
+    owner's row.
+    """
+
+    __slots__ = ("composites", "i")
+
+    def __missing__(self, x: int) -> "Row":
+        composites, i = self.composites, self.i
+        d = composites.view.dims[x]
+        if i > d:
             raise IndexOutOfRange("compose", i, d)
-        out = self[key] = view.id(self.plain(view.elements[x], view.elements[y], i))
+        if d < composites.below:
+            row = composites.lower[i][x]
+            if row:  # the owner keeps a row once it has answered
+                composites.setdefault(i, self)[x] = row
+            return row
+        row = Row()
+        row.table, row.x = self, x
+        return row
+
+
+class Row(dict):
+    """y -> the id of x o_i y, for one element x and the direction of ``table``.
+
+    Only a miss here computes: it runs the owner's plain definition, interns
+    and stores the result.  The row keeps itself in its direction table,
+    and the table in the view, once the row has answered a read.
+    """
+
+    __slots__ = ("table", "x")
+
+    def __missing__(self, y: int) -> int:
+        table, x = self.table, self.x
+        composites, i = table.composites, table.i
+        view = composites.view
+        d = view.dims[x]
+        if view.dims[y] != d:
+            raise IndexOutOfRange("compose", i, d)
+        out = self[y] = view.id(composites.plain(view.elements[x], view.elements[y], i))
+        composites.setdefault(i, table).setdefault(x, self)[y] = out
         return out
 
 
@@ -312,16 +364,20 @@ class IdView:
     object of id k, ``dims[k]`` its dimension and ``hashes[k]`` its hash,
     taken once when it is interned (a shell hashes the hashes of its face
     ids, so no face is hashed again).  ``id`` interns an element.  The four
-    operations are tables read by subscript, on ids: ``composites[x, y, i]``,
+    operations are tables read by subscript, on ids: ``composites[i][x][y]``,
     ``faces[i, sign][x]``, ``degeneracies[i, None][x]`` and
-    ``connections[i, g][x]``, where the outer table holds one
-    :class:`Column` per (direction, sign); ``tables`` maps each operation's
-    name to its table.  A hit returns the stored id with no Python frame.
-    A miss runs the table's ``__missing__``.  A call whose first argument
-    lies below the system's ``owns_from(op)`` dimension reads the base's
-    table and stores nothing, so a result is stored once, by its owner,
-    however many systems are stacked on it; an operation handed down whole
-    (``ALL``) is the base's table itself.  Otherwise the miss checks the
+    ``connections[i, g][x]``.  The outer table of a face, degeneracy or
+    connection holds one :class:`Column` per (direction, sign); the
+    composites hold one :class:`DirectionTable` per direction, of one
+    :class:`Row` per element x; ``tables`` maps each operation's name to
+    its table.  A hit returns the stored id with no Python frame.  A miss
+    runs the table's ``__missing__``.  A call whose first argument lies
+    below the system's ``owns_from(op)`` dimension reads the base's table
+    and stores no result, so a result is stored once, by its owner, however
+    many systems are stacked on it; such a composite row is the owner's
+    row, which the view keeps a reference to once it has answered, so a
+    delegated composite read is a hit as well.  An operation handed down
+    whole (``ALL``) is the base's table itself.  Otherwise the miss checks the
     direction, the sign and, for a degeneracy or connection, the ceiling,
     which a view enforces on what it hands down too, and then runs the
     owner's plain definition, which may raise as well; only what it returns
@@ -371,7 +427,7 @@ class IdView:
         if below == ALL:
             return base.tables[op]
         lower = None if base is None else base.tables[op]
-        kind = Composites if op == "compose" else Columns
+        kind = ComposeTable if op == "compose" else Columns
         return kind(self, op, below, lower, getattr(system, "_" + op, None))
 
     def id(self, x) -> int:
@@ -444,7 +500,8 @@ def _object_forms() -> dict:
 
     def compose(self, x, y, i: int):
         view = self.id_view
-        return view.elements[view.composites[view.id(x), view.id(y), i]]
+        k, m = view.id(x), view.id(y)
+        return view.elements[view.composites[i][k][m]]
 
     def cubes(self, n: int) -> tuple:
         """Exhaustive, duplicate-free, deterministically ordered dimension-n elements."""
@@ -570,14 +627,15 @@ def _eq_eps_unit(sys: IdView, bindings) -> Iterator:
         for i in range(1, sys.dim(x) + 1):
             left = sys.degeneracies[i, None][sys.faces[i, MINUS][x]]
             right = sys.degeneracies[i, None][sys.faces[i, PLUS][x]]
-            yield lambda: f"left unit o{i}", sys.composites[left, x, i], x
-            yield lambda: f"right unit o{i}", sys.composites[x, right, i], x
+            compose = sys.composites[i]
+            yield lambda: f"left unit o{i}", compose[left][x], x
+            yield lambda: f"right unit o{i}", compose[x][right], x
 
 
 def _eq_comp_face(sys: IdView, bindings) -> Iterator:
     faces, compose = sys.faces, sys.composites
     for x, y, i in bindings:
-        z = compose[x, y, i]
+        z = compose[i][x][y]
         # the two i-faces first, then the others in slot order
         for j, a in ((i, MINUS), (i, PLUS), *(key for key in slots(sys.dim(x)) if key[0] != i)):
             face = faces[j, a]
@@ -588,25 +646,24 @@ def _eq_comp_face(sys: IdView, bindings) -> Iterator:
 def _eq_assoc(sys: IdView, bindings) -> Iterator:
     compose = sys.composites
     for x, y, z, i in bindings:
-        yield (lambda: f"assoc o{i}",
-               compose[compose[x, y, i], z, i], compose[x, compose[y, z, i], i])
+        ci = compose[i]
+        yield lambda: f"assoc o{i}", ci[ci[x][y]][z], ci[x][ci[y][z]]
 
 
 def _eq_interchange(sys: IdView, bindings) -> Iterator:
     compose = sys.composites
     for x, y, z, w, i, j in bindings:
-        yield (lambda: f"interchange o{i}/o{j}",
-               compose[compose[x, y, i], compose[z, w, i], j],
-               compose[compose[x, z, j], compose[y, w, j], i])
+        ci, cj = compose[i], compose[j]
+        yield lambda: f"interchange o{i}/o{j}", cj[ci[x][y]][ci[z][w]], ci[cj[x][z]][cj[y][w]]
 
 
 def _eq_eps_comp(sys: IdView, bindings) -> Iterator:
     for x, y, i in bindings:
-        z = sys.composites[x, y, i]
+        z = sys.composites[i][x][y]
         for j in range(1, sys.dim(x) + 2):
             i2 = i + 1 if j <= i else i
             yield (lambda: f"e{j} (x o{i} y)", sys.degeneracies[j, None][z],
-                   sys.composites[sys.degeneracies[j, None][x], sys.degeneracies[j, None][y], i2])
+                   sys.composites[i2][sys.degeneracies[j, None][x]][sys.degeneracies[j, None][y]])
 
 
 def _eq_gamma_face(sys: IdView, bindings) -> Iterator:
@@ -662,30 +719,32 @@ def _eq_gamma_gamma(sys: IdView, bindings) -> Iterator:
 
 def _eq_gamma_comp(sys: IdView, bindings) -> Iterator:
     for x, y, i in bindings:
-        z = sys.composites[x, y, i]
+        z = sys.composites[i][x][y]
         for j in range(1, sys.dim(x) + 1):
             if j == i:
                 continue
             i2 = i + 1 if j < i else i
             for g in SIGNS:
                 yield (lambda: f"G{g}{j} (x o{i} y)", sys.connections[j, g][z],
-                       sys.composites[sys.connections[j, g][x], sys.connections[j, g][y], i2])
+                       sys.composites[i2][sys.connections[j, g][x]][sys.connections[j, g][y]])
 
 
 def _eq_transport(sys: IdView, bindings) -> Iterator:
     for a, b, i in bindings:
-        top = sys.composites[sys.connections[i, PLUS][a], sys.degeneracies[i + 1, None][a], i + 1]
-        bottom = sys.composites[sys.degeneracies[i, None][a], sys.connections[i, PLUS][b], i + 1]
+        ci, up = sys.composites[i], sys.composites[i + 1]
+        top = up[sys.connections[i, PLUS][a]][sys.degeneracies[i + 1, None][a]]
+        bottom = up[sys.degeneracies[i, None][a]][sys.connections[i, PLUS][b]]
         yield (lambda: f"G+{i} of o{i}-composite",
-               sys.connections[i, PLUS][sys.composites[a, b, i]], sys.composites[top, bottom, i])
+               sys.connections[i, PLUS][ci[a][b]], ci[top][bottom])
 
 
 def _eq_transport_minus(sys: IdView, bindings) -> Iterator:
     for a, b, i in bindings:
-        top = sys.composites[sys.connections[i, MINUS][a], sys.degeneracies[i, None][b], i + 1]
-        bottom = sys.composites[sys.degeneracies[i + 1, None][b], sys.connections[i, MINUS][b], i + 1]
+        ci, up = sys.composites[i], sys.composites[i + 1]
+        top = up[sys.connections[i, MINUS][a]][sys.degeneracies[i, None][b]]
+        bottom = up[sys.degeneracies[i + 1, None][b]][sys.connections[i, MINUS][b]]
         yield (lambda: f"G-{i} of o{i}-composite",
-               sys.connections[i, MINUS][sys.composites[a, b, i]], sys.composites[top, bottom, i])
+               sys.connections[i, MINUS][ci[a][b]], ci[top][bottom])
 
 
 def _eq_gamma_cancel(sys: IdView, bindings) -> Iterator:
@@ -694,9 +753,9 @@ def _eq_gamma_cancel(sys: IdView, bindings) -> Iterator:
             plus = sys.connections[i, PLUS][x]
             minus = sys.connections[i, MINUS][x]
             yield (lambda: f"G+{i} o{i+1} G-{i}",
-                   sys.composites[plus, minus, i + 1], sys.degeneracies[i, None][x])
+                   sys.composites[i + 1][plus][minus], sys.degeneracies[i, None][x])
             yield (lambda: f"G+{i} o{i} G-{i}",
-                   sys.composites[plus, minus, i], sys.degeneracies[i + 1, None][x])
+                   sys.composites[i][plus][minus], sys.degeneracies[i + 1, None][x])
 
 
 REGISTRY = {law.law_id: law for law in (

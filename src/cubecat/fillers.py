@@ -165,7 +165,8 @@ def evaluate(system: CubeSystem, expr: GeneratorExpression):
 
     def value(expr: GeneratorExpression) -> int:
         if isinstance(expr, Compose):
-            return view.composites[value(expr.left), value(expr.right), expr.dir]
+            left, right = value(expr.left), value(expr.right)
+            return view.composites[expr.dir][left][right]
         if isinstance(expr, Eps):
             return view.degeneracies[expr.dir, None][view.id(expr.cube)]
         if isinstance(expr, Gamma):

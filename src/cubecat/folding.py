@@ -38,8 +38,8 @@ def _psi(view, x: int, i: int) -> int:
             raise IndexOutOfRange("psi", i, n)
         left = view.connections[i, PLUS][view.faces[i + 1, MINUS][x]]
         right = view.connections[i, MINUS][view.faces[i + 1, PLUS][x]]
-        out = view.psis.setdefault(i, {})[x] = view.composites[
-            view.composites[left, x, i + 1], right, i + 1]
+        compose = view.composites[i + 1]
+        out = view.psis.setdefault(i, {})[x] = compose[compose[left][x]][right]
     return out
 
 

@@ -102,9 +102,7 @@ class FinCatPresentation:
                 if unit is not None and gf != unit:
                     raise CategoryLawViolation(
                         f"identity law broken: {g} o {f} = {gf}, expected {unit}")
-        triples = sum(len(into[s]) * len(out[t]) for s, t in self.morphisms.values())
-        if triples > MAX_TRIPLES:
-            raise ParseError(f"associativity would check {triples} triples; the limit is {MAX_TRIPLES}")
+        _check_triples(sum(len(into[s]) * len(out[t]) for s, t in self.morphisms.values()))
         for f, (_, tf) in self.morphisms.items():
             for g in out[tf]:
                 gf = self.table[(g, f)]
@@ -113,6 +111,11 @@ class FinCatPresentation:
                         raise CategoryLawViolation(
                             f"associativity fails on ({h}, {g}, {f})"
                         )
+
+
+def _check_triples(triples: int) -> None:
+    if triples > MAX_TRIPLES:
+        raise ParseError(f"associativity would check {triples} triples; the limit is {MAX_TRIPLES}")
 
 
 def _listed(value, kind: type, error: str, length: Optional[int] = None) -> list:
@@ -149,20 +152,28 @@ def _free_category(graph: dict) -> FinCatPresentation:
             raise ParseError(f"edge {name!r} has unknown endpoint")
         outgoing[s].append((name, t))
         sources[t].append(s)
-    # list a vertex once every vertex it points to is listed, counting its paths
-    waiting = {v: len(out) for v, out in outgoing.items()}
-    order, count = [v for v, n in waiting.items() if n == 0], {}
+    # list a vertex once every vertex it points to is listed, counting its
+    # arrows out (identity included) and, over its non-empty paths, the
+    # arrows out of their ends
+    waiting = {v: len(outgoing[v]) for v in outgoing}
+    order, out, ahead = [v for v, n in waiting.items() if n == 0], {}, {}
     for v in order:
-        count[v] = sum(1 + count[t] for _, t in outgoing[v])
+        out[v] = 1 + sum(out[t] for _, t in outgoing[v])
+        ahead[v] = sum(out[t] + ahead[t] for _, t in outgoing[v])
         for s in sources[v]:
             waiting[s] -= 1
             if waiting[s] == 0:
                 order.append(s)
     if len(order) < len(outgoing):  # a vertex on a cycle is never listed
         raise ParseError("graph has a cycle; free category would be infinite")
-    arrows = len(outgoing) + sum(count[v] for v in vertices)
+    arrows = sum(out[v] for v in vertices)
     if arrows > MAX_ARROWS:
         raise ParseError(f"the free category would have {arrows} arrows; the limit is {MAX_ARROWS}")
+    # the associativity check's triples: g from v, f into v, h out of g's end
+    into: dict = {}
+    for v in reversed(order):
+        into[v] = 1 + sum(into[s] for s in sources[v])
+    _check_triples(sum(into[v] * (out[v] + ahead[v]) for v in vertices))
     # each vertex's non-empty paths as (name, end), depth first; "g∘f" means f first
     paths: dict = {}
     for v in order:

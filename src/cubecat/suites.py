@@ -115,7 +115,7 @@ def _lemma_1_3_compose(view, n, stream):
         for x, y in composable_pairs(view, drawn, i):
             yield ({"x": x, "y": y, "i": i}, lambda: f"compose: boundary of x o{i} y",
                    shells.compose(boundary(sys, elements[x]), boundary(sys, elements[y]), i),
-                   boundary(sys, elements[view.composites[x, y, i]]))
+                   boundary(sys, elements[view.composites[i][x][y]]))
 
 
 def _thm_1_4(view, n, stream):
@@ -173,11 +173,11 @@ def _lemma_2_3(view, bindings):
             plus = _psi(view, _psi(view, view.connections[i, PLUS][c], i + 1), i)
             gamma = view.connections[i, PLUS][view.faces[i + 1, MINUS][c]]
             yield (lambda: f"iii+: psi{i} psi{i + 1} G+{i} x",
-                   plus, view.degeneracies[i, None][view.composites[gamma, c, i + 1]])
+                   plus, view.degeneracies[i, None][view.composites[i + 1][gamma][c]])
             minus = _psi(view, _psi(view, view.connections[i, MINUS][c], i + 1), i)
             gamma = view.connections[i, MINUS][view.faces[i + 1, PLUS][c]]
             yield (lambda: f"iii-: psi{i} psi{i + 1} G-{i} x",
-                   minus, view.degeneracies[i, None][view.composites[c, gamma, i + 1]])
+                   minus, view.degeneracies[i, None][view.composites[i + 1][c][gamma]])
 
 
 def _lemma_2_4(view, bindings):
@@ -198,7 +198,7 @@ def _lemma_2_5(view, n, stream):
             for y, z in composable_pairs(view, degenerate, i):
                 yield ({"x": y, "y": z, "i": i},
                        lambda: f"the o{i} composite of {j}-degenerate x, y is {j}-degenerate",
-                       *_retraction(view, view.composites[y, z, i], j))
+                       *_retraction(view, view.composites[i][y][z], j))
 
 
 def _lemma_2_6(view, bindings):
@@ -270,7 +270,7 @@ def _prop_2_2_closure(view, n, stream):
             continue
         a, b = map(view.id, got)
         yield ({"x": a, "y": b, "i": i}, lambda: f"ii: the o{i} composite of thin x, y is thin",
-               *_retraction(view, _folded(view, view.composites[a, b, i]), 1))
+               *_retraction(view, _folded(view, view.composites[i][a][b]), 1))
         produced += 1
 
 
@@ -295,7 +295,7 @@ def _cor_2_7_composites(view, n, stream):
     for i in range(1, n + 1):
         for s, t in composable_pairs(shells, commutative, i):
             yield ({"s": s, "t": t, "i": i}, lambda: f"ii: s o{i} t commutes",
-                   is_commutative(sys, elements[shells.composites[s, t, i]]), True)
+                   is_commutative(sys, elements[shells.composites[i][s][t]]), True)
 
 
 def _thm_2_8(view, bindings):
@@ -347,7 +347,7 @@ def _thm_3_1(view, n, stream):
     for i in range(1, n + 1):
         for s, t in composable_pairs(shells, domain, i):
             yield ({"s": s, "t": t, "i": i}, lambda: f"compose: theta(s o{i} t)",
-                   theta(elements[shells.composites[s, t, i]]),
+                   theta(elements[shells.composites[i][s][t]]),
                    sys.compose(theta(elements[s]), theta(elements[t]), i))
     # the connections read back off theta agree with the model's own,
     # and re-deriving theta from them closes the loop

@@ -67,6 +67,27 @@ class Spy(dict):
         return self.answer(key)
 
 
+class CompositeSpy:
+    """Stands in for the composites of a view: ``answer((x, y, i))`` answers
+    each read ``[i][x][y]``, and ``calls`` lists the (x, y, i) read, in order."""
+
+    def __init__(self, answer):
+        self.answer, self.calls = answer, []
+
+    def __getitem__(self, i):
+        return Spy(lambda x: Spy(lambda y: self._read((x, y, i))))
+
+    def _read(self, key):
+        self.calls.append(key)
+        return self.answer(key)
+
+
+def composite(composites, key):
+    """The entry (x, y, i) of a view's composites."""
+    x, y, i = key
+    return composites[i][x][y]
+
+
 def edge_cube(system, name: str):
     """The 1-cube of a nerve carrying the named morphism."""
     for c in system.cubes(1):

@@ -20,7 +20,9 @@ from cubecat import (
 )
 from cubecat.core import REGISTRY, incidences, run_law, slots
 from cubecat.errors import IndexOutOfRange, MalformedSample, NotComposable, UnknownLaw
-from conftest import Spy, element_pairs, nerve_of, reference_bindings, tower_of
+from conftest import (
+    CompositeSpy, Spy, composite, element_pairs, nerve_of, reference_bindings, tower_of,
+)
 
 
 def failing_ids(reports):
@@ -189,9 +191,9 @@ def test_an_error_names_the_grid_being_checked(monkeypatch, k):
     def fails_on_kth(key):
         if len(spy.calls) == k:
             raise NotComposable(key[2], "left", "right", "compose")
-        return composites[key]
+        return composite(composites, key)
 
-    spy = Spy(fails_on_kth)
+    spy = CompositeSpy(fails_on_kth)
     monkeypatch.setattr(view, "composites", spy)
     report = run_law(system, REGISTRY["INTERCHANGE"], max_dim=2, exhaustive_dim=2)
     # INTERCHANGE composes six times per grid, and grids come in enumeration order
@@ -212,7 +214,7 @@ def test_a_failing_statement_names_the_grid_being_checked(monkeypatch, k):
     view = system.id_view
     composites = view.composites
     wrong = view.pool(0)[0]  # a 0-cube is never a composite of 2-cubes
-    spy = Spy(lambda key: wrong if len(spy.calls) == k else composites[key])
+    spy = CompositeSpy(lambda key: wrong if len(spy.calls) == k else composite(composites, key))
     monkeypatch.setattr(view, "composites", spy)
     report = run_law(system, REGISTRY["INTERCHANGE"], max_dim=2, exhaustive_dim=2)
     # the k-th compose, the last of one side, makes that side wrong without raising
@@ -233,7 +235,8 @@ def test_an_error_while_drawing_a_binding_names_none(monkeypatch):
     law, options = REGISTRY["INTERCHANGE"], dict(max_dim=2, exhaustive_dim=2)
     assert run_law(system, law, **options).passed  # from now on every compose is a table hit
     view = system.id_view
-    faces, composed = view.faces, Spy(view.composites.__getitem__)
+    composites = view.composites
+    faces, composed = view.faces, CompositeSpy(lambda key: composite(composites, key))
 
     def fails_once_grids_are_checked(key):
         # only the grid enumerator reads faces once composing has begun

@@ -1,12 +1,13 @@
 """Category presentation loading and validation."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
-from cubecat import bundled_category, load_fincat
+from cubecat import bundled_category, load_fincat, models
 from cubecat.errors import CategoryLawViolation, ParseError
-from cubecat.models import MAX_ARROWS
+from cubecat.models import MAX_ARROWS, MAX_TRIPLES
 
 
 def count_paths(graph):
@@ -257,3 +258,35 @@ def test_the_arrow_limit_counts_identities_and_paths():
     edges.append(arrow("g", "v2", "v3"))  # g, g∘f and g∘f∘e
     with pytest.raises(ParseError, match=f"{MAX_ARROWS + 3} arrows; the limit is {MAX_ARROWS}"):
         load_fincat({"graph": {"vertices": vertices, "edges": edges}})
+
+
+def chain(n: int) -> dict:
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [arrow(f"e{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    return {"graph": {"vertices": vertices, "edges": edges}}
+
+
+def test_the_triple_limit_refuses_a_free_category_before_naming_a_path():
+    # its 4,950 arrows pass the arrow limit; naming its paths and building
+    # its table would take about 95 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^associativity would check 4249575 triples; "
+                                             f"the limit is {MAX_TRIPLES}$"):
+            load_fincat(chain(99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_a_free_category_counts_the_triples_its_presentation_checks(monkeypatch):
+    counts = []
+    check = models._check_triples
+    monkeypatch.setattr(models, "_check_triples", lambda triples: counts.append(triples) or check(triples))
+    graph = dict(FREE_SQUARE_GRAPH, edges=FREE_SQUARE_GRAPH["edges"] + [arrow("f2", "A", "B")])
+    for document in (chain(30), {"graph": FREE_SQUARE_GRAPH}, {"graph": graph}):
+        counts.clear()
+        load_fincat(document)
+        # once from the path counts, once from the presentation's arrow index
+        assert len(counts) == 2 and counts[0] == counts[1] > 0

@@ -11,14 +11,22 @@ differs from its original in one line, marked; it is patched into every
 module that binds the original, on a fresh nerve(poset22) checked
 exhaustively up to dimension 2.  A mutant its law does not kill fails the
 test under its own name, so a survivor is reported, not hidden.
+
+One more mutant is of the tabulation: a direction table of a tower view
+that hands down its base's row of the mirrored direction.  INTERCHANGE
+kills it on tower(poset22) checked exhaustively up to dimension 3: the
+tower view hands its 2-cubes down, and the first grid of 2-cubes it
+composes is refused as not composable.  (A 1-cube has one direction, its
+own mirror, so the mutant changes nothing below dimension 2.)
 """
 
 import sys
 
 import pytest
 
-from cubecat import MINUS, PLUS, bundled_category, core, models, nerve
+from cubecat import MINUS, PLUS, bundled_category, core, models, nerve, shell_tower
 from cubecat.core import REGISTRY, run_law
+from cubecat.errors import IndexOutOfRange
 
 
 def degeneracy_face(view, k, j, i, sign):
@@ -40,13 +48,13 @@ def connection_face(view, k, j, g, i, sign):
 def composite_face(view, x_face, y_face, i, j, sign):
     if j == i:
         return y_face if sign == MINUS else x_face  # mutant: the two sides swapped
-    return view.composites[x_face, y_face, i - 1 if j < i else i]
+    return view.composites[i - 1 if j < i else i][x_face][y_face]
 
 
 def composite_face_direction(view, x_face, y_face, i, j, sign):
     if j == i:
         return x_face if sign == MINUS else y_face
-    return view.composites[x_face, y_face, i if j < i else i - 1]  # mutant: direction off by one
+    return view.composites[i if j < i else i - 1][x_face][y_face]  # mutant: direction off by one
 
 
 def connection_pickers(n, pos, sign):
@@ -93,3 +101,32 @@ def test_each_face_law_helper_mutant_fails_its_law(monkeypatch, case):
     # a counterexample is a wrong value or a refused call, on a named binding
     assert report.counterexample.get("equation") or report.counterexample.get("error")
     assert report.counterexample["binding"]
+
+
+def direction_table_missing(self, x):
+    composites, i = self.composites, self.i
+    d = composites.view.dims[x]
+    if i > d:
+        raise IndexOutOfRange("compose", i, d)
+    if d < composites.below:
+        row = composites.lower[d + 1 - i][x]  # mutant: the base's row of the mirrored direction
+        if row:
+            composites.setdefault(i, self)[x] = row
+        return row
+    row = core.Row()
+    row.table, row.x = self, x
+    return row
+
+
+def test_a_direction_table_handing_down_the_wrong_row_fails_interchange(monkeypatch):
+    law, options = REGISTRY["INTERCHANGE"], dict(max_dim=3, exhaustive_dim=3, samples=0)
+
+    def tower():
+        return shell_tower(nerve(bundled_category("poset22"), 1), 2)
+
+    assert run_law(tower(), law, **options).passed
+    monkeypatch.setattr(core.DirectionTable, "__missing__", direction_table_missing)
+    report = run_law(tower(), law, **options)
+    assert not report.passed, "the mirrored-row mutant survives INTERCHANGE"
+    assert report.counterexample["error"] == "NotComposable"
+    assert report.counterexample["binding"]["x"]["dim"] == 2

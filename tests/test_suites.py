@@ -7,7 +7,7 @@ from cubecat.core import REGISTRY, run_law
 from cubecat.errors import UnknownLaw
 from cubecat.shells import is_commutative, shell_system
 from cubecat.suites import SUITES, run_suite, run_suites
-from conftest import Spy, nerve_of, tower_of
+from conftest import CompositeSpy, nerve_of, tower_of
 
 EXPECTED_IDS = [
     "lemma-1.1", "prop-1.2", "lemma-1.3", "thm-1.4", "lemma-1.5",
@@ -71,7 +71,7 @@ def test_a_failing_pool_part_names_its_own_binding(monkeypatch):
     # every 2-shell is folded now, so later folds, the lifts' of part (i) too, compose nothing
     commutes = {t: is_commutative(system, shells.elements[t]) for t in shells.pool(2)}
     wrong = next(t for t, yes in commutes.items() if not yes)
-    monkeypatch.setattr(shells, "composites", Spy(lambda key: wrong))
+    monkeypatch.setattr(shells, "composites", CompositeSpy(lambda key: wrong))
     report = run_suite(system, "cor-2.7", max_dim=2)
     payload = report.counterexample
     assert not report.passed and set(payload) == {"binding", "equation"}

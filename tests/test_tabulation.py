@@ -26,6 +26,7 @@ from cubecat import (
     shell_tower,
     theta_from_connections,
 )
+from cubecat import core
 from cubecat.core import REGISTRY, run_law, slots
 from cubecat.shells import boundary, enumerate_shells, make_shell, shell_system
 from cubecat.errors import (
@@ -33,7 +34,7 @@ from cubecat.errors import (
 )
 from cubecat.fillers import ThinStructure
 from cubecat.suites import run_suite
-from conftest import Spy, element_pairs, nerve_of, tower_of
+from conftest import CompositeSpy, Spy, composite, element_pairs, nerve_of, tower_of
 
 
 def warmed(system):
@@ -42,12 +43,20 @@ def warmed(system):
     return system
 
 
+def own_rows(view) -> dict:
+    """(i, x) -> the composite row of x in direction i that the view owns; a row
+    the view keeps of its base's, and a table it reads whole, are not its own."""
+    return {(i, x): row for i, table in view.composites.items() for x, row in table.items()
+            if row.table.composites.view is view}
+
+
 def own(view, op: str) -> int:
     """Entries the view stores for one operation; 0 for one it reads whole from its base."""
     table = view.tables[op]
     if table.view is not view:
         return 0
-    return len(table) if op == "compose" else sum(map(len, table.values()))
+    rows = own_rows(view).values() if op == "compose" else table.values()
+    return sum(map(len, rows))
 
 
 def stored(system) -> int:
@@ -75,6 +84,7 @@ def footprint(system) -> tuple:
         sizes.append(stored(system))
         sizes.append({(op, key) for op, table in view.tables.items()
                       if op != "compose" and table.view is view for key in table})
+        sizes.append(set(own_rows(view)))
         system = system.base
     return tuple(sizes)
 
@@ -98,7 +108,10 @@ def test_invalid_calls_raise_on_warm_tables(make):
             with pytest.raises(NotComposable):
                 system.compose(x, y, 1)
             with pytest.raises(NotComposable):
-                view.composites[k, view.id(y), 1]
+                view.composites[1][k][view.id(y)]
+            for stale in ((k, view.id(y), 1), 0, n + 1, "1"):
+                with pytest.raises(IndexOutOfRange):
+                    view.composites[stale][k][view.id(y)]
             with pytest.raises(IndexOutOfRange):
                 system.face(x, n + 1, MINUS)
             with pytest.raises(IndexOutOfRange):
@@ -140,7 +153,7 @@ def test_extension_refuses_top_dimension_base_cubes_on_warm_tables():
         ext.compose(square, square, 2)
     view = ext.id_view
     with pytest.raises(DimensionTooLarge):
-        view.composites[view.id(square), view.id(square), 2]
+        view.composites[2][view.id(square)][view.id(square)]
     # the extension's own top-dimension composites still work
     s, t, i = composable_pairs_first(ext, 2)
     assert ext.dim(ext.compose(s, t, i)) == 2
@@ -178,10 +191,18 @@ def test_a_tower_stores_a_delegated_result_once():
     view = tower.id_view
     x, y, i = composable_pairs_first(tower, 1)
     k = view.id(x)
+    # a 1-cube's composites are the root's: the entry is only in the root's
+    # row, and each view above keeps that same row once it has answered
+    xy = view.id(tower.compose(x, y, i))
+    assert view.id(tower.compose(x, y, i)) == xy  # a read after the row has answered keeps it
+    row = own_rows(root.id_view)[i, k]
+    assert row.get(view.id(y)) == xy
+    for system in (tower, inner):
+        assert (i, k) not in own_rows(system.id_view)
+        assert system.id_view.composites[i].get(k) is row
     # (owner, where a view keeps the result, the key, the result asked of the tower);
-    # a 1-cube's faces and composites are the root's, its lifts the inner extension's
+    # a 1-cube's faces are the root's, its lifts the inner extension's
     cases = [
-        (root, lambda v: v.composites, (k, view.id(y), i), tower.compose(x, y, i)),
         (root, lambda v: v.faces[1, PLUS], k, tower.face(x, 1, PLUS)),
         (inner, lambda v: v.degeneracies[2, None], k, tower.degeneracy(x, 2)),
         (inner, lambda v: v.connections[1, MINUS], k, tower.connection(x, 1, MINUS)),
@@ -197,7 +218,15 @@ def test_a_tower_stores_a_delegated_result_once():
 
 def test_a_warm_interchange_run_composes_nothing(monkeypatch):
     # each composite is computed once, by the owner's plain definition, and stored there
-    calls = []
+    calls, misses = [], []
+    for cls in (core.ComposeTable, core.DirectionTable, core.Row):
+        missing = cls.__missing__
+
+        def counted_miss(self, key, missing=missing):
+            misses.append(key)
+            return missing(self, key)
+
+        monkeypatch.setattr(cls, "__missing__", counted_miss)
     for cls in (NerveSystem, ShellExtension):
         plain = cls._compose
 
@@ -216,9 +245,11 @@ def test_a_warm_interchange_run_composes_nothing(monkeypatch):
     assert sizes == {"compose": [7_500, 200, 16], "face": [2_400, 144, 18]}
     assert len(tower.id_view.ids) == 449
     assert len(calls) == sum(sizes["compose"])
+    misses.clear()
     again = run_law(tower, law, **options)
     assert again == first
     assert len(calls) == sum(sizes["compose"]), "a warm run composed again"
+    assert not misses, "a warm run missed a composite table"
     assert [own(s.id_view, "compose") for s in systems] == sizes["compose"]
 
 
@@ -401,7 +432,8 @@ def test_a_failed_fold_is_not_stored_and_a_stored_one_is_reused(monkeypatch):
     first = big_psi(system, x)
     assert first.folded == system.degeneracy(first.n_face, 1)
     answers = (first, psi(system, x, 1), psi(system, x, 2), boundary(system, x))
-    spies = [Spy(table.__getitem__) for table in (view.composites, view.faces)]
+    composites = view.composites
+    spies = [CompositeSpy(lambda key: composite(composites, key)), Spy(view.faces.__getitem__)]
     monkeypatch.setattr(view, "composites", spies[0])
     monkeypatch.setattr(view, "faces", spies[1])
     again = (big_psi(system, x), psi(system, x, 1), psi(system, x, 2), boundary(system, x))
